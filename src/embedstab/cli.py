@@ -45,7 +45,7 @@ from .instability import (
     intrinsic_instability,
     wordwise_instability,
 )
-from .overlap import _neighbor_lists, mean_overlap
+from .overlap import _neighbor_lists, _summaries, mean_overlap
 from .pip_loss import (
     DEFAULT_PROXY_SIZE,
     reduced_pip_loss,
@@ -468,12 +468,16 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     targets = _read_words(args.targets)
     if args.profiles is not None:
         Path(args.profiles).mkdir(parents=True, exist_ok=True)
-    neighbor_lists = _neighbor_lists(spaces, targets, args.candidates)
-    measured_1 = {s.target: s.mean_p for s in mean_overlap(runs, targets, 1)}
-    measured_2 = {s.target: s.mean_p for s in mean_overlap(runs, targets, 2)}
+    # One pass serves the candidate queries and both measured overlaps,
+    # which read the top-1 and top-2 prefixes of the same lists.
+    neighbor_lists = _neighbor_lists(spaces, targets, max(args.candidates, 2))
+    measured_1 = {s.target: s.mean_p for s in _summaries(neighbor_lists, targets, 1)}
+    measured_2 = {s.target: s.mean_p for s in _summaries(neighbor_lists, targets, 2)}
     rows = []
     for index, target in enumerate(targets):
-        queries = sorted(set().union(*(lists[target] for lists in neighbor_lists)))
+        queries = sorted(
+            set().union(*(lists[target][: args.candidates] for lists in neighbor_lists))
+        )
         queries = [q for q in queries if q != target]
         profile = estimate_profile(runs, target, queries)
         if args.profiles is not None:

@@ -2,20 +2,30 @@
 
 Across repeated runs the cosine of a fixed (target, query) pair is modeled
 as an independent Gaussian with parameters (mu, sigma) estimated per pair.
-From a target's full profile of pair statistics the model predicts, by
-numerical integration, the probability that a query lands at rank 1 or
-within the top 2 of the target's neighbor list in a fresh run, and from
-those the expected top-n overlap between two fresh runs.
+From a target's full profile of pair statistics the model predicts the
+probability that a query lands at rank 1 or within the top 2 of the
+target's neighbor list in a fresh run, and from those the expected top-n
+overlap between two fresh runs.
+
+Both probabilities come for every query of a profile at once from one
+quadrature pass: panel Gauss-Legendre nodes between the breakpoints
+mu + k sigma of all entries, one matrix of competitor CDFs, and a
+leave-one-out recurrence over the entries that gives, per entry and node,
+the chance that no other entry, or exactly one other entry, lies above.
+The grid is fixed by the entries' breakpoints, so there is no integration
+tolerance to set; `pruning_threshold` is the only accuracy knob.  The
+result is computed once per profile and pruning threshold and kept on the
+profile.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.special import erfc as _erfc_array, ndtr as _ndtr
+from scipy.special import erfc as _erfc_array, ndtr as _ndtr, roots_legendre
 
 from .space import RunSet, _unit_rows, joint_vocabulary
 
@@ -34,9 +44,13 @@ __all__ = [
 ]
 
 DEFAULT_PRUNING_THRESHOLD = 1e-5
-DEFAULT_INTEGRATION_TOL = 1e-6
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-_MAX_SPLIT_DEPTH = 30
+# Panel edges sit at these multiples of every entry's sigma around its mean,
+# so each Gaussian is resolved on its own scale over mu +- 8 sigma.
+_BREAKPOINT_SCALES = np.array([-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0])
+_NODES_PER_PANEL = 8
+# Entries x nodes per block: bounds the kernel's working set to a few MB.
+_BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -50,8 +64,8 @@ class PairStatistics:
     r: int
 
     def __post_init__(self) -> None:
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.r < 1:
             raise ValueError(f"sample count must be >= 1, got {self.r}")
         if not -1.0 <= self.mu <= 1.0:
@@ -65,6 +79,10 @@ class StabilityProfile:
     target: str
     entries: tuple[PairStatistics, ...]
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    # (p#1, p#2) arrays per pruning threshold, filled on first use.
+    _ranks: dict[float, tuple[np.ndarray, np.ndarray]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.entries:
@@ -81,6 +99,7 @@ class StabilityProfile:
                 raise ValueError(f"duplicate query {entry.query!r}")
             index[entry.query] = i
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_ranks", {})
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -188,69 +207,18 @@ def _prob_greater_vs(mu: np.ndarray, sigma: np.ndarray, mu0: float, sigma0: floa
     return out
 
 
-def _adaptive_simpson(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float,
-    anchors: Sequence[float] = (),
-) -> float:
-    """Adaptive Simpson quadrature to absolute tolerance `tol`.
+def _cdf_matrix(x: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """(entries, nodes) matrix of P(entry < x).
 
-    The interval is pre-split at the `anchors` (where the integrand is known
-    to bend or step), and every segment is forced through a few subdivisions
-    before the convergence test may fire.  Without the forced splits, a bump
-    far narrower than the interval can fall between the first sample points
-    and be silently integrated as zero.
+    Zero-sigma entries step at their mean, with 0.5 on an exact tie.
     """
-    points = [a]
-    points.extend(sorted(x for x in set(anchors) if a < x < b))
-    points.append(b)
-    segment_tol = tol / (len(points) - 1)
-    total = 0.0
-    for lo, hi in zip(points, points[1:]):
-        m = 0.5 * (lo + hi)
-        flo, fm, fhi = f(lo), f(m), f(hi)
-        whole = (hi - lo) / 6.0 * (flo + 4.0 * fm + fhi)
-        total += _simpson_split(
-            f, lo, hi, flo, fm, fhi, whole, segment_tol, _MAX_SPLIT_DEPTH, 2
-        )
-    return total
-
-
-def _simpson_split(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    fa: float,
-    fm: float,
-    fb: float,
-    whole: float,
-    tol: float,
-    depth: int,
-    force: int,
-) -> float:
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if depth <= 0 or (force <= 0 and abs(delta) <= 15.0 * tol):
-        return left + right + delta / 15.0
-    half = 0.5 * tol
-    return _simpson_split(
-        f, a, m, fa, flm, fm, left, half, depth - 1, force - 1
-    ) + _simpson_split(f, m, b, fm, frm, fb, right, half, depth - 1, force - 1)
-
-
-def _competitor_cdf(x: float, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """P(competitor < x) per competitor; zero-sigma entries step at their mean."""
-    safe = np.where(sigma > 0.0, sigma, 1.0)
-    gaussian = _ndtr((x - mu) / safe)
-    step = np.where(x > mu, 1.0, np.where(x < mu, 0.0, 0.5))
-    return np.where(sigma > 0.0, gaussian, step)
+    point = sigma == 0.0
+    z = (x[None, :] - mu[:, None]) / np.where(point, 1.0, sigma)[:, None]
+    cdf = _ndtr(z)
+    if np.any(point):
+        d = z[point]
+        cdf[point] = np.where(d > 0.0, 1.0, np.where(d < 0.0, 0.0, 0.5))
+    return cdf
 
 
 def _rank_reference(mu: np.ndarray, sigma: np.ndarray, rank: int) -> tuple[float, float]:
@@ -273,84 +241,99 @@ def _keep_mask(
     return _prob_greater_vs(mu, sigma, mu0, sigma0) >= threshold
 
 
-def _anchor_points(mu_q: float, sigma_q: float, mu_c: np.ndarray) -> list[float]:
-    """Known feature locations: competitor means and the query's own scales."""
-    anchors = [mu_q + k * sigma_q for k in (-4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0)]
-    anchors.extend(float(m) for m in mu_c)
-    return anchors
+def _exclusive_products(f: np.ndarray) -> np.ndarray:
+    """Per row i and column, the product of f over all rows except i."""
+    before = np.ones_like(f)
+    np.cumprod(f[:-1], axis=0, out=before[1:])
+    after = np.ones_like(f)
+    after[:-1] = np.cumprod(f[:0:-1], axis=0)[::-1]
+    return before * after
 
 
-def _p_first(
-    idx: int, mu: np.ndarray, sigma: np.ndarray, keep: np.ndarray, tol: float
-) -> float:
-    """P(query idx ranks first among kept entries)."""
-    others = keep.copy()
-    others[idx] = False
-    mu_c = mu[others]
-    sigma_c = sigma[others]
-    mu_q = float(mu[idx])
-    sigma_q = float(sigma[idx])
-    if mu_c.size == 0:
-        return 1.0
-    if sigma_q == 0.0:
-        return float(np.prod(_competitor_cdf(mu_q, mu_c, sigma_c)))
+def _leave_one_out(
+    cdf: np.ndarray, first: np.ndarray, second: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per entry and node: P(no other `first` entry lies above the node) and
+    P(exactly one other `second` entry lies above it).
 
-    def integrand(x: float) -> float:
-        t = (x - mu_q) / sigma_q
-        g = math.exp(-0.5 * t * t) * _INV_SQRT_2PI / sigma_q
-        if g == 0.0:
-            return 0.0
-        return g * float(np.prod(_competitor_cdf(x, mu_c, sigma_c)))
+    Entries outside a mask count as always below.  The second probability
+    runs a two-state (none above, one above) recurrence over the entries
+    before i and another over those after i, and joins them; no division,
+    so CDF values of exactly 0 or 1 are safe.
+    """
+    none_first = _exclusive_products(np.where(first[:, None], cdf, 1.0))
+    below = np.where(second[:, None], cdf, 1.0)
+    above = 1.0 - below
+    k, width = cdf.shape
+    before_none, before_one = np.empty_like(cdf), np.empty_like(cdf)
+    after_none, after_one = np.empty_like(cdf), np.empty_like(cdf)
+    for order, none_out, one_out in (
+        (range(k), before_none, before_one),
+        (range(k - 1, -1, -1), after_none, after_one),
+    ):
+        none, one = np.ones(width), np.zeros(width)
+        for i in order:
+            none_out[i], one_out[i] = none, one
+            none, one = none * below[i], one * below[i] + none * above[i]
+    one_second = before_none * after_one + before_one * after_none
+    return none_first, one_second
 
-    lo = mu_q - 8.0 * sigma_q
-    hi = mu_q + 8.0 * sigma_q
-    value = _adaptive_simpson(
-        integrand, lo, hi, tol, anchors=_anchor_points(mu_q, sigma_q, mu_c)
-    )
-    return min(1.0, max(0.0, value))
+
+def _quadrature_nodes(
+    mu: np.ndarray, sigma: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes, weights and owning entry (-1 for shared nodes) of the grid.
+
+    Shared nodes are Gauss-Legendre panels between the sorted breakpoints
+    mu + k sigma of all entries, which include every mean, so no panel
+    straddles the step of a zero-sigma entry.  A zero-sigma entry is a
+    point mass and owns one node at its mean, of weight 1.
+    """
+    point = np.flatnonzero(sigma == 0.0)
+    edges = np.unique((mu[:, None] + sigma[:, None] * _BREAKPOINT_SCALES).ravel())
+    half = 0.5 * np.diff(edges)[:, None]
+    nodes, weights = roots_legendre(_NODES_PER_PANEL)
+    shared = (edges[:-1, None] + half * (1.0 + nodes)).ravel()
+    x = np.concatenate((mu[point], shared))
+    w = np.concatenate((np.ones(point.size), (half * weights).ravel()))
+    owner = np.concatenate((point, np.full(shared.size, -1)))
+    return x, w, owner
 
 
-def _p_first_given_above(
-    idx: int,
-    above: int,
-    mu: np.ndarray,
-    sigma: np.ndarray,
-    keep: np.ndarray,
-    tol: float,
-) -> float:
-    """P(entry `above` is the only kept entry exceeding query `idx`)."""
-    others = keep.copy()
-    others[idx] = False
-    others[above] = False
-    mu_c = mu[others]
-    sigma_c = sigma[others]
-    mu_q = float(mu[idx])
-    sigma_q = float(sigma[idx])
-    mu_n = mu[above : above + 1]
-    sigma_n = sigma[above : above + 1]
+def _rank_kernel(
+    mu: np.ndarray, sigma: np.ndarray, pruning_threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """p#1 and p#2 of every entry of a profile.
 
-    def survivor_factor(x: float) -> float:
-        exceed = 1.0 - float(_competitor_cdf(x, mu_n, sigma_n)[0])
-        if exceed == 0.0 or mu_c.size == 0:
-            return exceed
-        return exceed * float(np.prod(_competitor_cdf(x, mu_c, sigma_c)))
-
-    if sigma_q == 0.0:
-        return survivor_factor(mu_q)
-
-    def integrand(x: float) -> float:
-        t = (x - mu_q) / sigma_q
-        g = math.exp(-0.5 * t * t) * _INV_SQRT_2PI / sigma_q
-        if g == 0.0:
-            return 0.0
-        return g * survivor_factor(x)
-
-    lo = mu_q - 8.0 * sigma_q
-    hi = mu_q + 8.0 * sigma_q
-    anchors = _anchor_points(mu_q, sigma_q, mu_c)
-    anchors.append(float(mu_n[0]))
-    value = _adaptive_simpson(integrand, lo, hi, tol, anchors=anchors)
-    return min(1.0, max(0.0, value))
+    p#1 of entry i integrates its density against P(no other rank-0-kept
+    entry lies above); p#2 adds the integral against P(exactly one other
+    rank-1-kept entry lies above).  Entries kept for neither rank take no
+    part.  Nodes are taken in blocks, so memory is O(entries x block).
+    """
+    first = _keep_mask(mu, sigma, pruning_threshold, rank=0)
+    second = _keep_mask(mu, sigma, pruning_threshold, rank=1)
+    p1_all, p2_all = np.zeros(mu.size), np.zeros(mu.size)
+    active = np.flatnonzero(first | second)
+    mu, sigma = mu[active], sigma[active]
+    first, second = first[active], second[active]
+    spread = sigma > 0.0
+    scale = np.where(spread, sigma, 1.0)[:, None]
+    x, w, owner = _quadrature_nodes(mu, sigma)
+    p1, above = np.zeros(active.size), np.zeros(active.size)
+    block = max(1, _BLOCK_ELEMENTS // max(1, active.size))
+    for start in range(0, x.size, block):
+        xb, wb, ob = (a[start : start + block] for a in (x, w, owner))
+        t = (xb - mu[:, None]) / scale
+        density = np.exp(-0.5 * t * t) * (wb * _INV_SQRT_2PI) / scale
+        weight = np.where(spread[:, None] & (ob < 0), density, 0.0)
+        owned = np.flatnonzero(ob >= 0)
+        weight[ob[owned], owned] = 1.0
+        none, one = _leave_one_out(_cdf_matrix(xb, mu, sigma), first, second)
+        p1 += np.einsum("ij,ij->i", weight, none)
+        above += np.einsum("ij,ij->i", weight, one)
+    p1_all[active] = np.where(first, np.clip(p1, 0.0, 1.0), 0.0)
+    p2_all[active] = np.minimum(1.0, p1_all[active] + np.where(second, above, 0.0))
+    return p1_all, p2_all
 
 
 def _profile_arrays(profile: StabilityProfile) -> tuple[np.ndarray, np.ndarray]:
@@ -359,12 +342,24 @@ def _profile_arrays(profile: StabilityProfile) -> tuple[np.ndarray, np.ndarray]:
     return mu, sigma
 
 
+def _rank_probabilities(
+    profile: StabilityProfile, pruning_threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(p#1, p#2) per entry, computed once per profile and threshold."""
+    ranks = profile._ranks.get(pruning_threshold)
+    if ranks is None:
+        ranks = _rank_kernel(*_profile_arrays(profile), pruning_threshold)
+        for values in ranks:
+            values.setflags(write=False)
+        profile._ranks[pruning_threshold] = ranks
+    return ranks
+
+
 def predict_p_hash1(
     profile: StabilityProfile,
     query: str,
     *,
     pruning_threshold: float = DEFAULT_PRUNING_THRESHOLD,
-    tol: float = DEFAULT_INTEGRATION_TOL,
 ) -> float:
     """Probability that `query` is the target's nearest neighbor in one run.
 
@@ -375,12 +370,8 @@ def predict_p_hash1(
     dropped from the CDF product.
     """
     profile.entry(query)
-    mu, sigma = _profile_arrays(profile)
-    keep = _keep_mask(mu, sigma, pruning_threshold, rank=0)
-    idx = profile._index[query]
-    if not keep[idx]:
-        return 0.0
-    return _p_first(idx, mu, sigma, keep, tol)
+    p1, _ = _rank_probabilities(profile, pruning_threshold)
+    return float(p1[profile._index[query]])
 
 
 def predict_p_hash2(
@@ -388,29 +379,17 @@ def predict_p_hash2(
     query: str,
     *,
     pruning_threshold: float = DEFAULT_PRUNING_THRESHOLD,
-    tol: float = DEFAULT_INTEGRATION_TOL,
 ) -> float:
     """Probability that `query` lands in the target's top-2 list in one run.
 
-    Adds to the rank-1 probability, for each other entry n, the probability
-    that n is the only entry exceeding the query.  Pruning for the rank-2
-    sum is relative to the second-highest mean: an entry must have a
-    non-negligible chance of cracking the top two to participate.
+    Adds to the rank-1 probability the probability that exactly one other
+    entry exceeds the query.  Pruning for that term is relative to the
+    second-highest mean: an entry must have a non-negligible chance of
+    cracking the top two to participate.
     """
-    p1 = predict_p_hash1(
-        profile, query, pruning_threshold=pruning_threshold, tol=tol
-    )
-    mu, sigma = _profile_arrays(profile)
-    keep = _keep_mask(mu, sigma, pruning_threshold, rank=1)
-    idx = profile._index[query]
-    if not keep[idx]:
-        return p1
-    total = p1
-    for above in np.flatnonzero(keep):
-        if above == idx:
-            continue
-        total += _p_first_given_above(idx, int(above), mu, sigma, keep, tol)
-    return min(1.0, total)
+    profile.entry(query)
+    _, p2 = _rank_probabilities(profile, pruning_threshold)
+    return float(p2[profile._index[query]])
 
 
 def expected_overlap(
@@ -418,7 +397,6 @@ def expected_overlap(
     n: int,
     *,
     pruning_threshold: float = DEFAULT_PRUNING_THRESHOLD,
-    tol: float = DEFAULT_INTEGRATION_TOL,
 ) -> float:
     """Expected top-n overlap fraction between two independent runs.
 
@@ -426,17 +404,10 @@ def expected_overlap(
     summing the squares and dividing by the list size n gives the expected
     overlap fraction, which stays in [0, 1].
     """
-    if n == 1:
-        predict = predict_p_hash1
-    elif n == 2:
-        predict = predict_p_hash2
-    else:
+    if n not in (1, 2):
         raise ValueError(f"n must be 1 or 2, got {n}")
-    total = 0.0
-    for query in profile.queries:
-        p = predict(profile, query, pruning_threshold=pruning_threshold, tol=tol)
-        total += p * p
-    return min(1.0, total / n)
+    p = _rank_probabilities(profile, pruning_threshold)[n - 1]
+    return min(1.0, float(p @ p) / n)
 
 
 def structure_factor(
@@ -445,7 +416,6 @@ def structure_factor(
     gamma: float | None = None,
     *,
     pruning_threshold: float = DEFAULT_PRUNING_THRESHOLD,
-    tol: float = DEFAULT_INTEGRATION_TOL,
 ) -> float:
     """Expected overlap with every sigma replaced by the constant `gamma`.
 
@@ -464,9 +434,7 @@ def structure_factor(
             for e in profile.entries
         ),
     )
-    return expected_overlap(
-        flattened, n, pruning_threshold=pruning_threshold, tol=tol
-    )
+    return expected_overlap(flattened, n, pruning_threshold=pruning_threshold)
 
 
 def save_profile(profile: StabilityProfile, path: str) -> None:

@@ -103,24 +103,35 @@ def p_at_n(
     return list_overlap(lists[0][target], lists[1][target], n, target=target)
 
 
-def mean_overlap(
-    runs: RunSet, targets: Sequence[str], n: int
+def _summaries(
+    per_space: Sequence[dict[str, list[str]]], targets: Sequence[str], n: int
 ) -> list[OverlapSummary]:
-    """Per-target mean p@n and j@n over all unordered run pairs."""
-    if len(runs) < 2:
-        raise ValueError("need at least 2 runs")
-    per_space = _neighbor_lists(runs.spaces, targets, n)
-    r = len(runs)
+    """Per-target mean p@n and j@n over all unordered pairs of neighbor lists.
+
+    Only the top-n prefix of each list is read, so lists computed once for
+    a larger n serve every smaller n: the ranking is a total order on
+    (-similarity, word), and its top-n is the prefix of its top-(n + 1).
+    """
+    r = len(per_space)
     pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
     summaries = []
     for target in targets:
         p_total = 0.0
         j_total = 0.0
         for i, j in pairs:
-            m = len(set(per_space[i][target]) & set(per_space[j][target]))
+            m = len(set(per_space[i][target][:n]) & set(per_space[j][target][:n]))
             p_total += m / n
             j_total += m / (2 * n - m)
         summaries.append(
             OverlapSummary(target, n, p_total / len(pairs), j_total / len(pairs), len(pairs))
         )
     return summaries
+
+
+def mean_overlap(
+    runs: RunSet, targets: Sequence[str], n: int
+) -> list[OverlapSummary]:
+    """Per-target mean p@n and j@n over all unordered run pairs."""
+    if len(runs) < 2:
+        raise ValueError("need at least 2 runs")
+    return _summaries(_neighbor_lists(runs.spaces, targets, n), targets, n)

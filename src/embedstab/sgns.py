@@ -190,7 +190,9 @@ def train(corpus: Corpus, config: SgnsConfig) -> EmbeddingSpace:
     per epoch before windows are formed, so windows reach across dropped
     tokens.  Each center position takes one SGD step covering all its
     window pairs at once.  The returned space holds the input vectors,
-    unnormalized, with corpus frequencies attached.
+    unnormalized, with corpus frequencies attached.  A run whose input
+    vectors are not all finite at the end of an epoch has diverged and
+    raises FloatingPointError there.
     """
     vocab = build_vocab(corpus, config.min_count)
     v, d = len(vocab.words), config.dim
@@ -218,7 +220,7 @@ def train(corpus: Corpus, config: SgnsConfig) -> EmbeddingSpace:
     labels_by_count: dict[int, np.ndarray] = {}
 
     tokens_seen = 0
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         for doc in docs:
             if len(doc) == 0:
                 continue
@@ -261,4 +263,8 @@ def train(corpus: Corpus, config: SgnsConfig) -> EmbeddingSpace:
                 _gradient_step(
                     input_vectors, output_vectors, int(sen[i]), rows, labels, lr
                 )
+        if not np.all(np.isfinite(input_vectors)):
+            raise FloatingPointError(
+                f"training diverged: non-finite input vectors after epoch {epoch + 1}"
+            )
     return EmbeddingSpace(vocab, input_vectors, normalized=False)

@@ -182,6 +182,15 @@ class TestTrain:
         assert code == 4
         assert "numerical failure: run 0 failed" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_diverging_training_exit_code(self, tmp_path, corpus_file, capsys):
+        code = run_cli(
+            "train", "--corpus", corpus_file, "--out", tmp_path / "o.vec",
+            "--lr", 1e300, "--min-count", 1, "--dim", 5,
+        )
+        assert code == 4
+        assert "numerical failure: training diverged" in capsys.readouterr().err
+
 
 class TestSample:
     def test_fixed_mode_round_trips_the_corpus(self, tmp_path, corpus_file):

@@ -1,12 +1,17 @@
 """Gaussian pair model: moment estimates, rank probabilities, expected overlap."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+
+import embedstab.gaussian as gaussian
 
 from embedstab import (
     PairStatistics,
@@ -80,10 +85,63 @@ def quad_p_top2(mus, sigmas, idx):
     return total
 
 
+def quad_rank_probabilities(mus, sigmas):
+    """p_#1 and p_#2 of every entry via scipy.integrate.quad, with the
+    competitor CDFs vectorized and the one-above term summed directly."""
+    mus, sigmas = np.asarray(mus), np.asarray(sigmas)
+    p1, p2 = np.empty(len(mus)), np.empty(len(mus))
+    for i in range(len(mus)):
+        others = np.arange(len(mus)) != i
+        mu_c, sigma_c = mus[others], sigmas[others]
+
+        def density(x):
+            return scipy.stats.norm.pdf(x, mus[i], sigmas[i])
+
+        def none_above(x):
+            return density(x) * np.prod(scipy.special.ndtr((x - mu_c) / sigma_c))
+
+        def one_above(x):
+            cdf = scipy.special.ndtr((x - mu_c) / sigma_c)
+            factors = np.tile(cdf, (len(cdf), 1))
+            np.fill_diagonal(factors, 1.0 - cdf)
+            return density(x) * factors.prod(axis=1).sum()
+
+        lo = mus[i] - 10 * sigmas[i]
+        hi = mus[i] + 10 * sigmas[i]
+        points = [m for m in mu_c if lo < m < hi]
+        p1[i] = scipy.integrate.quad(none_above, lo, hi, points=points, limit=400)[0]
+        p2[i] = p1[i] + scipy.integrate.quad(
+            one_above, lo, hi, points=points, limit=400
+        )[0]
+    return p1, p2
+
+
+@st.composite
+def random_profiles(draw):
+    """Up to 12 entries; means include exact ties, sigmas include zero."""
+    k = draw(st.integers(2, 12))
+    mean = st.one_of(st.sampled_from([0.2, 0.5, 0.55]), st.floats(-0.9, 0.9))
+    sigma = st.one_of(st.just(0.0), st.floats(0.005, 0.2))
+    mus = draw(st.lists(mean, min_size=k, max_size=k))
+    sigmas = draw(st.lists(sigma, min_size=k, max_size=k))
+    # The 0.5 tie step splits a tie of two point masses evenly; a third
+    # point mass at the same mean would make the probabilities undercount.
+    point_masses = Counter()
+    for i, (mu, s) in enumerate(zip(mus, sigmas)):
+        if s == 0.0:
+            point_masses[mu] += 1
+            if point_masses[mu] > 2:
+                sigmas[i] = 0.05
+    return profile_of(*(pair(f"q{i}", m, s) for i, (m, s) in enumerate(zip(mus, sigmas))))
+
+
 class TestPairStatistics:
     def test_validation(self):
         with pytest.raises(ValueError, match="sigma"):
             pair("q", 0.5, -0.1)
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="sigma"):
+                pair("q", 0.5, bad)
         with pytest.raises(ValueError, match="sample count"):
             PairStatistics("t", "q", 0.5, 0.1, 0)
         with pytest.raises(ValueError, match="outside"):
@@ -251,6 +309,20 @@ class TestRankProbabilities:
         with pytest.raises(KeyError):
             predict_p_hash1(profile, "zz")
 
+    def test_matches_quad_oracle_without_pruning(self):
+        # K = 40 with pruning off: every entry enters every integral, so the
+        # quadrature alone must carry the accuracy.
+        rng = np.random.default_rng(40)
+        mus = rng.uniform(0.2, 0.8, 40)
+        sigmas = rng.uniform(0.002, 0.08, 40)
+        profile = profile_of(*(pair(f"q{k}", float(m), float(s)) for k, (m, s)
+                               in enumerate(zip(mus, sigmas))))
+        p1 = [predict_p_hash1(profile, q, pruning_threshold=0.0) for q in profile.queries]
+        p2 = [predict_p_hash2(profile, q, pruning_threshold=0.0) for q in profile.queries]
+        want1, want2 = quad_rank_probabilities(mus, sigmas)
+        assert_allclose(p1, want1, atol=5e-6)
+        assert_allclose(p2, want2, atol=2e-5)
+
     def test_pruning_threshold_changes_little(self):
         mus = [0.62, 0.60, 0.55, 0.50, 0.30, -0.2, -0.4]
         sigmas = [0.05, 0.04, 0.08, 0.03, 0.10, 0.05, 0.02]
@@ -259,6 +331,53 @@ class TestRankProbabilities:
         loose = predict_p_hash1(profile, "q0")
         exact = predict_p_hash1(profile, "q0", pruning_threshold=0.0)
         assert_allclose(loose, exact, atol=2e-5)
+
+
+class TestRankKernel:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(random_profiles(), st.sampled_from([0.0, gaussian.DEFAULT_PRUNING_THRESHOLD]))
+    def test_probabilities_sum_to_counts(self, profile, threshold):
+        p1 = np.array([predict_p_hash1(profile, q, pruning_threshold=threshold)
+                       for q in profile.queries])
+        p2 = np.array([predict_p_hash2(profile, q, pruning_threshold=threshold)
+                       for q in profile.queries])
+        # Pruning drops each entry whose chance of reaching a rank is below
+        # the threshold, so it may move a sum by up to K times the threshold.
+        atol = 1e-6 + len(profile) * threshold
+        assert_allclose(p1.sum(), 1.0, atol=atol)
+        assert_allclose(p2.sum(), 2.0, atol=atol)
+        assert np.all(p2 >= p1)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(random_profiles())
+    def test_per_query_reads_equal_the_batch(self, profile):
+        twin = profile_of(*profile.entries)
+        batch1, batch2 = gaussian._rank_probabilities(
+            twin, gaussian.DEFAULT_PRUNING_THRESHOLD
+        )
+        assert [predict_p_hash1(profile, q) for q in profile.queries] == batch1.tolist()
+        assert [predict_p_hash2(profile, q) for q in profile.queries] == batch2.tolist()
+        for n, batch in ((1, batch1), (2, batch2)):
+            assert expected_overlap(twin, n) == min(1.0, float(batch @ batch) / n)
+
+    def test_kernel_runs_once_per_profile_and_threshold(self, monkeypatch):
+        calls = []
+        kernel = gaussian._rank_kernel
+
+        def counting(*args):
+            calls.append(args[-1])
+            return kernel(*args)
+
+        monkeypatch.setattr(gaussian, "_rank_kernel", counting)
+        profile = profile_of(*(pair(f"q{k}", 0.5 - 0.05 * k, 0.04) for k in range(6)))
+        for query in profile.queries:
+            predict_p_hash1(profile, query)
+            predict_p_hash2(profile, query)
+        expected_overlap(profile, 1)
+        expected_overlap(profile, 2)
+        assert calls == [gaussian.DEFAULT_PRUNING_THRESHOLD]
+        predict_p_hash1(profile, "q0", pruning_threshold=0.0)
+        assert calls == [gaussian.DEFAULT_PRUNING_THRESHOLD, 0.0]
 
 
 class TestExpectedOverlap:
@@ -343,6 +462,10 @@ class TestProfileIO:
         path.write_text("target\tquery\tmu\tsigma\tr\nt\ta\t0.5\n")
         with pytest.raises(ValueError, match="expected 5 columns"):
             load_profile(str(path))
+        nan_sigma = tmp_path / "nan.tsv"
+        nan_sigma.write_text("target\tquery\tmu\tsigma\tr\nt\ta\t0.5\tnan\t3\n")
+        with pytest.raises(ValueError, match="sigma"):
+            load_profile(str(nan_sigma))
         empty = tmp_path / "empty.tsv"
         empty.write_text("target\tquery\tmu\tsigma\tr\n")
         with pytest.raises(ValueError, match="no profile rows"):

@@ -13,6 +13,8 @@ from embedstab import (
     p_to_j,
 )
 
+from embedstab.overlap import _neighbor_lists, _summaries
+
 from helpers import planted_cosine_space, random_normalized_space, rotated_copy, words_for
 
 
@@ -160,6 +162,15 @@ class TestMeanOverlap:
         words = space.vocab.words[:2]
         for summary in mean_overlap(runs, words, 4):
             assert (summary.mean_p, summary.mean_j) == (1.0, 1.0)
+
+    def test_prefixes_of_longer_lists_give_the_same_summaries(self):
+        # The predict command reads its top-1 and top-2 overlaps off one
+        # pass of longer neighbor lists.
+        spaces = tuple(random_normalized_space(30, 4, seed=s) for s in (25, 26, 27))
+        words = spaces[0].vocab.words[:5]
+        longer = _neighbor_lists(spaces, words, 7)
+        for n in (1, 2, 5):
+            assert _summaries(longer, words, n) == mean_overlap(RunSet(spaces), words, n)
 
     def test_needs_two_runs(self):
         space = random_normalized_space(10, 3, seed=24)
