@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .align import aligned_average_tree, procrustes
+from .align import aligned_average_tree
 from .change import (
     GoldData,
     build_change_report,
@@ -31,7 +31,6 @@ from .change import (
     frequency_effect,
     load_gold_binary,
     load_gold_graded,
-    semantic_change,
 )
 from .corpus import SAMPLING_MODES, Corpus, SamplingMode, dedup_lines, sample, tokenize
 from .gaussian import (
@@ -40,18 +39,9 @@ from .gaussian import (
     save_profile,
     structure_factor,
 )
-from .instability import (
-    extrinsic_instability,
-    intrinsic_instability,
-    wordwise_instability,
-)
+from .instability import _extrinsic_and_words, intrinsic_instability
 from .overlap import _neighbor_lists, _summaries, mean_overlap
-from .pip_loss import (
-    DEFAULT_PROXY_SIZE,
-    reduced_pip_loss,
-    sample_proxy,
-    wordwise_reduced_pip_loss,
-)
+from .pip_loss import DEFAULT_PROXY_SIZE, _pair_losses, sample_proxy
 from .sgns import SgnsConfig, train
 from .space import (
     EmbeddingSpace,
@@ -210,42 +200,42 @@ class ExperimentConfig:
             raise ValueError(f"mode must be one of {SAMPLING_MODES}, got {self.mode!r}")
 
 
-def run_experiment(config: ExperimentConfig) -> Path:
-    """Train `runs` spaces with per-run seeds global_seed + run index.
+def _train_run(
+    corpus: Corpus, mode: str, seed: int, trainer: SgnsConfig, label: str
+) -> EmbeddingSpace:
+    """Sample and train one run with seed `seed`; a failure names `label`."""
+    try:
+        sampled = sample(corpus, SamplingMode(mode, seed))
+        return train(sampled, replace(trainer, seed=seed))
+    except (np.linalg.LinAlgError, ArithmeticError) as exc:
+        raise ArithmeticError(f"{label} failed: {exc}") from exc
+    except Exception as exc:
+        raise ValueError(f"{label} failed: {exc}") from exc
 
-    Writes run_###.vec plus .freq sidecars and a manifest.json echoing the
-    configuration with content hashes; returns the manifest path.  A failing
-    run aborts with its index in the error message.
-    """
-    corpus = _read_corpus(config.corpus, config.lowercase, config.dedup)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for index in range(config.runs):
-        run_seed = config.seed + index
-        try:
-            sampled = sample(corpus, SamplingMode(config.mode, run_seed))
-            space = train(sampled, replace(config.trainer, seed=run_seed))
-        except (np.linalg.LinAlgError, ArithmeticError) as exc:
-            raise ArithmeticError(f"run {index} failed: {exc}") from exc
-        except Exception as exc:
-            raise ValueError(f"run {index} failed: {exc}") from exc
-        vec_path = out_dir / f"run_{index:03d}.vec"
-        save_text_vectors(space, vec_path)
-        freq_path = Path(f"{vec_path}.freq")
-        save_frequencies(space.vocab.frequency, freq_path)
-        entries.append(
-            {
-                "index": index,
-                "seed": run_seed,
-                "file": vec_path.name,
-                "sha256": _sha256(vec_path),
-                "frequency_file": freq_path.name,
-                "frequency_sha256": _sha256(freq_path),
-            }
-        )
+
+def _save_run(
+    space: EmbeddingSpace, index: int, seed: int, path: Path, name: str
+) -> dict[str, object]:
+    """Write one run's vectors and frequency sidecar; return its manifest
+    entry, which records the files as `name` and `name`.freq."""
+    save_text_vectors(space, path)
+    freq_path = f"{path}.freq"
+    save_frequencies(space.vocab.frequency, freq_path)
+    return {
+        "index": index,
+        "seed": seed,
+        "file": name,
+        "sha256": _sha256(path),
+        "frequency_file": f"{name}.freq",
+        "frequency_sha256": _sha256(freq_path),
+    }
+
+
+def _train_manifest(
+    config: ExperimentConfig, entries: list[dict[str, object]]
+) -> dict[str, object]:
     trainer = config.trainer
-    manifest = {
+    return {
         "tool": "embedstab",
         "version": __version__,
         "command": "train",
@@ -268,8 +258,26 @@ def run_experiment(config: ExperimentConfig) -> Path:
         },
         "runs": entries,
     }
+
+
+def run_experiment(config: ExperimentConfig) -> Path:
+    """Train `runs` spaces with per-run seeds global_seed + run index.
+
+    Writes run_###.vec plus .freq sidecars and a manifest.json echoing the
+    configuration with content hashes; returns the manifest path.  A failing
+    run aborts with its index in the error message.
+    """
+    corpus = _read_corpus(config.corpus, config.lowercase, config.dedup)
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    entries = []
+    for index in range(config.runs):
+        run_seed = config.seed + index
+        space = _train_run(corpus, config.mode, run_seed, config.trainer, f"run {index}")
+        vec_path = out_dir / f"run_{index:03d}.vec"
+        entries.append(_save_run(space, index, run_seed, vec_path, vec_path.name))
     manifest_path = out_dir / "manifest.json"
-    _write_json(manifest_path, manifest)
+    _write_json(manifest_path, _train_manifest(config, entries))
     return manifest_path
 
 
@@ -294,60 +302,25 @@ def _trainer_from_args(args: argparse.Namespace, prefix: str = "") -> SgnsConfig
 def _cmd_train(args: argparse.Namespace) -> int:
     if (args.out is None) == (args.out_dir is None):
         raise UsageError("exactly one of --out or --out-dir is required")
-    trainer = _trainer_from_args(args)
-    if args.out is not None:
-        if args.runs != 1:
-            raise UsageError("--runs needs --out-dir; --out writes a single run")
-        corpus = _read_corpus(args.corpus, args.lowercase, args.dedup)
-        sampled = sample(corpus, SamplingMode(args.mode, args.seed))
-        space = train(sampled, replace(trainer, seed=args.seed))
-        save_text_vectors(space, args.out)
-        save_frequencies(space.vocab.frequency, f"{args.out}.freq")
-        manifest = {
-            "tool": "embedstab",
-            "version": __version__,
-            "command": "train",
-            "config": {
-                "corpus": args.corpus,
-                "corpus_sha256": _sha256(args.corpus),
-                "mode": args.mode,
-                "runs": 1,
-                "global_seed": args.seed,
-                "lowercase": args.lowercase,
-                "dedup": args.dedup,
-                "dim": trainer.dim,
-                "window": trainer.window,
-                "negatives": trainer.negatives,
-                "epochs": trainer.epochs,
-                "initial_lr": trainer.initial_lr,
-                "subsample_t": trainer.subsample_t,
-                "min_count": trainer.min_count,
-                "dynamic_window": trainer.dynamic_window,
-            },
-            "runs": [
-                {
-                    "index": 0,
-                    "seed": args.seed,
-                    "file": str(args.out),
-                    "sha256": _sha256(args.out),
-                    "frequency_file": f"{args.out}.freq",
-                    "frequency_sha256": _sha256(f"{args.out}.freq"),
-                }
-            ],
-        }
-        _write_json(f"{args.out}.manifest.json", manifest)
-        return EXIT_OK
+    if args.out is not None and args.runs != 1:
+        raise UsageError("--runs needs --out-dir; --out writes a single run")
     config = ExperimentConfig(
         corpus=args.corpus,
         mode=args.mode,
         runs=args.runs,
-        trainer=trainer,
-        out_dir=args.out_dir,
+        trainer=_trainer_from_args(args),
+        out_dir=args.out_dir or ".",
         seed=args.seed,
         lowercase=args.lowercase,
         dedup=args.dedup,
     )
-    run_experiment(config)
+    if args.out_dir is not None:
+        run_experiment(config)
+        return EXIT_OK
+    corpus = _read_corpus(args.corpus, args.lowercase, args.dedup)
+    space = _train_run(corpus, args.mode, args.seed, config.trainer, "run 0")
+    entry = _save_run(space, 0, args.seed, Path(args.out), str(args.out))
+    _write_json(f"{args.out}.manifest.json", _train_manifest(config, [entry]))
     return EXIT_OK
 
 
@@ -377,6 +350,13 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _wordwise_flags(args: argparse.Namespace) -> None:
+    if args.words is not None and args.wordwise_out is None:
+        raise UsageError("--words requires --wordwise-out")
+    if args.words is None and args.wordwise_out is not None:
+        raise UsageError("--wordwise-out requires --words")
+
+
 def _cmd_instability(args: argparse.Namespace) -> int:
     shuffled, shuffled_files = _load_runs(args.shuffled, args.runs, "shuffled")
     if len(shuffled) < 2:
@@ -387,19 +367,22 @@ def _cmd_instability(args: argparse.Namespace) -> int:
         boot, boot_files = _load_runs(args.bootstrapped, args.runs, "bootstrapped")
         if len(boot) < 2:
             raise ValueError("need at least 2 bootstrapped runs")
+    _wordwise_flags(args)
+    if args.words is not None and boot is None:
+        raise UsageError("word-level instability needs --bootstrapped runs")
+    words = _read_words(args.words) if args.words is not None else []
     all_spaces = list(shuffled.spaces) + (list(boot.spaces) if boot else [])
     proxy = sample_proxy(all_spaces, size=args.proxy_size, seed=args.seed)
     if boot is None:
         report = intrinsic_instability(shuffled, proxy)
     else:
-        report = extrinsic_instability(shuffled, boot, proxy)
+        report, word_parts = _extrinsic_and_words(shuffled, boot, proxy, words)
 
     inputs = [(f"shuffled {p.name}", p) for p in shuffled_files]
     inputs += [(f"bootstrapped {p.name}", p) for p in boot_files]
-    meta = _base_meta("instability", inputs)
-    meta += [
-        ("proxy_size", report.proxy_size),
-        ("proxy_seed", report.proxy_seed),
+    proxy_meta = _base_meta("instability", inputs)
+    proxy_meta += [("proxy_size", report.proxy_size), ("proxy_seed", report.proxy_seed)]
+    meta = proxy_meta + [
         ("intrinsic", report.intrinsic),
         ("intrinsic_std", report.intrinsic_std),
         ("pair_count", report.pair_count),
@@ -410,37 +393,24 @@ def _cmd_instability(args: argparse.Namespace) -> int:
         ("extrinsic_std", report.extrinsic_std),
         ("extrinsic_undefined", report.extrinsic_undefined),
     ]
-    rows: list[tuple[object, ...]] = []
-    for label, runs in (("shuffled", shuffled), ("bootstrapped", boot)):
-        if runs is None:
-            continue
-        for i, j in itertools.combinations(range(len(runs)), 2):
-            value = reduced_pip_loss(runs.spaces[i], runs.spaces[j], proxy)
-            rows.append((label, i, j, value))
+    rows = [
+        (label, i, j, value)
+        for label, runs, values in (
+            ("shuffled", shuffled, report.pairs),
+            ("bootstrapped", boot, report.boot_pairs),
+        )
+        if runs is not None
+        for (i, j), value in zip(itertools.combinations(range(len(runs)), 2), values)
+    ]
     _write_report(args.out, meta, ("set", "run_a", "run_b", "reduced_pip"), rows)
 
-    if args.words is not None:
-        if args.wordwise_out is None:
-            raise UsageError("--words requires --wordwise-out")
-        if boot is None:
-            raise UsageError("word-level instability needs --bootstrapped runs")
-        word_rows: list[tuple[object, ...]] = []
-        for word in _read_words(args.words):
-            j_int, j_ext = wordwise_instability(word, shuffled, boot, proxy)
-            word_rows.append((word, j_int, j_ext))
-        word_meta = _base_meta("instability", inputs)
-        word_meta += [
-            ("proxy_size", report.proxy_size),
-            ("proxy_seed", report.proxy_seed),
-        ]
+    if words:
         _write_report(
             args.wordwise_out,
-            word_meta,
+            proxy_meta,
             ("word", "intrinsic", "extrinsic"),
-            word_rows,
+            [(word, *parts) for word, parts in zip(words, word_parts)],
         )
-    elif args.wordwise_out is not None:
-        raise UsageError("--wordwise-out requires --words")
     return EXIT_OK
 
 
@@ -517,31 +487,29 @@ def _cmd_pip(args: argparse.Namespace) -> int:
     spaces = tuple(normalize(_load_space(p)) for p in args.inputs)
     if len(spaces) < 2:
         raise ValueError("need at least 2 input spaces")
+    _wordwise_flags(args)
+    words = _read_words(args.words) if args.words is not None else []
     proxy = sample_proxy(spaces, size=args.proxy_size, seed=args.seed)
     meta = _base_meta("pip", [(f"space {i}", p) for i, p in enumerate(args.inputs)])
     meta += [("proxy_size", len(proxy)), ("proxy_seed", proxy.seed)]
-    rows = []
-    for i, j in itertools.combinations(range(len(spaces)), 2):
-        rows.append((i, j, reduced_pip_loss(spaces[i], spaces[j], proxy)))
+    pairs = [
+        (i, j, *_pair_losses(spaces[i], spaces[j], proxy, words))
+        for i, j in itertools.combinations(range(len(spaces)), 2)
+    ]
+    rows = [(i, j, value) for i, j, value, _ in pairs]
     _write_report(args.out, meta, ("run_a", "run_b", "reduced_pip"), rows)
-    if args.words is not None:
-        if args.wordwise_out is None:
-            raise UsageError("--words requires --wordwise-out")
-        words = _read_words(args.words)
-        word_rows = []
-        for i, j in itertools.combinations(range(len(spaces)), 2):
-            word_rows.extend(
-                (i, j, word, wordwise_reduced_pip_loss(word, spaces[i], spaces[j], proxy))
-                for word in words
-            )
+    if words:
+        word_rows = [
+            (i, j, word, value)
+            for i, j, _, wordwise in pairs
+            for word, value in zip(words, wordwise.tolist())
+        ]
         _write_report(
             args.wordwise_out,
             meta,
             ("run_a", "run_b", "word", "wordwise_pip"),
             word_rows,
         )
-    elif args.wordwise_out is not None:
-        raise UsageError("--wordwise-out requires --words")
     return EXIT_OK
 
 
@@ -661,18 +629,11 @@ def _epoch_observations(
     groups = args.runs // args.avg
     averaged: list[list[EmbeddingSpace]] = []
     for e, corpus in enumerate(epochs):
-        spaces = []
-        for r in range(args.runs):
-            run_seed = base_seed + e * args.runs + r
-            try:
-                sampled = sample(corpus, SamplingMode("shuffled", run_seed))
-                spaces.append(train(sampled, replace(trainer, seed=run_seed)))
-            except (np.linalg.LinAlgError, ArithmeticError) as exc:
-                raise ArithmeticError(
-                    f"epoch {labels[e]} run {r} failed: {exc}"
-                ) from exc
-            except Exception as exc:
-                raise ValueError(f"epoch {labels[e]} run {r} failed: {exc}") from exc
+        seeds = range(base_seed + e * args.runs, base_seed + (e + 1) * args.runs)
+        spaces = [
+            _train_run(corpus, "shuffled", seed, trainer, f"epoch {labels[e]} run {r}")
+            for r, seed in enumerate(seeds)
+        ]
         averaged.append(
             [
                 normalize(
@@ -685,24 +646,17 @@ def _epoch_observations(
     for e in range(len(epochs) - 1):
         for k in range(groups):
             s1, s2 = averaged[e][k], averaged[e + 1][k]
-            f1, f2 = s1.vocab.frequency, s2.vocab.frequency
-            scored = [
-                w
-                for w in s1.vocab.words
-                if w in s2.vocab
-                and f1[w] >= args.min_count
-                and f2[w] >= args.min_count
-            ]
-            if len(scored) < 2:
+            try:
+                report = build_change_report(s1, s2, min_count=args.min_count)
+            except ValueError as exc:
                 raise ValueError(
-                    f"epoch pair {labels[e]}->{labels[e + 1]}: only "
-                    f"{len(scored)} words pass min_count={args.min_count}"
-                )
-            alignment = procrustes(s1, s2)
-            for w in scored:
-                delta = semantic_change(w, s1, s2, alignment)
-                frequency = 0.5 * (f1[w] + f2[w])
-                observations.append((w, e, delta, frequency))
+                    f"epoch pair {labels[e]}->{labels[e + 1]}: {exc}"
+                ) from exc
+            f1, f2 = s1.vocab.frequency, s2.vocab.frequency
+            observations.extend(
+                (w, e, report.deltas[w], 0.5 * (f1[w] + f2[w]))
+                for w in report.scored_vocab
+            )
     return observations
 
 

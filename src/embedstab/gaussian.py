@@ -210,14 +210,13 @@ def _prob_greater_vs(mu: np.ndarray, sigma: np.ndarray, mu0: float, sigma0: floa
 def _cdf_matrix(x: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """(entries, nodes) matrix of P(entry < x).
 
-    Zero-sigma entries step at their mean, with 0.5 on an exact tie.
+    Zero-sigma entries step at their mean and count as below on an exact
+    tie; `_rank_kernel` shares the ranks of tied point masses.
     """
     point = sigma == 0.0
     z = (x[None, :] - mu[:, None]) / np.where(point, 1.0, sigma)[:, None]
     cdf = _ndtr(z)
-    if np.any(point):
-        d = z[point]
-        cdf[point] = np.where(d > 0.0, 1.0, np.where(d < 0.0, 0.0, 0.5))
+    cdf[point] = z[point] >= 0.0
     return cdf
 
 
@@ -252,12 +251,12 @@ def _exclusive_products(f: np.ndarray) -> np.ndarray:
 
 def _leave_one_out(
     cdf: np.ndarray, first: np.ndarray, second: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per entry and node: P(no other `first` entry lies above the node) and
-    P(exactly one other `second` entry lies above it).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per entry and node: P(no other `first` entry lies above the node),
+    P(no other `second` entry lies above it) and P(exactly one does).
 
-    Entries outside a mask count as always below.  The second probability
-    runs a two-state (none above, one above) recurrence over the entries
+    Entries outside a mask count as always below.  The `second` mask runs
+    a two-state (none above, one above) recurrence over the entries
     before i and another over those after i, and joins them; no division,
     so CDF values of exactly 0 or 1 are safe.
     """
@@ -276,7 +275,7 @@ def _leave_one_out(
             none_out[i], one_out[i] = none, one
             none, one = none * below[i], one * below[i] + none * above[i]
     one_second = before_none * after_one + before_one * after_none
-    return none_first, one_second
+    return none_first, before_none * after_none, one_second
 
 
 def _quadrature_nodes(
@@ -308,7 +307,10 @@ def _rank_kernel(
     p#1 of entry i integrates its density against P(no other rank-0-kept
     entry lies above); p#2 adds the integral against P(exactly one other
     rank-1-kept entry lies above).  Entries kept for neither rank take no
-    part.  Nodes are taken in blocks, so memory is O(entries x block).
+    part.  Point masses tied at one mean share their ranks uniformly: at
+    its own node, each of t + 1 tied masses is on top of the tie with
+    chance 1 / (t + 1), and second in it with the same chance when t >= 1.
+    Nodes are taken in blocks, so memory is O(entries x block).
     """
     first = _keep_mask(mu, sigma, pruning_threshold, rank=0)
     second = _keep_mask(mu, sigma, pruning_threshold, rank=1)
@@ -319,6 +321,9 @@ def _rank_kernel(
     spread = sigma > 0.0
     scale = np.where(spread, sigma, 1.0)[:, None]
     x, w, owner = _quadrature_nodes(mu, sigma)
+    ties = np.zeros(active.size)  # other point masses at each one's mean
+    _, group, size = np.unique(mu[~spread], return_inverse=True, return_counts=True)
+    ties[~spread] = size[group] - 1
     p1, above = np.zeros(active.size), np.zeros(active.size)
     block = max(1, _BLOCK_ELEMENTS // max(1, active.size))
     for start in range(0, x.size, block):
@@ -328,7 +333,12 @@ def _rank_kernel(
         weight = np.where(spread[:, None] & (ob < 0), density, 0.0)
         owned = np.flatnonzero(ob >= 0)
         weight[ob[owned], owned] = 1.0
-        none, one = _leave_one_out(_cdf_matrix(xb, mu, sigma), first, second)
+        none, none_second, one = _leave_one_out(_cdf_matrix(xb, mu, sigma), first, second)
+        mass = ob[owned]
+        share = 1.0 / (ties[mass] + 1.0)
+        tied_second = (ties[mass] > 0) * none_second[mass, owned]
+        one[mass, owned] = (one[mass, owned] + tied_second) * share
+        none[mass, owned] *= share
         p1 += np.einsum("ij,ij->i", weight, none)
         above += np.einsum("ij,ij->i", weight, one)
     p1_all[active] = np.where(first, np.clip(p1, 0.0, 1.0), 0.0)

@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .pip_loss import ProxySample, reduced_pip_loss, _proxy_rows
-from .space import RunSet
+from .pip_loss import ProxySample, _pair_losses
+from .space import RunSet, joint_vocabulary
 from .stats import spearman
 
 __all__ = [
@@ -34,64 +34,82 @@ __all__ = [
 class InstabilityReport:
     """Instability measurements; `extrinsic` is None when undefined.
 
-    The extrinsic value is undefined when the bootstrapped-pair mean falls
-    below the intrinsic mean (the square root would be imaginary); both
-    inputs stay reported so the condition is auditable.
+    `pairs` and `boot_pairs` hold the reduced PIP loss of every run pair of
+    each set, in `itertools.combinations` order.  The extrinsic value is
+    undefined when the bootstrapped-pair mean falls below the intrinsic
+    mean (the square root would be imaginary); both inputs stay reported
+    so the condition is auditable.
     """
 
     intrinsic: float
     intrinsic_std: float
-    pair_count: int
     proxy_size: int
     proxy_seed: int
+    pairs: tuple[float, ...]
     boot_mean: float | None = None
     boot_std: float | None = None
-    boot_pair_count: int = 0
+    boot_pairs: tuple[float, ...] = ()
     extrinsic: float | None = None
     extrinsic_std: float | None = None
+
+    @property
+    def pair_count(self) -> int:
+        return len(self.pairs)
+
+    @property
+    def boot_pair_count(self) -> int:
+        return len(self.boot_pairs)
 
     @property
     def extrinsic_undefined(self) -> bool:
         return self.boot_pair_count > 0 and self.extrinsic is None
 
 
-def _pair_values(runs: RunSet, proxy: ProxySample) -> np.ndarray:
+def _pairwise(
+    runs: RunSet, proxy: ProxySample, words: Sequence[str] = ()
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced PIP loss per run pair and the (pair, word) matrix of word-wise
+    reduced PIP losses, one kernel call per pair."""
     if len(runs) < 2:
         raise ValueError(f"need at least 2 runs, got {len(runs)}")
-    values = [
-        reduced_pip_loss(a, b, proxy)
-        for a, b in combinations(runs.spaces, 2)
-    ]
-    return np.array(values)
+    values, wordwise = zip(
+        *(_pair_losses(a, b, proxy, words) for a, b in combinations(runs.spaces, 2))
+    )
+    return np.array(values), np.array(wordwise)
+
+
+def _root_of_excess(value: float, floor: float) -> float | None:
+    """sqrt(value - floor), or None when value falls below floor."""
+    return math.sqrt(value - floor) if value >= floor else None
+
+
+def _report(
+    proxy: ProxySample, values: np.ndarray, boot: np.ndarray | None = None
+) -> InstabilityReport:
+    intrinsic, intrinsic_std = float(values.mean()), float(values.std())
+    extra: dict[str, object] = {}
+    if boot is not None:
+        boot_mean, boot_std = float(boot.mean()), float(boot.std())
+        extrinsic = _root_of_excess(boot_mean, intrinsic)
+        spread = None
+        if extrinsic:
+            # Delta method: d sqrt(b - i) = (db - di) / (2 sqrt(b - i)).
+            spread = math.sqrt(boot_std**2 + intrinsic_std**2) / (2.0 * extrinsic)
+        extra = dict(
+            boot_mean=boot_mean,
+            boot_std=boot_std,
+            boot_pairs=tuple(boot.tolist()),
+            extrinsic=extrinsic,
+            extrinsic_std=spread,
+        )
+    return InstabilityReport(
+        intrinsic, intrinsic_std, len(proxy), proxy.seed, tuple(values.tolist()), **extra
+    )
 
 
 def intrinsic_instability(shuffled: RunSet, proxy: ProxySample) -> InstabilityReport:
     """Mean and std of reduced PIP loss over all pairs of shuffled runs."""
-    values = _pair_values(shuffled, proxy)
-    return InstabilityReport(
-        intrinsic=float(values.mean()),
-        intrinsic_std=float(values.std()),
-        pair_count=len(values),
-        proxy_size=len(proxy),
-        proxy_seed=proxy.seed,
-    )
-
-
-def _extrinsic_parts(
-    intrinsic: float,
-    intrinsic_std: float,
-    boot_mean: float,
-    boot_std: float,
-) -> tuple[float | None, float | None]:
-    excess = boot_mean - intrinsic
-    if excess < 0.0:
-        return None, None
-    extrinsic = math.sqrt(excess)
-    if extrinsic == 0.0:
-        return 0.0, None
-    # Delta method: d sqrt(b - i) = (db - di) / (2 sqrt(b - i)).
-    spread = math.sqrt(boot_std**2 + intrinsic_std**2) / (2.0 * extrinsic)
-    return extrinsic, spread
+    return _report(proxy, _pairwise(shuffled, proxy)[0])
 
 
 def extrinsic_instability(
@@ -102,53 +120,29 @@ def extrinsic_instability(
     Both run sets are evaluated on the same proxy so the two means are
     comparable.
     """
-    base = intrinsic_instability(shuffled, proxy)
-    boot = _pair_values(bootstrapped, proxy)
-    boot_mean = float(boot.mean())
-    boot_std = float(boot.std())
-    extrinsic, spread = _extrinsic_parts(
-        base.intrinsic, base.intrinsic_std, boot_mean, boot_std
-    )
-    return InstabilityReport(
-        intrinsic=base.intrinsic,
-        intrinsic_std=base.intrinsic_std,
-        pair_count=base.pair_count,
-        proxy_size=len(proxy),
-        proxy_seed=proxy.seed,
-        boot_mean=boot_mean,
-        boot_std=boot_std,
-        boot_pair_count=len(boot),
-        extrinsic=extrinsic,
-        extrinsic_std=spread,
-    )
+    return _extrinsic_and_words(shuffled, bootstrapped, proxy)[0]
 
 
-def _pairwise_wordwise(
-    runs: RunSet, proxy: ProxySample, words: Sequence[str]
-) -> np.ndarray:
-    """(pair, word) matrix of word-wise reduced PIP losses."""
-    if len(runs) < 2:
-        raise ValueError(f"need at least 2 runs, got {len(runs)}")
-    proxy_rows = [_proxy_rows(s, proxy, f"run {i}") for i, s in enumerate(runs.spaces)]
-    word_rows = [
-        s.matrix[[s.vocab.position(w) for w in words]] for s in runs.spaces
-    ]
-    scale = 2.0 * math.sqrt(len(proxy))
-    rows = []
-    for i, j in combinations(range(len(runs)), 2):
-        diff = word_rows[i] @ proxy_rows[i].T - word_rows[j] @ proxy_rows[j].T
-        rows.append(np.linalg.norm(diff, axis=1) / scale)
-    return np.array(rows)
+def _extrinsic_and_words(
+    shuffled: RunSet,
+    bootstrapped: RunSet,
+    proxy: ProxySample,
+    words: Sequence[str] = (),
+) -> tuple[InstabilityReport, list[tuple[float, float | None]]]:
+    """Extrinsic report plus (intrinsic, extrinsic) per word of `words`,
+    from one kernel call per run pair."""
+    values, wordwise = _pairwise(shuffled, proxy, words)
+    boot, boot_wordwise = _pairwise(bootstrapped, proxy, words)
+    word_means = zip(wordwise.mean(axis=0).tolist(), boot_wordwise.mean(axis=0).tolist())
+    parts = [(j_int, _root_of_excess(j_boot, j_int)) for j_int, j_boot in word_means]
+    return _report(proxy, values, boot), parts
 
 
 def wordwise_instability(
     word: str, shuffled: RunSet, bootstrapped: RunSet, proxy: ProxySample
 ) -> tuple[float, float | None]:
     """(intrinsic, extrinsic) instability of one word; extrinsic may be None."""
-    j_int = float(_pairwise_wordwise(shuffled, proxy, [word]).mean())
-    boot_mean = float(_pairwise_wordwise(bootstrapped, proxy, [word]).mean())
-    excess = boot_mean - j_int
-    return j_int, math.sqrt(excess) if excess >= 0.0 else None
+    return _extrinsic_and_words(shuffled, bootstrapped, proxy, [word])[1][0]
 
 
 def frequency_profile(
@@ -163,8 +157,6 @@ def frequency_profile(
     frequency and batch mean instability.  This is a report, not a test:
     how flat the profile is depends on the corpus.
     """
-    from .space import joint_vocabulary
-
     if batches < 2:
         raise ValueError(f"need at least 2 batches, got {batches}")
     joint = joint_vocabulary(shuffled.spaces)
@@ -175,19 +167,11 @@ def frequency_profile(
     if len(words) < batches:
         raise ValueError(f"{len(words)} words cannot fill {batches} batches")
     words.sort(key=lambda w: (freq[w], w))
-    values = _pairwise_wordwise(shuffled, proxy, words).mean(axis=0)
-    bounds = np.linspace(0, len(words), batches + 1).astype(int)
+    values = _pairwise(shuffled, proxy, words)[1].mean(axis=0)
+    bounds = np.linspace(0, len(words), batches + 1).astype(int).tolist()
     rows = []
-    for b in range(batches):
-        lo, hi = bounds[b], bounds[b + 1]
-        batch_words = words[lo:hi]
-        rows.append(
-            (
-                b,
-                float(np.mean([freq[w] for w in batch_words])),
-                float(values[lo:hi].mean()),
-                len(batch_words),
-            )
-        )
+    for b, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        mean_frequency = float(np.mean([freq[w] for w in words[lo:hi]]))
+        rows.append((b, mean_frequency, float(values[lo:hi].mean()), hi - lo))
     rho, p = spearman([r[1] for r in rows], [r[2] for r in rows])
     return rows, (rho, p)

@@ -3,9 +3,13 @@
 The PIP matrix of a normalized space is its Gram matrix, whose entries are
 exactly the pairwise cosine similarities.  The PIP loss is the Frobenius
 distance between two spaces' PIP matrices restricted to a proxy word set;
-it compares spaces without aligning them, since Gram matrices are invariant
-under orthogonal transforms.  The reduced variants rescale the loss into
+Gram matrices are invariant under orthogonal transforms, so the loss needs
+no alignment to be defined.  The reduced variants rescale the loss into
 [0, 1] so values are comparable across proxy sizes.
+
+Every PIP quantity of a run pair comes from one kernel, `_pip_kernel`,
+which works on d x d sketches of the two spaces rather than on their
+proxy x proxy Gram matrices: O(|proxy| d^2) time and O(|proxy| d) memory.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .space import EmbeddingSpace, joint_vocabulary, restrict
+from .align import _solve_rotation
+from .space import EmbeddingSpace, joint_vocabulary
 from .gaussian import StabilityProfile
 
 __all__ = [
@@ -30,7 +35,6 @@ __all__ = [
 ]
 
 DEFAULT_PROXY_SIZE = 20_000
-_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -71,28 +75,78 @@ def sample_proxy(
     return ProxySample(tuple(joint[i] for i in picks), seed)
 
 
-def _proxy_rows(space: EmbeddingSpace, proxy: ProxySample, name: str) -> np.ndarray:
+def _rows(space: EmbeddingSpace, words: Sequence[str], name: str) -> np.ndarray:
     if not space.normalized:
         raise ValueError(
             f"{name} is not normalized; PIP entries are cosines only for "
             "unit rows, so normalize explicitly first"
         )
-    return restrict(space, proxy.words).matrix
+    return space.matrix[np.array([space.vocab.position(w) for w in words], dtype=np.intp)]
+
+
+def _pip_kernel(
+    space_a: EmbeddingSpace,
+    space_b: EmbeddingSpace,
+    proxy: ProxySample,
+    words: Sequence[str] = (),
+) -> tuple[float, np.ndarray]:
+    """Squared PIP loss ||A A^T - B B^T||_F^2 over the proxy rows A and B, and
+    the norm ||a A^T - b B^T|| of each word's rows (a, b).
+
+    Both are invariant under an orthogonal map of B with its word rows, so B
+    is first rotated onto A.  With D = A - B and S = A + B, the Gram matrix of
+    [D S] holds D^T D, D^T S and S^T S, and
+
+        ||A A^T - B B^T||^2 = (<S^T S, D^T D> + tr((D^T S)^2)) / 2,
+        a A^T - b B^T = ((a - b) S^T + (a + b) D^T) / 2.
+
+    Alignment makes this stable: D is then as small as the loss and
+    D^T S = A^T A - B^T B is symmetric, so no terms cancel.  One
+    Newton-Schulz step makes the rotation orthogonal within rounding, as any
+    error in R R^T = I enters the loss divided by its size.  Identical proxy
+    rows skip the rotation and score exactly zero.
+    """
+    a, words_a = (_rows(space_a, w, "first space") for w in (proxy.words, words))
+    b, words_b = (_rows(space_b, w, "second space") for w in (proxy.words, words))
+    if not np.array_equal(a, b):
+        rotation = _solve_rotation(b, a)
+        rotation = 1.5 * rotation - 0.5 * (rotation @ rotation.T) @ rotation
+        b, words_b = b @ rotation, words_b @ rotation
+    d = a.shape[1]
+    halves = np.hstack((a - b, a + b))
+    gram = halves.T @ halves
+    dtd, dts, sts = gram[:d, :d], gram[:d, d:], gram[d:, d:]
+    squared = 0.5 * float(np.einsum("ij,ij->", sts, dtd) + np.einsum("ij,ji->", dts, dts))
+    u, v = words_a - words_b, words_a + words_b
+    forms = (
+        np.einsum("ij,ij->i", u @ sts, u)
+        + 2.0 * np.einsum("ij,ij->i", u @ dts.T, v)
+        + np.einsum("ij,ij->i", v @ dtd, v)
+    )
+    # Rounding may leave a sum of non-negative terms a few ulps below zero.
+    return max(squared, 0.0), 0.5 * np.sqrt(np.maximum(forms, 0.0))
+
+
+def _pair_losses(
+    space_a: EmbeddingSpace,
+    space_b: EmbeddingSpace,
+    proxy: ProxySample,
+    words: Sequence[str] = (),
+) -> tuple[float, np.ndarray]:
+    """Reduced PIP loss of one run pair and the word-wise reduced PIP loss
+    of each of `words`, from one kernel call."""
+    squared, norms = _pip_kernel(space_a, space_b, proxy, words)
+    return (
+        math.sqrt(squared) / (2.0 * len(proxy)),
+        norms / (2.0 * math.sqrt(len(proxy))),
+    )
 
 
 def pip_loss(
     space_a: EmbeddingSpace, space_b: EmbeddingSpace, proxy: ProxySample
 ) -> float:
     """Frobenius norm of the difference of the proxy-restricted PIP matrices."""
-    a = _proxy_rows(space_a, proxy, "first space")
-    b = _proxy_rows(space_b, proxy, "second space")
-    total = 0.0
-    # Row blocks keep memory at O(block * |proxy|) instead of |proxy|^2.
-    for start in range(0, a.shape[0], _BLOCK_ROWS):
-        stop = start + _BLOCK_ROWS
-        diff = a[start:stop] @ a.T - b[start:stop] @ b.T
-        total += float(np.einsum("ij,ij->", diff, diff))
-    return math.sqrt(total)
+    return math.sqrt(_pip_kernel(space_a, space_b, proxy)[0])
 
 
 def reduced_pip_loss(
@@ -113,12 +167,7 @@ def wordwise_reduced_pip_loss(
     Compares the word's cosine profile against the proxy words between the
     two spaces; the word itself may appear in the proxy and contributes 0.
     """
-    a = _proxy_rows(space_a, proxy, "first space")
-    b = _proxy_rows(space_b, proxy, "second space")
-    row_a = space_a.matrix[space_a.vocab.position(word)]
-    row_b = space_b.matrix[space_b.vocab.position(word)]
-    diff = a @ row_a - b @ row_b
-    return float(np.linalg.norm(diff)) / (2.0 * math.sqrt(len(proxy)))
+    return float(_pair_losses(space_a, space_b, proxy, [word])[1][0])
 
 
 def expected_wordwise_pip(profile: StabilityProfile) -> float:

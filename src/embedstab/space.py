@@ -214,12 +214,14 @@ def load_text_vectors(
 
 
 def save_text_vectors(space: EmbeddingSpace, path: str | Path) -> None:
-    """Write the exact format `load_text_vectors` accepts (10 significant digits)."""
+    """Write the exact format `load_text_vectors` accepts (10 significant
+    digits, or 17 if 10 would round the largest floats up to infinity)."""
     path = Path(path)
+    spec = ".10g" if np.all(np.abs(space.matrix) < 1.797693134e308) else ".17g"
     with path.open("w", encoding="utf-8") as handle:
         handle.write(f"{len(space)} {space.dim}\n")
         for word, row in zip(space.vocab.words, space.matrix):
-            values = " ".join(format(x, ".10g") for x in row)
+            values = " ".join(format(x, spec) for x in row)
             handle.write(f"{word} {values}\n")
 
 

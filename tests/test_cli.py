@@ -1,6 +1,7 @@
 """End-to-end command-line tests, run in-process through `main`."""
 
 import hashlib
+import importlib
 import json
 import math
 from collections import Counter
@@ -189,7 +190,7 @@ class TestTrain:
             "--lr", 1e300, "--min-count", 1, "--dim", 5,
         )
         assert code == 4
-        assert "numerical failure: training diverged" in capsys.readouterr().err
+        assert "numerical failure: run 0 failed: training diverged" in capsys.readouterr().err
 
 
 class TestSample:
@@ -516,6 +517,45 @@ class TestInstabilityCommand:
             "--out", tmp_path / "x.tsv",
         ) == 3
         assert "5 runs requested" in capsys.readouterr().err
+
+
+class TestPipKernelCalls:
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """Word lists of the PIP kernel's calls, in call order."""
+        # The package's `pip_loss` function shadows the module of that name.
+        pip_module = importlib.import_module("embedstab.pip_loss")
+        calls = []
+        kernel = pip_module._pip_kernel
+
+        def counting(space_a, space_b, proxy, words=()):
+            calls.append(list(words))
+            return kernel(space_a, space_b, proxy, words)
+
+        monkeypatch.setattr(pip_module, "_pip_kernel", counting)
+        return calls
+
+    def test_instability_words_run_the_kernel_once_per_pair(
+        self, tmp_path, run_dir, targets_file, kernel_calls
+    ):
+        # The run directory serves as both sets: 3 + 3 pairs.
+        assert run_cli(
+            "instability", "--shuffled", run_dir, "--bootstrapped", run_dir,
+            "--runs", "all", "--words", targets_file,
+            "--wordwise-out", tmp_path / "w.tsv", "--out", tmp_path / "i.tsv",
+        ) == 0
+        words = targets_file.read_text().split()
+        assert kernel_calls == [words] * 6
+
+    def test_pip_words_run_the_kernel_once_per_pair(
+        self, tmp_path, run_dir, targets_file, kernel_calls
+    ):
+        assert run_cli(
+            "pip", "--inputs", *sorted(run_dir.glob("*.vec")),
+            "--words", targets_file, "--wordwise-out", tmp_path / "w.tsv",
+            "--out", tmp_path / "p.tsv",
+        ) == 0
+        assert kernel_calls == [targets_file.read_text().split()] * 3
 
 
 class TestAverageCommand:

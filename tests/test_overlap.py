@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from embedstab import (
@@ -60,6 +61,21 @@ class TestPToJ:
                 p = m / n
                 j = m / (2 * n - m)
                 assert abs(p_to_j(p) - j) < 1e-12
+
+    @given(st.integers(1, 10**6).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
+    def test_equals_jaccard_of_the_overlap_count(self, counts):
+        n, m = counts
+        assert_allclose(p_to_j(m / n), m / (2 * n - m), rtol=1e-14, atol=0.0)
+
+    @given(st.integers(1, 30).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
+    def test_converts_measured_lists(self, counts):
+        n, m = counts
+        shared = [f"s{i}" for i in range(m)]
+        list_a = shared + [f"a{i}" for i in range(n - m)]
+        list_b = [f"b{i}" for i in range(n - m)] + shared[::-1]
+        measured = list_overlap(list_a, list_b, n)
+        assert measured.m == m
+        assert_allclose(p_to_j(measured.p_at_n), measured.j_at_n, rtol=1e-14, atol=0.0)
 
     def test_monotone_and_bounded(self):
         ps = np.linspace(0.0, 1.0, 101)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from embedstab import (
@@ -25,6 +26,7 @@ from embedstab import (
 from helpers import (
     planted_profile_runs,
     random_normalized_space,
+    random_rotation,
     rotated_copy,
     words_for,
 )
@@ -99,7 +101,8 @@ class TestPipLoss:
         assert pip_loss(space, flipped, proxy) < 1e-10
 
     def test_blocked_equals_full_computation(self):
-        # More proxy words than the 256-row block size, so several blocks run.
+        # The direct Gram difference is the oracle for the d x d sketch the
+        # kernel works on; 600 proxy words in 5 dimensions.
         space_a = random_normalized_space(600, 5, seed=13)
         space_b = random_normalized_space(600, 5, seed=14)
         proxy = sample_proxy([space_a, space_b], size=600)
@@ -132,6 +135,58 @@ class TestPipLoss:
             proxy = sample_proxy([space, flipper], size=v)
             value = reduced_pip_loss(space, flipper, proxy)
             assert 0.0 <= value <= 1.0
+
+
+class TestPipOracle:
+    @pytest.mark.parametrize("rotate", [False, True])
+    @pytest.mark.parametrize("scale", [1e-9, 1e-8, 1e-7, 1e-6, 1e-4, 1e-2, 1.0])
+    def test_sweep_against_direct_gram_difference(self, scale, rotate):
+        # The second space is the first with every row perturbed by `scale`
+        # and renormalized, optionally rotated.  Down to scale 1e-6 the kernel
+        # matches the direct form within 1e-9.  Below it both forms are
+        # limited by rounding of O(1) entries whose differences are O(scale),
+        # so the bound grows as 1/scale.
+        v, d, p = 60, 7, 50
+        space_a = random_normalized_space(v, d, seed=24)
+        a = space_a.matrix
+        b = a + scale * np.random.default_rng(25).normal(size=a.shape)
+        b /= np.linalg.norm(b, axis=1, keepdims=True)
+        if rotate:
+            b = b @ random_rotation(d, seed=26)
+        space_b = EmbeddingSpace(space_a.vocab, b, normalized=True)
+        proxy = ProxySample(space_a.vocab.words[:p])
+        tolerance = max(1e-9, 1e-15 / scale)
+        want = np.linalg.norm(a[:p] @ a[:p].T - b[:p] @ b[:p].T)
+        assert_allclose(pip_loss(space_a, space_b, proxy), want, rtol=tolerance)
+        # Every fifth word, ten of them inside the proxy and two outside it.
+        for k in range(0, v, 5):
+            word = space_a.vocab.words[k]
+            want = np.linalg.norm(a[k] @ a[:p].T - b[k] @ b[:p].T) / (2.0 * math.sqrt(p))
+            got = wordwise_reduced_pip_loss(word, space_a, space_b, proxy)
+            assert_allclose(got, want, rtol=tolerance)
+
+
+class TestPipInvariance:
+    @settings(max_examples=40)
+    @given(
+        seed=st.integers(0, 10**6),
+        d=st.integers(1, 8),
+        reflect=st.booleans(),
+    )
+    def test_orthogonal_maps_leave_pip_and_wordwise_pip_unchanged(self, seed, d, reflect):
+        space_a = random_normalized_space(30, d, seed=seed)
+        space_b = random_normalized_space(30, d, seed=seed + 1)
+        rotation = random_rotation(d, seed=seed + 2)
+        if reflect:
+            rotation[:, 0] *= -1.0
+        mapped = EmbeddingSpace(space_b.vocab, space_b.matrix @ rotation, normalized=True)
+        proxy = ProxySample(space_a.vocab.words[:20])
+        assert_allclose(pip_loss(space_a, mapped, proxy),
+                        pip_loss(space_a, space_b, proxy), rtol=1e-12)
+        for word in (proxy.words[3], space_a.vocab.words[25]):
+            assert_allclose(wordwise_reduced_pip_loss(word, space_a, mapped, proxy),
+                            wordwise_reduced_pip_loss(word, space_a, space_b, proxy),
+                            rtol=1e-12)
 
 
 class TestWordwisePip:

@@ -1,7 +1,12 @@
 """Vocabulary, embedding containers, vector I/O, neighbors, and analogies."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from embedstab import (
@@ -23,7 +28,7 @@ from embedstab import (
     save_text_vectors,
 )
 
-from helpers import random_normalized_space
+from helpers import random_normalized_space, words_for
 
 
 class TestVocabulary:
@@ -104,6 +109,24 @@ class TestTextVectorIO:
         assert loaded.vocab.words == space.vocab.words
         assert not loaded.normalized
         assert_allclose(loaded.matrix, space.matrix, atol=1e-9)
+
+    @settings(max_examples=60)
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 8), st.integers(1, 5)),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        )
+    )
+    def test_save_load_save_is_byte_identical(self, matrix):
+        # Any finite value, subnormals and -0 included, is written with 10
+        # significant digits, and a value read back from them writes the same.
+        space = EmbeddingSpace(Vocabulary(words_for(len(matrix))), matrix)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "first.vec", Path(tmp) / "second.vec"
+            save_text_vectors(space, first)
+            save_text_vectors(load_text_vectors(first), second)
+            assert second.read_bytes() == first.read_bytes()
 
     def test_header_and_row_errors(self, tmp_path):
         bad_header = tmp_path / "a.vec"
