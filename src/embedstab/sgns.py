@@ -2,13 +2,19 @@
 
 Trains word vectors by sliding a window over each document: every (center,
 context) pair pushes the center's input vector toward the context's output
-vector while k sampled noise words are pushed away.  The trainer exists so
+vector while sampled noise words are pushed away.  The trainer exists so
 that run sets can be produced at desk scale under controlled seeds — it is
 single-threaded and bit-deterministic given (corpus, config), which the
 full-scale reference implementations are not.
 
-All random choices (initialization, subsampling, window widths, noise
-draws) come from one PCG64 stream consumed in a fixed order.
+Each step covers a block of whole documents of about `_BLOCK_TOKENS` tokens
+("HogBatch", Ji et al., arXiv:1604.04661): its gradients are all evaluated
+at the block's incoming vectors, so they are stale within the block.  Each
+center's k noise words are shared by its window and weighted by its context
+count, so the expected gradient is that of k noise words per pair.  All
+random choices come from one PCG64 stream consumed in a fixed order: the
+initialization, then per block the subsampling, the window widths, the
+noise words and the clash redraws.
 """
 
 from __future__ import annotations
@@ -24,16 +30,15 @@ from .space import EmbeddingSpace, Vocabulary
 
 __all__ = [
     "SgnsConfig",
-    "TrainingState",
     "build_vocab",
     "subsample_probability",
     "noise_distribution",
-    "sgns_step",
     "train",
 ]
 
 _LR_FLOOR_FACTOR = 1e-4
 _SIGMOID_CLAMP = 6.0
+_BLOCK_TOKENS = 64
 
 
 @dataclass(frozen=True)
@@ -58,22 +63,6 @@ class SgnsConfig:
             raise ValueError(f"initial_lr must be > 0, got {self.initial_lr}")
         if not 0.0 < self.subsample_t <= 1.0:
             raise ValueError(f"subsample_t must be in (0, 1], got {self.subsample_t}")
-
-
-@dataclass
-class TrainingState:
-    """Mutable training buffers: input/output vectors and the noise CDF."""
-
-    input_vectors: np.ndarray
-    output_vectors: np.ndarray
-    noise_cdf: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.input_vectors.shape != self.output_vectors.shape:
-            raise ValueError("input and output matrices must share shape")
-        diffs = np.diff(self.noise_cdf)
-        if np.any(diffs < 0.0) or abs(self.noise_cdf[-1] - 1.0) > 1e-12:
-            raise ValueError("noise_cdf must be monotone and end at 1")
 
 
 def build_vocab(corpus: Corpus, min_count: int) -> Vocabulary:
@@ -112,87 +101,120 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -_SIGMOID_CLAMP, _SIGMOID_CLAMP)))
 
 
-def _pair_objective(
-    input_row: np.ndarray, output_rows: np.ndarray, labels: np.ndarray
-) -> float:
-    """Objective one step ascends: sum of log sigma(+-dot) over the rows.
+def _block_bounds(lengths: list[int]) -> list[int]:
+    """Token offsets that cut the documents into blocks of whole documents.
 
-    `labels` is 1 for the true context row and 0 for noise rows; label-0
-    rows contribute log sigma(-dot).
+    A block closes at the first document end that brings it to at least
+    `_BLOCK_TOKENS` tokens, so a longer document is a block of its own.
     """
-    x = output_rows @ input_row
-    signed = np.where(labels == 1, x, -x)
-    return float(np.sum(np.log(_sigmoid(signed))))
+    ends = np.cumsum(lengths, dtype=np.intp).tolist()
+    bounds = [0]
+    for end in ends:
+        if end - bounds[-1] >= _BLOCK_TOKENS:
+            bounds.append(end)
+    if ends and ends[-1] > bounds[-1]:
+        bounds.append(ends[-1])
+    return bounds
 
 
-def _gradient_step(
-    input_vectors: np.ndarray,
-    output_vectors: np.ndarray,
-    target: int,
-    rows: np.ndarray,
-    labels: np.ndarray,
-    lr: float,
-) -> None:
-    """One SGD ascent step for (target; context+noise rows), in place.
+def _window_pairs(doc_of: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(center, context) position pairs of a block, sorted by center.
 
-    All gradients are evaluated at the incoming state: the input update is
-    accumulated against the old output rows and vice versa.  `rows` may
-    contain duplicates; their gradient contributions accumulate.
+    `doc_of` gives each position's document and is non-decreasing; position
+    i pairs with every other position of its document within widths[i].
     """
-    vi = input_vectors[target]
-    x = output_vectors[rows] @ vi
-    g = lr * (labels - _sigmoid(x))
-    grad_vi = g @ output_vectors[rows]
-    np.add.at(output_vectors, rows, np.outer(g, vi))
-    input_vectors[target] += grad_vi
+    positions = np.arange(len(doc_of))
+    first = np.searchsorted(doc_of, doc_of, side="left")
+    stop = np.searchsorted(doc_of, doc_of, side="right")
+    lo = np.maximum(first, positions - widths)
+    span = np.minimum(stop, positions + widths + 1) - lo
+    centers = np.repeat(positions, span)
+    contexts = np.arange(int(span.sum())) - np.repeat(np.cumsum(span) - span - lo, span)
+    keep = contexts != centers
+    return centers[keep], contexts[keep]
 
 
-def _draw_negatives(
-    noise_cdf: np.ndarray, context: int, k: int, rng: np.random.Generator
-) -> np.ndarray:
-    """k noise draws; a draw equal to the context is redrawn once, then kept."""
-    negs = np.searchsorted(noise_cdf, rng.random(k), side="right")
-    clash = negs == context
-    if np.any(clash):
-        redraw = np.searchsorted(noise_cdf, rng.random(int(clash.sum())), side="right")
-        negs[clash] = redraw
-    return negs
-
-
-def sgns_step(
-    state: TrainingState,
-    target: int,
-    context: int,
-    lr: float,
+def _shared_negatives(
+    noise_cdf: np.ndarray,
+    words: np.ndarray,
+    centers: np.ndarray,
+    contexts: np.ndarray,
     k: int,
     rng: np.random.Generator,
-) -> TrainingState:
-    """One training step for a single (target, context) pair, in place."""
-    v = state.input_vectors.shape[0]
-    if not (0 <= target < v and 0 <= context < v):
-        raise IndexError(f"word index out of range (vocabulary size {v})")
-    if lr < 0.0:
-        raise ValueError(f"lr must be >= 0, got {lr}")
-    negs = _draw_negatives(state.noise_cdf, context, k, rng)
-    rows = np.concatenate(([context], negs))
-    labels = np.zeros(1 + k)
-    labels[0] = 1.0
-    _gradient_step(state.input_vectors, state.output_vectors, target, rows, labels, lr)
-    return state
+) -> np.ndarray:
+    """k noise words per position, shared by all the pairs of its window.
+
+    A draw equal to any context word of the window is redrawn once, and the
+    redraw is kept whatever it is.
+    """
+    negatives = np.searchsorted(noise_cdf, rng.random((len(words), k)), side="right")
+    hit = negatives[centers] == words[contexts][:, None]
+    slots = (centers[:, None] * k + np.arange(k))[hit]
+    clash = np.bincount(slots, minlength=negatives.size).reshape(negatives.shape) > 0
+    redraws = rng.random(int(clash.sum()))
+    negatives[clash] = np.searchsorted(noise_cdf, redraws, side="right")
+    return negatives
+
+
+def _scatter_add(matrix: np.ndarray, rows: np.ndarray, updates: np.ndarray) -> None:
+    """matrix[rows] += updates, summing the updates of repeated rows in order."""
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+    matrix[rows[starts]] += np.add.reduceat(updates[order], starts, axis=0)
+
+
+def _block_update(
+    input_vectors: np.ndarray,
+    output_vectors: np.ndarray,
+    words: np.ndarray,
+    centers: np.ndarray,
+    contexts: np.ndarray,
+    negatives: np.ndarray,
+    lr: np.ndarray,
+) -> None:
+    """One SGD ascent step on a block's objective, in place.
+
+    Position i holds word words[i], rate lr[i] and noise words negatives[i].
+    The objective sums lr[c] log sigma(in[c] . out[o]) over the position
+    pairs (c, o) and lr[i] n_i log sigma(-in[i] . out[n]) over the noise
+    words n of each position i with n_i pairs.  Gradients are evaluated at
+    the incoming vectors; the contributions to a recurring row are summed.
+    """
+    inp, out = input_vectors[words], output_vectors[words]
+    noise = output_vectors[negatives]
+    inp_c, out_o = inp[centers], out[contexts]
+    g_pos = lr[centers] * (1.0 - _sigmoid(np.einsum("pd,pd->p", inp_c, out_o)))
+    weight = lr * np.bincount(centers, minlength=len(words))
+    g_neg = -weight[:, None] * _sigmoid(np.einsum("md,mkd->mk", inp, noise))
+    _scatter_add(
+        input_vectors,
+        np.concatenate((words[centers], words)),
+        np.concatenate((g_pos[:, None] * out_o, np.einsum("mk,mkd->md", g_neg, noise))),
+    )
+    noise_grads = (g_neg[:, :, None] * inp[:, None, :]).reshape(-1, inp.shape[1])
+    _scatter_add(
+        output_vectors,
+        np.concatenate((words[contexts], negatives.ravel())),
+        np.concatenate((g_pos[:, None] * inp_c, noise_grads)),
+    )
 
 
 def train(corpus: Corpus, config: SgnsConfig) -> EmbeddingSpace:
     """Train an embedding space; deterministic for a given (corpus, config).
 
     The learning rate decays linearly over all epochs x in-vocabulary token
-    occurrences (counted before subsampling) down to a floor of
-    initial_lr * 1e-4.  Subsampling drops frequent tokens per occurrence
-    per epoch before windows are formed, so windows reach across dropped
-    tokens.  Each center position takes one SGD step covering all its
-    window pairs at once.  The returned space holds the input vectors,
-    unnormalized, with corpus frequencies attached.  A run whose input
-    vectors are not all finite at the end of an epoch has diverged and
-    raises FloatingPointError there.
+    occurrences (counted before subsampling, one rate per token) down to a
+    floor of initial_lr * 1e-4.  Documents longer than `_BLOCK_TOKENS`
+    in-vocabulary tokens are cut into documents of that length, as word2vec
+    cuts long lines into sentences.  Subsampling drops frequent tokens per
+    occurrence per epoch before windows are formed, so windows reach across
+    dropped tokens, never across documents.  Each block of whole documents
+    takes one SGD step covering all its window pairs, evaluated at its
+    incoming vectors, with each center's k noise words shared by its window.
+    The returned space holds the input vectors, unnormalized, with corpus
+    frequencies attached.  A run whose input vectors are not all finite at
+    the end of an epoch has diverged and raises FloatingPointError there.
     """
     vocab = build_vocab(corpus, config.min_count)
     v, d = len(vocab.words), config.dim
@@ -208,61 +230,40 @@ def train(corpus: Corpus, config: SgnsConfig) -> EmbeddingSpace:
     discard = np.array(
         [subsample_probability(c / total_tokens, config.subsample_t) for c in counts]
     )
+    docs = [[index[t] for t in doc if t in index] for doc in corpus.documents]
+    # One stale step over a whole long document would blur what it teaches.
     docs = [
-        np.array([index[t] for t in doc if t in index], dtype=np.intp)
-        for doc in corpus.documents
+        doc[i : i + _BLOCK_TOKENS]
+        for doc in docs
+        for i in range(0, len(doc), _BLOCK_TOKENS)
     ]
-    total_steps = config.epochs * int(sum(len(doc) for doc in docs))
-    lr0 = config.initial_lr
-    lr_floor = lr0 * _LR_FLOOR_FACTOR
-    k = config.negatives
-    window = config.window
-    labels_by_count: dict[int, np.ndarray] = {}
+    lengths = [len(doc) for doc in docs]
+    tokens = np.array([t for doc in docs for t in doc], dtype=np.intp)
+    doc_of = np.repeat(np.arange(len(docs)), lengths)
+    bounds = _block_bounds(lengths)
+    total_steps = config.epochs * len(tokens)
 
-    tokens_seen = 0
     for epoch in range(config.epochs):
-        for doc in docs:
-            if len(doc) == 0:
-                continue
-            u = rng.random(len(doc))
-            kept_mask = u >= discard[doc]
-            read_order = tokens_seen + np.arange(len(doc))
-            tokens_seen += len(doc)
-            sen = doc[kept_mask]
-            reads = read_order[kept_mask]
-            if len(sen) < 2:
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            draws = rng.random(stop - start)
+            kept = start + np.flatnonzero(draws >= discard[tokens[start:stop]])
+            if len(kept) == 0:
                 continue
             if config.dynamic_window:
-                widths = rng.integers(1, window + 1, size=len(sen))
+                widths = rng.integers(1, config.window + 1, size=len(kept))
             else:
-                widths = np.full(len(sen), window)
-            for i in range(len(sen)):
-                b = int(widths[i])
-                lo = max(0, i - b)
-                hi = min(len(sen), i + b + 1)
-                n_ctx = hi - lo - 1
-                if n_ctx == 0:
-                    continue
-                contexts = np.concatenate((sen[lo:i], sen[i + 1 : hi]))
-                negs = np.searchsorted(
-                    noise_cdf, rng.random(n_ctx * k), side="right"
-                ).reshape(n_ctx, k)
-                clash = negs == contexts[:, None]
-                n_clash = int(clash.sum())
-                if n_clash:
-                    negs[clash] = np.searchsorted(
-                        noise_cdf, rng.random(n_clash), side="right"
-                    )
-                rows = np.concatenate((contexts, negs.ravel()))
-                labels = labels_by_count.get(n_ctx)
-                if labels is None:
-                    labels = np.zeros(n_ctx * (1 + k))
-                    labels[:n_ctx] = 1.0
-                    labels_by_count[n_ctx] = labels
-                lr = max(lr0 * (1.0 - reads[i] / total_steps), lr_floor)
-                _gradient_step(
-                    input_vectors, output_vectors, int(sen[i]), rows, labels, lr
-                )
+                widths = np.full(len(kept), config.window)
+            words = tokens[kept]
+            centers, contexts = _window_pairs(doc_of[kept], widths)
+            negatives = _shared_negatives(
+                noise_cdf, words, centers, contexts, config.negatives, rng
+            )
+            reads = epoch * len(tokens) + kept
+            decay = np.maximum(1.0 - reads / total_steps, _LR_FLOOR_FACTOR)
+            lr = config.initial_lr * decay
+            _block_update(
+                input_vectors, output_vectors, words, centers, contexts, negatives, lr
+            )
         if not np.all(np.isfinite(input_vectors)):
             raise FloatingPointError(
                 f"training diverged: non-finite input vectors after epoch {epoch + 1}"

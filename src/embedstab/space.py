@@ -217,12 +217,12 @@ def save_text_vectors(space: EmbeddingSpace, path: str | Path) -> None:
     """Write the exact format `load_text_vectors` accepts (10 significant
     digits, or 17 if 10 would round the largest floats up to infinity)."""
     path = Path(path)
-    spec = ".10g" if np.all(np.abs(space.matrix) < 1.797693134e308) else ".17g"
+    spec = "%.10g" if np.all(np.abs(space.matrix) < 1.797693134e308) else "%.17g"
+    line = " ".join(["%s"] + [spec] * space.dim) + "\n"
     with path.open("w", encoding="utf-8") as handle:
         handle.write(f"{len(space)} {space.dim}\n")
         for word, row in zip(space.vocab.words, space.matrix):
-            values = " ".join(format(x, spec) for x in row)
-            handle.write(f"{word} {values}\n")
+            handle.write(line % (word, *row.tolist()))
 
 
 def load_frequencies(path: str | Path) -> dict[str, int]:

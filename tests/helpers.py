@@ -90,3 +90,54 @@ def two_topic_corpus(
         )
         documents.append(tokens)
     return Corpus(tuple(documents)), topic_a, topic_b
+
+
+def block_objective(
+    input_vectors: np.ndarray,
+    output_vectors: np.ndarray,
+    words: np.ndarray,
+    centers: np.ndarray,
+    contexts: np.ndarray,
+    negatives: np.ndarray,
+    lr: np.ndarray | None = None,
+) -> float:
+    """The SGNS objective one block step ascends, summed term by term.
+
+    Each (center, context) position pair adds log sigma(in . out); each
+    position adds log sigma(-in . out) for each of its noise words, weighted
+    by its number of pairs as center.  Every term is scaled by its center's
+    `lr` (1 when omitted).
+    """
+    lr = np.ones(len(words)) if lr is None else lr
+
+    def log_sigmoid(x: float) -> float:
+        return -float(np.logaddexp(0.0, -x))
+
+    total = 0.0
+    for c, o in zip(centers.tolist(), contexts.tolist()):
+        x = input_vectors[words[c]] @ output_vectors[words[o]]
+        total += lr[c] * log_sigmoid(x)
+    for i, noise in enumerate(negatives.tolist()):
+        weight = lr[i] * np.count_nonzero(centers == i)
+        for w in noise:
+            total += weight * log_sigmoid(-(input_vectors[words[i]] @ output_vectors[w]))
+    return total
+
+
+def finite_difference_gradients(
+    objective, input_vectors: np.ndarray, output_vectors: np.ndarray, h: float = 1e-5
+) -> tuple[np.ndarray, np.ndarray]:
+    """Central differences of objective(input, output) in every entry of both."""
+    grads = []
+    for matrix in (input_vectors, output_vectors):
+        grad = np.zeros_like(matrix)
+        for index in np.ndindex(matrix.shape):
+            saved = matrix[index]
+            matrix[index] = saved + h
+            up = objective(input_vectors, output_vectors)
+            matrix[index] = saved - h
+            down = objective(input_vectors, output_vectors)
+            matrix[index] = saved
+            grad[index] = (up - down) / (2 * h)
+        grads.append(grad)
+    return grads[0], grads[1]

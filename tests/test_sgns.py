@@ -9,18 +9,24 @@ from numpy.testing import assert_allclose
 from embedstab import (
     Corpus,
     SgnsConfig,
-    TrainingState,
     Vocabulary,
     build_vocab,
     noise_distribution,
     normalize,
-    sgns_step,
     subsample_probability,
     train,
 )
-from embedstab.sgns import _draw_negatives, _gradient_step, _pair_objective, _sigmoid
+from embedstab import sgns
+from embedstab.sgns import (
+    _BLOCK_TOKENS,
+    _block_bounds,
+    _block_update,
+    _shared_negatives,
+    _sigmoid,
+    _window_pairs,
+)
 
-from helpers import two_topic_corpus
+from helpers import block_objective, finite_difference_gradients, two_topic_corpus
 
 
 def tiny_corpus():
@@ -121,108 +127,200 @@ class TestGradientStep:
         output_vectors = 0.1 * rng.normal(size=(v, d))
         return input_vectors, output_vectors
 
+    def block(self):
+        # Word 3 sits at two positions, word 2 is a center and also the
+        # context of another center, and noise word 5 repeats within and
+        # across windows.
+        words = np.array([2, 3, 2, 3, 6])
+        centers, contexts = _window_pairs(np.array([0, 0, 0, 1, 1]), np.array([1, 2, 1, 1, 1]))
+        negatives = np.array([[5, 5], [1, 4], [0, 5], [7, 2], [5, 6]])
+        return words, centers, contexts, negatives
+
     def test_matches_finite_difference_gradient(self):
-        # The update must equal lr times the gradient of the pair objective,
-        # evaluated at the incoming state. rows contain a duplicate so the
-        # accumulate-at semantics is exercised too.
+        # The update must equal the gradient of the block objective, each
+        # term scaled by its center's rate, evaluated at the incoming state.
         input_vectors, output_vectors = self.setup_buffers()
-        target = 1
-        rows = np.array([2, 3, 3, 5])
-        labels = np.array([1.0, 0.0, 0.0, 1.0])
-        old_input = input_vectors.copy()
-        old_output = output_vectors.copy()
-        _gradient_step(input_vectors, output_vectors, target, rows, labels, lr=1.0)
-        delta_input = input_vectors[target] - old_input[target]
-        delta_output = output_vectors - old_output
+        words, centers, contexts, negatives = self.block()
+        lr = np.array([1.0, 0.5, 2.0, 1.5, 0.25])
+        stepped_in, stepped_out = input_vectors.copy(), output_vectors.copy()
+        _block_update(stepped_in, stepped_out, words, centers, contexts, negatives, lr)
 
-        h = 1e-5
-
-        def objective(vi, vo):
-            return _pair_objective(vi, vo[rows], labels)
-
-        for m in range(old_input.shape[1]):
-            plus = old_input[target].copy()
-            plus[m] += h
-            minus = old_input[target].copy()
-            minus[m] -= h
-            fd = (objective(plus, old_output) - objective(minus, old_output)) / (2 * h)
-            assert_allclose(delta_input[m], fd, atol=1e-8)
-        for row in (2, 3, 5):
-            for m in range(old_output.shape[1]):
-                plus = old_output.copy()
-                plus[row, m] += h
-                minus = old_output.copy()
-                minus[row, m] -= h
-                fd = (objective(old_input[target], plus)
-                      - objective(old_input[target], minus)) / (2 * h)
-                assert_allclose(delta_output[row, m], fd, atol=1e-8)
-        untouched = [r for r in range(8) if r not in (2, 3, 5)]
-        assert_allclose(delta_output[untouched], 0.0, atol=0)
+        fd_in, fd_out = finite_difference_gradients(
+            lambda a, b: block_objective(a, b, words, centers, contexts, negatives, lr),
+            input_vectors,
+            output_vectors,
+        )
+        assert_allclose(stepped_in - input_vectors, fd_in, atol=1e-8)
+        assert_allclose(stepped_out - output_vectors, fd_out, atol=1e-8)
 
     def test_small_step_increases_the_objective(self):
         input_vectors, output_vectors = self.setup_buffers(seed=1)
-        rows = np.array([0, 4, 6])
-        labels = np.array([1.0, 0.0, 0.0])
-        before = _pair_objective(input_vectors[2], output_vectors[rows], labels)
-        _gradient_step(input_vectors, output_vectors, 2, rows, labels, lr=0.05)
-        after = _pair_objective(input_vectors[2], output_vectors[rows], labels)
+        block = self.block()
+        before = block_objective(input_vectors, output_vectors, *block)
+        _block_update(input_vectors, output_vectors, *block, np.full(5, 0.05))
+        after = block_objective(input_vectors, output_vectors, *block)
         assert after > before
+
+    def test_one_center_block_matches_the_per_pair_step(self):
+        # One center whose window holds its own word: the block step must
+        # equal the per-pair step, every pair with its own copy of the k
+        # noise rows, all gradients at the incoming state.
+        input_vectors, output_vectors = self.setup_buffers(seed=2)
+        words = np.array([1, 4, 1, 6])
+        centers, contexts = np.zeros(3, dtype=np.intp), np.array([1, 2, 3])
+        negatives = np.array([[3, 7, 3], [0, 0, 0], [0, 0, 0], [0, 0, 0]])
+        lr = np.array([0.3, 0.0, 0.0, 0.0])
+        stepped_in, stepped_out = input_vectors.copy(), output_vectors.copy()
+        _block_update(stepped_in, stepped_out, words, centers, contexts, negatives, lr)
+
+        rows = np.concatenate((words[1:], np.tile(negatives[0], 3)))
+        labels = np.concatenate((np.ones(3), np.zeros(9)))
+        center = input_vectors[1]
+        g = 0.3 * (labels - _sigmoid(output_vectors[rows] @ center))
+        want_in, want_out = input_vectors.copy(), output_vectors.copy()
+        want_in[1] += g @ output_vectors[rows]
+        np.add.at(want_out, rows, np.outer(g, center))
+        assert_allclose(stepped_in, want_in, rtol=1e-13, atol=1e-16)
+        assert_allclose(stepped_out, want_out, rtol=1e-13, atol=1e-16)
 
 
 class TestSgnsStep:
-    def make_state(self, v=4, d=3, seed=2):
-        rng = np.random.default_rng(seed)
-        return TrainingState(
-            input_vectors=0.1 * rng.normal(size=(v, d)),
-            output_vectors=0.1 * rng.normal(size=(v, d)),
-            noise_cdf=np.array([0.25, 0.5, 0.75, 1.0]),
-        )
+    """The pieces of one block step, as `train` runs them."""
 
-    def test_updates_in_place_and_returns_state(self):
-        state = self.make_state()
-        before = state.input_vectors.copy()
-        rng = np.random.default_rng(3)
-        out = sgns_step(state, 0, 1, lr=0.1, k=2, rng=rng)
-        assert out is state
-        assert not np.allclose(state.input_vectors[0], before[0])
+    def test_updates_in_place_and_touches_only_block_rows(self):
+        rng = np.random.default_rng(2)
+        input_vectors = 0.1 * rng.normal(size=(6, 3))
+        output_vectors = 0.1 * rng.normal(size=(6, 3))
+        before_in, before_out = input_vectors.copy(), output_vectors.copy()
+        centers, contexts = _window_pairs(np.zeros(3, dtype=np.intp), np.ones(3, dtype=np.intp))
+        result = _block_update(
+            input_vectors, output_vectors, np.array([0, 1, 2]), centers, contexts,
+            np.array([[3], [3], [4]]), np.full(3, 0.1),
+        )
+        assert result is None
+        moved_in = np.flatnonzero(np.any(input_vectors != before_in, axis=1))
+        moved_out = np.flatnonzero(np.any(output_vectors != before_out, axis=1))
+        assert moved_in.tolist() == [0, 1, 2]
+        assert moved_out.tolist() == [0, 1, 2, 3, 4]
 
     def test_validation(self):
-        state = self.make_state()
-        rng = np.random.default_rng(4)
-        with pytest.raises(IndexError, match="out of range"):
-            sgns_step(state, 9, 0, lr=0.1, k=1, rng=rng)
-        with pytest.raises(ValueError, match="lr"):
-            sgns_step(state, 0, 1, lr=-0.1, k=1, rng=rng)
+        with pytest.raises(ValueError, match="min_count=9"):
+            train(tiny_corpus(), SgnsConfig(**{**SMALL.__dict__, "min_count": 9}))
+        with pytest.raises(ValueError, match="initial_lr"):
+            SgnsConfig(**{**SMALL.__dict__, "initial_lr": -0.1})
 
     def test_state_validation(self):
-        rng = np.random.default_rng(5)
-        with pytest.raises(ValueError, match="share shape"):
-            TrainingState(rng.normal(size=(3, 2)), rng.normal(size=(4, 2)),
-                          np.array([1.0]))
-        with pytest.raises(ValueError, match="monotone"):
-            TrainingState(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)),
-                          np.array([0.9, 0.5]))
+        # The input vectors are checked at the end of every epoch; a rate
+        # that overflows them stops training there.
+        config = SgnsConfig(**{**SMALL.__dict__, "initial_lr": 1e300})
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="training diverged"):
+                train(tiny_corpus(), config)
 
     def test_clash_redraw_keeps_one_retry(self):
-        # Noise mass is concentrated on the context word, so nearly every
-        # draw clashes; a single redraw is attempted and the result kept,
-        # meaning the context itself appears among the negatives rather
-        # than the draw looping forever.
-        cdf = np.array([0.001, 0.999, 1.0])
+        # Noise mass sits on the window's two context words, so nearly every
+        # draw clashes; each clash is redrawn once and the redraw kept,
+        # meaning context words appear among the negatives rather than the
+        # draw looping forever.
+        cdf = np.array([0.001, 0.5, 0.999, 1.0])
+        words = np.array([0, 1, 2])
+        centers, contexts = np.array([0, 0]), np.array([1, 2])
+        negs = _shared_negatives(cdf, words, centers, contexts, 2000, np.random.default_rng(6))
+        assert negs.shape == (3, 2000)
+        assert set(np.unique(negs)) <= {0, 1, 2, 3}
+        assert np.mean(np.isin(negs[0], [1, 2])) > 0.9
+
+        # Replaying the stream: first draws, then one redraw for each draw
+        # equal to any context of its window (positions 1 and 2 have none).
         rng = np.random.default_rng(6)
-        negs = _draw_negatives(cdf, context=1, k=2000, rng=rng)
-        assert negs.shape == (2000,)
-        assert set(np.unique(negs)) <= {0, 1, 2}
-        assert np.mean(negs == 1) > 0.9
+        want = np.searchsorted(cdf, rng.random((3, 2000)), side="right")
+        clash = np.zeros(want.shape, dtype=bool)
+        clash[0] = np.isin(want[0], [1, 2])
+        want[clash] = np.searchsorted(cdf, rng.random(int(clash.sum())), side="right")
+        assert np.array_equal(negs, want)
+
+
+class TestBlocks:
+    def test_blocks_hold_whole_documents(self):
+        rng = np.random.default_rng(9)
+        lengths = rng.integers(0, 40, size=300)
+        lengths[[5, 50, 51]] = [200, _BLOCK_TOKENS, 0]
+        bounds = _block_bounds(lengths.tolist())
+        ends = np.concatenate(([0], np.cumsum(lengths)))
+        assert bounds[0] == 0 and bounds[-1] == ends[-1]
+        assert np.all(np.isin(bounds, ends))
+        sizes = np.diff(bounds)
+        assert np.all(sizes[:-1] >= _BLOCK_TOKENS) and sizes[-1] > 0
+        # Each block closes at the first document end that fills it.
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            inner = ends[(ends > lo) & (ends < hi)]
+            assert np.all(inner - lo < _BLOCK_TOKENS)
+        assert _block_bounds([0, 0]) == [0]
+
+    def test_window_pairs_are_the_in_document_windows(self):
+        rng = np.random.default_rng(10)
+        for _ in range(50):
+            m = int(rng.integers(1, 30))
+            doc_of = np.sort(rng.integers(0, 6, size=m))
+            widths = rng.integers(1, 5, size=m)
+            centers, contexts = _window_pairs(doc_of, widths)
+            want = [
+                (i, j)
+                for i in range(m)
+                for j in range(m)
+                if i != j and doc_of[i] == doc_of[j] and abs(i - j) <= widths[i]
+            ]
+            assert list(zip(centers.tolist(), contexts.tolist())) == want
+
+    def test_training_pairs_never_join_two_documents(self, monkeypatch):
+        # 3-token documents of private words, with windows wider than a
+        # document: a pair of words from two documents would be a crossing.
+        corpus = Corpus(tuple((f"a{i}", f"b{i}", f"c{i}") for i in range(60)))
+        config = SgnsConfig(dim=4, window=5, negatives=2, epochs=2, initial_lr=0.05,
+                            subsample_t=1.0, min_count=1, seed=3)
+        calls = []
+        kernel = sgns._block_update
+
+        def recording(input_vectors, output_vectors, words, centers, contexts, *rest):
+            calls.append((words.copy(), centers.copy(), contexts.copy()))
+            kernel(input_vectors, output_vectors, words, centers, contexts, *rest)
+
+        monkeypatch.setattr(sgns, "_block_update", recording)
+        space = train(corpus, config)
+        doc = np.array([int(w[1:]) for w in space.vocab.words])
+        assert len(calls) == 2 * math.ceil(180 / (3 * math.ceil(_BLOCK_TOKENS / 3)))
+        for words, centers, contexts in calls:
+            assert np.all(doc[words[centers]] == doc[words[contexts]])
+            # Every block holds all three words of each document it touches.
+            assert set(np.unique(doc[words], return_counts=True)[1].tolist()) == {3}
+        assert sum(len(words) for words, _, _ in calls) == 2 * 180
+
+    def test_long_documents_train_as_their_cut_pieces(self):
+        # A document longer than a block is cut into documents of
+        # _BLOCK_TOKENS in-vocabulary tokens before anything is drawn.
+        corpus, _, _ = two_topic_corpus(docs=12, doc_len=30, seed=5)
+        tokens = tuple(t for doc in corpus.documents for t in doc)
+        pieces = tuple(
+            tokens[i : i + _BLOCK_TOKENS] for i in range(0, len(tokens), _BLOCK_TOKENS)
+        )
+        assert len(pieces) > 4 and len(pieces[-1]) < _BLOCK_TOKENS
+        config = SgnsConfig(**{**SMALL.__dict__, "subsample_t": 1e-2})
+        whole = train(Corpus((tokens,)), config)
+        cut = train(Corpus(pieces), config)
+        assert np.array_equal(whole.matrix, cut.matrix)
 
 
 class TestTrain:
     def test_bit_determinism(self):
-        corpus = tiny_corpus()
-        space_1 = train(corpus, SMALL)
-        space_2 = train(corpus, SMALL)
-        assert space_1.vocab.words == space_2.vocab.words
-        assert np.array_equal(space_1.matrix, space_2.matrix)
+        # The second corpus spans several blocks, with subsampling on.
+        several_blocks, _, _ = two_topic_corpus(docs=24, doc_len=13, seed=4)
+        assert several_blocks.token_count() > 4 * _BLOCK_TOKENS
+        subsampled = SgnsConfig(**{**SMALL.__dict__, "subsample_t": 1e-2})
+        for corpus, config in ((tiny_corpus(), SMALL), (several_blocks, subsampled)):
+            space_1 = train(corpus, config)
+            space_2 = train(corpus, config)
+            assert space_1.vocab.words == space_2.vocab.words
+            assert np.array_equal(space_1.matrix, space_2.matrix)
 
     def test_seed_changes_the_result(self):
         corpus = tiny_corpus()

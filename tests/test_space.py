@@ -128,6 +128,25 @@ class TestTextVectorIO:
             save_text_vectors(load_text_vectors(first), second)
             assert second.read_bytes() == first.read_bytes()
 
+    def test_matches_the_per_value_format_oracle(self, tmp_path):
+        # One format string per row must write the bytes of formatting every
+        # value on its own, in both the 10-digit and the 17-digit form.
+        rng = np.random.default_rng(11)
+        matrix = rng.normal(size=(40, 7)) * 10.0 ** rng.integers(-300, 300, size=(40, 7))
+        matrix[0, :4] = [-0.0, 1e-300, 1.2e11, 5e-324]
+        huge = matrix.copy()
+        huge[3, 2] = -1.7976931348623157e308
+        for values, spec in ((matrix, ".10g"), (huge, ".17g")):
+            space = EmbeddingSpace(Vocabulary(words_for(len(values))), values)
+            path = tmp_path / "out.vec"
+            save_text_vectors(space, path)
+            rows = (
+                f"{word} " + " ".join(format(x, spec) for x in row) + "\n"
+                for word, row in zip(space.vocab.words, values)
+            )
+            want = f"{len(values)} {values.shape[1]}\n" + "".join(rows)
+            assert path.read_bytes() == want.encode("utf-8")
+
     def test_header_and_row_errors(self, tmp_path):
         bad_header = tmp_path / "a.vec"
         bad_header.write_text("3\nfoo 1 2\n")
