@@ -75,11 +75,31 @@ class FrequencyEffectResult:
     fit_method: str = "profiled-ml"
 
 
-def _unit(vector: np.ndarray, word: str) -> np.ndarray:
-    norm = np.linalg.norm(vector)
-    if norm == 0.0:
-        raise ValueError(f"zero vector for {word!r}")
-    return vector / norm
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # A stack of 1 x d by d x 1 products: one BLAS dot per row, the same
+    # call, and so the same rounding, as `x[i] @ y[i]` on one row.
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+def _change_scores(
+    words: Sequence[str],
+    space_t1: EmbeddingSpace,
+    space_t2: EmbeddingSpace,
+    alignment: AlignmentResult,
+) -> np.ndarray:
+    """Cosine distances of `words` between the aligned epoch-1 rows and the
+    epoch-2 rows: one stacked product with the rotation, row norms and a
+    row-wise dot."""
+    rows1 = space_t1.matrix[[space_t1.vocab.position(w) for w in words]]
+    rows2 = space_t2.matrix[[space_t2.vocab.position(w) for w in words]]
+    rows1 = (rows1[:, None, :] @ alignment.rotation)[:, 0, :]
+    norms1 = np.sqrt(_row_dots(rows1, rows1))
+    norms2 = np.sqrt(_row_dots(rows2, rows2))
+    zero = np.flatnonzero((norms1 == 0.0) | (norms2 == 0.0))
+    if zero.size:
+        raise ValueError(f"zero vector for {words[zero[0]]!r}")
+    dots = _row_dots(rows1 / norms1[:, None], rows2 / norms2[:, None])
+    return 1.0 - np.clip(dots, -1.0, 1.0)
 
 
 def semantic_change(
@@ -89,9 +109,7 @@ def semantic_change(
     alignment: AlignmentResult,
 ) -> float:
     """Cosine distance between the aligned epoch-1 vector and the epoch-2 one."""
-    v1 = _unit(space_t1.vector(word) @ alignment.rotation, word)
-    v2 = _unit(space_t2.vector(word), word)
-    return 1.0 - float(np.clip(v1 @ v2, -1.0, 1.0))
+    return float(_change_scores([word], space_t1, space_t2, alignment)[0])
 
 
 def classify_targets(
@@ -148,10 +166,10 @@ def build_change_report(
         )
 
     alignment = procrustes(space_t1, space_t2)
-    deltas = {
-        w: semantic_change(w, space_t1, space_t2, alignment)
-        for w in dict.fromkeys(list(scored) + list(targets))
-    }
+    words = list(dict.fromkeys(list(scored) + list(targets)))
+    deltas = dict(
+        zip(words, _change_scores(words, space_t1, space_t2, alignment).tolist())
+    )
     scored_deltas = {w: deltas[w] for w in scored}
     target_deltas = {w: deltas[w] for w in targets}
     labels, tau = classify_targets(target_deltas, scored_deltas)

@@ -3,10 +3,18 @@
 The on-disk interchange format is the plain-text vector format: a header line
 ``"<v> <d>"`` followed by one ``"<word> <x1> ... <xd>"`` line per word. Word
 frequencies travel in an optional tab-separated sidecar file.
+
+Values are read by numpy's C text reader, correctly rounded like ``float()``.
+Its number grammar is narrower than ``float()``'s: digit-group underscores
+(``1_0``) and non-ASCII digits (``١``) are rejected as non-numeric. Signs,
+leading or trailing points, exponents, ``inf``/``nan`` in any case and
+overflow to infinity read as ``float()`` reads them. Blank lines are allowed
+only after the announced rows.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -33,6 +41,8 @@ __all__ = [
 ]
 
 _NORM_ATOL = 1e-9
+# Rows parsed per np.loadtxt call when loading text vectors; sets peak memory.
+_LOAD_BLOCK_LINES = 128
 
 
 class LoadError(ValueError):
@@ -179,30 +189,24 @@ def load_text_vectors(
             raise LoadError(f"{path}:1: invalid sizes v={v}, d={d}")
         words: list[str] = []
         matrix = np.empty((v, d), dtype=np.float64)
-        seen: set[str] = set()
-        for row in range(v):
-            line = handle.readline()
-            lineno = row + 2
-            if not line:
-                raise LoadError(f"{path}:{lineno}: expected {v} rows, file ended early")
-            fields = line.split()
-            if len(fields) != d + 1:
+        for start in range(0, v, _LOAD_BLOCK_LINES):
+            want = min(_LOAD_BLOCK_LINES, v - start)
+            block = list(itertools.islice(handle, want))
+            if block:
+                words.extend(_parse_block(path, block, start + 2, d, matrix[start:]))
+            if len(block) < want:
                 raise LoadError(
-                    f"{path}:{lineno}: expected {d} values for {fields[0] if fields else '?'!r}, "
-                    f"got {len(fields) - 1}"
+                    f"{path}:{start + len(block) + 2}: expected {v} rows, file ended early"
                 )
-            word = fields[0]
+        for lineno, line in enumerate(handle, start=v + 2):
+            if line.strip():
+                raise LoadError(f"{path}:{lineno}: more rows than the header announced")
+    if len(set(words)) != v:
+        seen: set[str] = set()
+        for lineno, word in enumerate(words, start=2):
             if word in seen:
                 raise LoadError(f"{path}:{lineno}: duplicate word {word!r}")
             seen.add(word)
-            try:
-                matrix[row] = [float(x) for x in fields[1:]]
-            except ValueError:
-                raise LoadError(f"{path}:{lineno}: non-numeric value") from None
-            words.append(word)
-        trailing = handle.readline()
-        if trailing.strip():
-            raise LoadError(f"{path}:{v + 2}: more rows than the header announced")
     frequency = None
     if frequency_path is not None:
         frequency = load_frequencies(frequency_path)
@@ -211,6 +215,47 @@ def load_text_vectors(
             raise LoadError(f"{frequency_path}: no count for {missing[0]!r}")
         frequency = {w: frequency[w] for w in words}
     return EmbeddingSpace(Vocabulary(tuple(words), frequency), matrix, normalized=False)
+
+
+def _parse_values(rests: list[str]) -> np.ndarray:
+    # comments=None: no character may start a comment, since "#" is a word.
+    return np.loadtxt(rests, dtype=np.float64, comments=None, ndmin=2)
+
+
+def _parse_block(
+    path: Path, block: list[str], first_lineno: int, d: int, out: np.ndarray
+) -> list[str]:
+    """Parse a block of rows into the first len(block) rows of `out`.
+
+    Returns the block's words.  The values of all rows are parsed by one C
+    reader call; only a block that fails it is walked line by line, to raise
+    the first row's fault.
+    """
+    split = [line.split(None, 1) for line in block]
+    if all(len(pair) == 2 for pair in split):
+        try:
+            values = _parse_values([pair[1] for pair in split])
+        except ValueError:
+            values = None
+        if values is not None and values.shape == (len(block), d):
+            out[: len(block)] = values
+            return [pair[0] for pair in split]
+    for lineno, line in enumerate(block, start=first_lineno):
+        fields = line.split()
+        if not fields:
+            raise LoadError(f"{path}:{lineno}: blank line where a row was expected")
+        if len(fields) != d + 1:
+            raise LoadError(
+                f"{path}:{lineno}: expected {d} values for {fields[0]!r}, "
+                f"got {len(fields) - 1}"
+            )
+        try:
+            values = _parse_values([line.split(None, 1)[1]])
+        except ValueError:
+            values = None
+        if values is None or values.shape != (1, d):
+            raise LoadError(f"{path}:{lineno}: non-numeric value")
+    raise LoadError(f"{path}:{first_lineno}-{lineno}: rows do not parse as a block")
 
 
 def save_text_vectors(space: EmbeddingSpace, path: str | Path) -> None:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
-from embedstab import Corpus, EmbeddingSpace, RunSet, Vocabulary, normalize
+from embedstab import AlignmentResult, Corpus, EmbeddingSpace, RunSet, Vocabulary, normalize
 
 
 def words_for(count: int, prefix: str = "w") -> tuple[str, ...]:
@@ -141,3 +143,36 @@ def finite_difference_gradients(
             grad[index] = (up - down) / (2 * h)
         grads.append(grad)
     return grads[0], grads[1]
+
+
+def load_text_vectors_oracle(path: str | Path) -> tuple[list[str], np.ndarray]:
+    """Words and matrix of a well-formed text vector file, one float() per value."""
+    with Path(path).open("r", encoding="utf-8") as handle:
+        v, d = (int(x) for x in handle.readline().split())
+        words = []
+        matrix = np.empty((v, d), dtype=np.float64)
+        for row in range(v):
+            fields = handle.readline().split()
+            assert len(fields) == d + 1
+            words.append(fields[0])
+            matrix[row] = [float(x) for x in fields[1:]]
+    return words, matrix
+
+
+def semantic_change_oracle(
+    word: str,
+    space_t1: EmbeddingSpace,
+    space_t2: EmbeddingSpace,
+    alignment: AlignmentResult,
+) -> float:
+    """One word's change score, unit vectors and dot computed on their own."""
+
+    def unit(vector: np.ndarray) -> np.ndarray:
+        norm = np.linalg.norm(vector)
+        if norm == 0.0:
+            raise ValueError(f"zero vector for {word!r}")
+        return vector / norm
+
+    v1 = unit(space_t1.vector(word) @ alignment.rotation)
+    v2 = unit(space_t2.vector(word))
+    return 1.0 - float(np.clip(v1 @ v2, -1.0, 1.0))

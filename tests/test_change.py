@@ -23,7 +23,12 @@ from embedstab import (
     semantic_change,
 )
 
-from helpers import random_normalized_space, random_rotation, words_for
+from helpers import (
+    random_normalized_space,
+    random_rotation,
+    semantic_change_oracle,
+    words_for,
+)
 
 
 def epoch_pair_with_one_change(theta=0.9, v=300, d=8, changed_index=5, seed=0):
@@ -72,6 +77,29 @@ class TestSemanticChange:
             delta = semantic_change(w, t1, t2, alignment)
             assert 0.0 <= delta <= 2.0
 
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_report_matches_the_per_word_oracle(self, seed):
+        t1, t2, _ = epoch_pair_with_one_change(v=500, d=13, seed=seed)
+        noisy = random_normalized_space(500, 13, seed=seed + 10)
+        for second in (t2, noisy):
+            alignment = procrustes(t1, second)
+            report = build_change_report(t1, second, targets=t1.vocab.words[:7], min_count=1)
+            for word, delta in report.deltas.items():
+                want = semantic_change_oracle(word, t1, second, alignment)
+                assert abs(delta - want) <= 1e-15
+                assert abs(semantic_change(word, t1, second, alignment) - want) <= 1e-15
+
+    def test_zero_vector_names_the_word(self):
+        t1 = random_normalized_space(6, 3, seed=8)
+        matrix = t1.matrix.copy()
+        matrix[2] = 0.0
+        t2 = EmbeddingSpace(t1.vocab, matrix)
+        alignment = procrustes(t1, t1)
+        with pytest.raises(ValueError, match="zero vector for 'w0002'"):
+            semantic_change("w0002", t1, t2, alignment)
+        with pytest.raises(ValueError, match="zero vector for 'w0002'"):
+            semantic_change_oracle("w0002", t1, t2, alignment)
 
 class TestClassifyTargets:
     def test_threshold_is_mean_plus_half_population_std(self):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
+from embedstab import space as space_module
 from embedstab import (
     AnalogyDataset,
     EmbeddingSpace,
@@ -28,7 +29,9 @@ from embedstab import (
     save_text_vectors,
 )
 
-from helpers import random_normalized_space, words_for
+from helpers import load_text_vectors_oracle, random_normalized_space, words_for
+
+BLOCK = space_module._LOAD_BLOCK_LINES
 
 
 class TestVocabulary:
@@ -178,6 +181,139 @@ class TestTextVectorIO:
         vec.write_text("2 2\nfoo 1 0\nbar 0 1\n")
         with pytest.raises((LoadError, ValueError)):
             load_text_vectors(vec, path)
+
+
+class TestBlockLoader:
+    """The block loader against the per-value oracle, and every fault it names."""
+
+    @staticmethod
+    @st.composite
+    def vector_files(draw):
+        v = draw(st.one_of(st.just(0), st.integers(1, 6), st.integers(2 * BLOCK + 1, 3 * BLOCK + 7)))
+        d = draw(st.integers(1, 4))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        matrix = rng.normal(size=(v, d)) * 10.0 ** rng.integers(-320, 308, size=(v, d))
+        spec = draw(st.sampled_from(["%.10g", "%.17g"]))
+        # The largest float written with 10 digits would round up to infinity.
+        largest = 1.7976931348623157e308 if spec == "%.17g" else 1.797693134e308
+        specials = [-0.0, 5e-324, 2.5e-310, largest, 1.0, -3.25]
+        for _ in range(draw(st.integers(0, 8)) if v else 0):
+            matrix[rng.integers(v), rng.integers(d)] = specials[rng.integers(len(specials))]
+        words = list(words_for(v))
+        for i, word in zip(rng.permutation(v), ["#", "1990", "nan", "über", "日本語", "١٢"]):
+            words[i] = word
+        seps, ends = [" ", "\t", "   ", " \t "], ["\n", "\r\n", "  \n", "\t\r\n"]
+        lines = [f"{v} {d}" + ends[rng.integers(4)]]
+        for word, row in zip(words, matrix.tolist()):
+            text = " " * int(rng.integers(2)) + word
+            for x in row:
+                text += seps[rng.integers(4)] + spec % x
+            lines.append(text + ends[rng.integers(4)])
+        text = "".join(lines)
+        if draw(st.booleans()):
+            text = text.rstrip("\r\n")
+        return text
+
+    @settings(max_examples=40)
+    @given(vector_files())
+    def test_matches_the_per_value_oracle(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "v.vec"
+            with path.open("w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+            words, matrix = load_text_vectors_oracle(path)
+            loaded = load_text_vectors(path)
+        assert list(loaded.vocab.words) == words
+        assert loaded.matrix.shape == matrix.shape
+        assert loaded.matrix.tobytes() == matrix.tobytes()
+
+    @staticmethod
+    def rows(v, d=3):
+        return [f"{w} " + " ".join(f"{r}.{c}5" for c in range(d)) + "\n"
+                for r, w in enumerate(words_for(v))]
+
+    @staticmethod
+    def message(path, text):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(LoadError) as info:
+            load_text_vectors(path)
+        return str(info.value)
+
+    @pytest.mark.parametrize("row", [1, BLOCK + 4])
+    def test_row_faults_name_their_line(self, tmp_path, row):
+        # Row `row` sits in the first block, or past the first block seam.
+        v, path, lineno = BLOCK + 10, tmp_path / "bad.vec", row + 2
+        word = words_for(v)[row]
+        faults = {
+            f"{word} 1 2\n": f"expected 3 values for {word!r}, got 2",
+            f"{word} 1 2 3 4\n": f"expected 3 values for {word!r}, got 4",
+            f"{word}\n": f"expected 3 values for {word!r}, got 0",
+            f"{word} 1 x 3\n": "non-numeric value",
+            f"{word} 1 1_0 3\n": "non-numeric value",
+            f"{word} 1 \u0661 3\n": "non-numeric value",
+            f"{word} 1 0x1 3\n": "non-numeric value",
+            f"{word} 1 #2 3\n": "non-numeric value",
+            "w0000 1 2 3\n": "duplicate word 'w0000'",
+            "\n": "blank line where a row was expected",
+            " \t \n": "blank line where a row was expected",
+        }
+        for line, want in faults.items():
+            rows = self.rows(v)
+            rows[row] = line
+            text = f"{v} 3\n" + "".join(rows)
+            assert self.message(path, text) == f"{path}:{lineno}: {want}", line
+
+    @pytest.mark.parametrize("kept", [1, BLOCK + 4])
+    def test_file_ended_early(self, tmp_path, kept):
+        path, v = tmp_path / "short.vec", BLOCK + 10
+        text = f"{v} 3\n" + "".join(self.rows(v)[:kept])
+        assert self.message(path, text) == f"{path}:{kept + 2}: expected {v} rows, file ended early"
+        # A fault in the rows read comes before the early end.
+        rows = self.rows(kept)
+        rows[-1] = "x 1\n"
+        assert self.message(path, f"{v} 3\n" + "".join(rows)) == (
+            f"{path}:{kept + 1}: expected 3 values for 'x', got 1"
+        )
+
+    @pytest.mark.parametrize("v", [3, BLOCK + 4])
+    def test_extra_rows_are_rejected_even_after_blank_lines(self, tmp_path, v):
+        path, rows = tmp_path / "long.vec", self.rows(v + 2)
+        want = f"{path}:{v + 2}: more rows than the header announced"
+        assert self.message(path, f"{v} 3\n" + "".join(rows)) == want
+        blank_first = "".join(rows[:v]) + "\n  \n" + rows[v]
+        assert self.message(path, f"{v} 3\n" + blank_first) == (
+            f"{path}:{v + 4}: more rows than the header announced"
+        )
+        assert self.message(path, "1 2\nw 1 2\n\nx 3 4\n") == (
+            f"{path}:4: more rows than the header announced"
+        )
+        # Blank lines after the rows are allowed.
+        path.write_text(f"{v} 3\n" + "".join(rows[:v]) + "\n \n\n", encoding="utf-8")
+        assert len(load_text_vectors(path)) == v
+
+    def test_bad_headers(self, tmp_path):
+        path = tmp_path / "head.vec"
+        assert self.message(path, "3\nfoo 1 2\n") == (
+            f"{path}:1: header must be '<v> <d>', got '3\\n'"
+        )
+        assert self.message(path, "3 x\n") == (
+            f"{path}:1: non-integer header fields '3 x\\n'"
+        )
+        assert self.message(path, "2 0\n") == f"{path}:1: invalid sizes v=2, d=0"
+        assert self.message(path, "-1 2\n") == f"{path}:1: invalid sizes v=-1, d=2"
+
+    def test_other_spellings_parse_as_float_does(self, tmp_path):
+        path = tmp_path / "ok.vec"
+        values = ["+1", "-1.", ".5", "1E-5", "-0", "007", "1e-400", "2.5e-310"]
+        path.write_text(f"1 {len(values)}\nw  " + "\t".join(values) + " \r\n", encoding="utf-8")
+        loaded = load_text_vectors(path).matrix[0]
+        assert loaded.tobytes() == np.array([float(x) for x in values]).tobytes()
+        # Non-finite spellings parse; the space then rejects them as values.
+        for value in ["INF", "-inf", "nan", "NaN", "1e400", "Infinity"]:
+            path.write_text(f"1 2\nw 1 {value}\n", encoding="utf-8")
+            with pytest.raises(ValueError, match="non-finite") as info:
+                load_text_vectors(path)
+            assert not isinstance(info.value, LoadError)
 
 
 class TestCosineAndNeighbors:
