@@ -16,7 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .space import EmbeddingSpace, RunSet, Vocabulary, _unit_rows, joint_vocabulary
+from .space import (
+    EmbeddingSpace, RunSet, Vocabulary, _unit_rows, joint_vocabulary, normalize, restrict
+)
 
 __all__ = [
     "AlignmentResult",
@@ -128,21 +130,15 @@ def aligned_average_pair(
 
 def _renormalize_dropping(space: EmbeddingSpace) -> EmbeddingSpace:
     """Rescale rows to unit norm, dropping (with a warning) zero rows."""
-    norms = np.linalg.norm(space.matrix, axis=1)
-    dead = norms == 0.0
+    dead = np.linalg.norm(space.matrix, axis=1) == 0.0
     if np.any(dead):
         dropped = [space.vocab.words[i] for i in np.flatnonzero(dead)]
         warnings.warn(
             f"dropping {len(dropped)} zero-norm row(s) during averaging: "
             f"{dropped[:5]}{'...' if len(dropped) > 5 else ''}"
         )
-        keep = [w for w, d in zip(space.vocab.words, dead) if not d]
-        frequency = None
-        if space.vocab.frequency is not None:
-            frequency = {w: space.vocab.frequency[w] for w in keep}
-        matrix = space.matrix[~dead] / norms[~dead, None]
-        return EmbeddingSpace(Vocabulary(tuple(keep), frequency), matrix, True)
-    return EmbeddingSpace(space.vocab, space.matrix / norms[:, None], True)
+        space = restrict(space, [w for w, d in zip(space.vocab.words, dead) if not d])
+    return normalize(space)
 
 
 def aligned_average_tree(

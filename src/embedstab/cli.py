@@ -448,7 +448,6 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         queries = sorted(
             set().union(*(lists[target][: args.candidates] for lists in neighbor_lists))
         )
-        queries = [q for q in queries if q != target]
         profile = estimate_profile(runs, target, queries)
         if args.profiles is not None:
             name = f"profile_{index:03d}_{_safe_name(target)}.tsv"

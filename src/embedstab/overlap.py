@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .space import EmbeddingSpace, RunSet, _unit_rows, joint_vocabulary, restrict
+from .space import EmbeddingSpace, RunSet, _top_k, joint_vocabulary
 
 __all__ = [
     "OverlapMeasurement",
@@ -74,24 +74,11 @@ def _neighbor_lists(
     if n > len(joint) - 1:
         raise ValueError(f"n={n} exceeds joint vocabulary size {len(joint)} minus 1")
     words = joint.words
-    per_space: list[dict[str, list[str]]] = []
+    queries = np.array([joint.position(t) for t in targets], dtype=np.intp)[:, None]
+    per_space = []
     for space in spaces:
-        sub = restrict(space, words)
-        unit = _unit_rows(sub)
-        lists: dict[str, list[str]] = {}
-        for target in targets:
-            pos = sub.vocab.position(target)
-            sims = unit @ unit[pos]
-            sims[pos] = -np.inf
-            # argpartition narrows the field; exact ties at the cut are rare in
-            # float data and resolved by the full deterministic sort below.
-            candidates = np.argpartition(-sims, n - 1)[: max(n * 2, n + 8)]
-            candidates = candidates[np.argsort(-sims[candidates], kind="stable")]
-            cut = sims[candidates[n - 1]]
-            pool = np.flatnonzero(sims >= cut)
-            ranked = sorted(pool, key=lambda i: (-sims[i], words[i]))
-            lists[target] = [words[i] for i in ranked[:n]]
-        per_space.append(lists)
+        found, _ = _top_k(space, words, queries, n)
+        per_space.append({t: [words[i] for i in row] for t, row in zip(targets, found)})
     return per_space
 
 

@@ -7,9 +7,13 @@ frequencies travel in an optional tab-separated sidecar file.
 Values are read by numpy's C text reader, correctly rounded like ``float()``.
 Its number grammar is narrower than ``float()``'s: digit-group underscores
 (``1_0``) and non-ASCII digits (``١``) are rejected as non-numeric. Signs,
-leading or trailing points, exponents, ``inf``/``nan`` in any case and
-overflow to infinity read as ``float()`` reads them. Blank lines are allowed
-only after the announced rows.
+leading or trailing points and exponents read as ``float()`` reads them;
+``inf``/``nan`` in any case and values that overflow to infinity are rejected
+as non-finite, naming their line. Blank lines are allowed only after the
+announced rows.
+
+One kernel, ``_top_k``, ranks neighbors for `nearest_neighbors`,
+`analogy_score` and the overlap metrics.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ __all__ = [
 _NORM_ATOL = 1e-9
 # Rows parsed per np.loadtxt call when loading text vectors; sets peak memory.
 _LOAD_BLOCK_LINES = 128
+# Similarities held at once by the top-k kernel (8 MB); sets its peak memory.
+_TOP_K_BLOCK_ENTRIES = 1 << 20
 
 
 class LoadError(ValueError):
@@ -228,8 +234,8 @@ def _parse_block(
     """Parse a block of rows into the first len(block) rows of `out`.
 
     Returns the block's words.  The values of all rows are parsed by one C
-    reader call; only a block that fails it is walked line by line, to raise
-    the first row's fault.
+    reader call; only a block that fails it, or holds a non-finite value, is
+    walked line by line, to raise the first row's fault.
     """
     split = [line.split(None, 1) for line in block]
     if all(len(pair) == 2 for pair in split):
@@ -237,7 +243,7 @@ def _parse_block(
             values = _parse_values([pair[1] for pair in split])
         except ValueError:
             values = None
-        if values is not None and values.shape == (len(block), d):
+        if values is not None and values.shape == (len(block), d) and np.isfinite(values).all():
             out[: len(block)] = values
             return [pair[0] for pair in split]
     for lineno, line in enumerate(block, start=first_lineno):
@@ -255,6 +261,8 @@ def _parse_block(
             values = None
         if values is None or values.shape != (1, d):
             raise LoadError(f"{path}:{lineno}: non-numeric value")
+        if not np.isfinite(values).all():
+            raise LoadError(f"{path}:{lineno}: non-finite value")
     raise LoadError(f"{path}:{first_lineno}-{lineno}: rows do not parse as a block")
 
 
@@ -323,14 +331,17 @@ def normalize(space: EmbeddingSpace) -> EmbeddingSpace:
     return EmbeddingSpace(space.vocab, space.matrix / norms[:, None], normalized=True)
 
 
-def _unit_rows(space: EmbeddingSpace) -> np.ndarray:
+def _unit_rows(space: EmbeddingSpace, rows: np.ndarray | None = None) -> np.ndarray:
+    """The space's rows (or the given rows) scaled to unit length."""
+    matrix = space.matrix if rows is None else space.matrix[rows]
     if space.normalized:
-        return space.matrix
-    norms = np.linalg.norm(space.matrix, axis=1)
-    if np.any(norms == 0.0):
-        word = space.vocab.words[int(np.flatnonzero(norms == 0.0)[0])]
+        return matrix
+    norms = np.linalg.norm(matrix, axis=1)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        word = space.vocab.words[zero[0] if rows is None else rows[zero[0]]]
         raise ValueError(f"zero vector for {word!r}")
-    return space.matrix / norms[:, None]
+    return matrix / norms[:, None]
 
 
 def cosine(space: EmbeddingSpace, w1: str, w2: str) -> float:
@@ -344,18 +355,43 @@ def cosine(space: EmbeddingSpace, w1: str, w2: str) -> float:
     return float(np.clip(float(a @ b) / (na * nb), -1.0, 1.0))
 
 
-def _ranked_order(sims: np.ndarray, words: Sequence[str]) -> list[int]:
-    # Descending similarity; equal similarities resolved by ascending word.
-    order = list(np.argsort(-sims, kind="stable"))
-    start = 0
-    while start < len(order):
-        end = start + 1
-        while end < len(order) and sims[order[end]] == sims[order[start]]:
-            end += 1
-        if end - start > 1:
-            order[start:end] = sorted(order[start:end], key=lambda i: words[i])
-        start = end
-    return order
+def _top_k(
+    space: EmbeddingSpace, words: Sequence[str], queries: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The n words of `words` nearest to each query, and their similarities.
+
+    Row i of the (q, k) array `queries` holds positions in `words`; its query
+    vector is the alternating sum u[0] - u[1] + u[2] ... of their unit rows
+    (one word, or 3CosAdd's b - a + c), and those words are excluded from its
+    list.  Each block of queries takes one matrix product; every row is
+    partitioned at its n-th best similarity, and the pool at or above that
+    cut is ordered by (-similarity, word), so lists are exact under ties and
+    independent of storage order.  Returns (q, n) positions and similarities.
+    """
+    unit = _unit_rows(space, np.array([space.vocab.position(w) for w in words], dtype=np.intp))
+    found = np.empty((len(queries), n), dtype=np.intp)
+    sims_found = np.empty((len(queries), n))
+    step = max(1, _TOP_K_BLOCK_ENTRIES // len(unit))
+    for start in range(0, len(queries), step):
+        block = queries[start : start + step]
+        vectors = unit[block[:, 0]]
+        for j in range(1, block.shape[1]):
+            vectors = vectors - unit[block[:, j]] if j % 2 else vectors + unit[block[:, j]]
+        sims = vectors @ unit.T
+        sims[np.arange(len(block))[:, None], block] = -np.inf
+        kth = len(unit) - n
+        cut = np.take_along_axis(sims, np.argpartition(sims, kth, axis=1)[:, kth, None], axis=1)
+        rows, cols = np.nonzero(sims >= cut)
+        pool, inverse = np.unique(cols, return_inverse=True)
+        rank = np.empty(len(pool), dtype=np.intp)
+        rank[sorted(range(len(pool)), key=lambda i: words[pool[i]])] = np.arange(len(pool))
+        pool_sims = sims[rows, cols]
+        order = np.lexsort((rank[inverse], -pool_sims, rows))
+        starts = np.searchsorted(rows, np.arange(len(block)))
+        take = order[starts[:, None] + np.arange(n)]
+        found[start : start + len(block)] = cols[take]
+        sims_found[start : start + len(block)] = pool_sims[take]
+    return found, sims_found
 
 
 def nearest_neighbors(
@@ -369,12 +405,9 @@ def nearest_neighbors(
     pos = space.vocab.position(target)
     if not 1 <= n <= len(space) - 1:
         raise ValueError(f"n must be in [1, {len(space) - 1}], got {n}")
-    unit = _unit_rows(space)
-    sims = unit @ unit[pos]
-    sims[pos] = -np.inf
     words = space.vocab.words
-    order = _ranked_order(sims, words)
-    return [(words[i], float(np.clip(sims[i], -1.0, 1.0))) for i in order[:n]]
+    found, sims = _top_k(space, words, np.array([[pos]]), n)
+    return [(words[i], float(np.clip(s, -1.0, 1.0))) for i, s in zip(found[0], sims[0])]
 
 
 def analogy_score(
@@ -386,40 +419,20 @@ def analogy_score(
 
     For each question (a, b, c, d) whose four words all lie in the evaluation
     vocabulary, predict argmax cosine of v(b) - v(a) + v(c) over that
-    vocabulary minus {a, b, c}; composition uses unit word vectors. Returns
-    (correct/answered, answered/total); an empty or fully-skipped dataset
-    scores (0.0, 0.0).
+    vocabulary minus {a, b, c}, ties going to the first word in lexicographic
+    order; composition uses unit word vectors. Returns (correct/answered,
+    answered/total); an empty or fully-skipped dataset scores (0.0, 0.0).
     """
-    if restrict_to is not None:
-        allowed = set(restrict_to)
-        eval_words = [w for w in space.vocab.words if w in allowed]
-    else:
-        eval_words = list(space.vocab.words)
-    if not dataset.questions:
-        return 0.0, 0.0
-    if not eval_words:
-        return 0.0, 0.0
+    allowed = set(space.vocab.words if restrict_to is None else restrict_to)
+    eval_words = [w for w in space.vocab.words if w in allowed]
     positions = {w: i for i, w in enumerate(eval_words)}
-    rows = np.array([space.vocab.position(w) for w in eval_words])
-    unit = _unit_rows(space)[rows]
-    answered = 0
-    correct = 0
-    for a, b, c, d in dataset.questions:
-        if any(w not in positions for w in (a, b, c, d)):
-            continue
-        answered += 1
-        query = unit[positions[b]] - unit[positions[a]] + unit[positions[c]]
-        scores = unit @ query
-        for w in (a, b, c):
-            scores[positions[w]] = -np.inf
-        best = scores.max()
-        ties = np.flatnonzero(scores == best)
-        predicted = min(eval_words[i] for i in ties)
-        if predicted == d:
-            correct += 1
-    if answered == 0:
+    answered = [q for q in dataset.questions if all(w in positions for w in q)]
+    if not answered:
         return 0.0, 0.0
-    return correct / answered, answered / len(dataset.questions)
+    queries = np.array([[positions[w] for w in (b, a, c)] for a, b, c, _ in answered])
+    found, _ = _top_k(space, eval_words, queries, 1)
+    correct = sum(eval_words[i] == q[3] for i, q in zip(found[:, 0], answered))
+    return correct / len(answered), len(answered) / len(dataset.questions)
 
 
 def joint_vocabulary(spaces: Sequence[EmbeddingSpace]) -> Vocabulary:

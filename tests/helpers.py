@@ -3,10 +3,19 @@
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from embedstab import AlignmentResult, Corpus, EmbeddingSpace, RunSet, Vocabulary, normalize
+from embedstab import (
+    AlignmentResult,
+    AnalogyDataset,
+    Corpus,
+    EmbeddingSpace,
+    RunSet,
+    Vocabulary,
+    normalize,
+)
 
 
 def words_for(count: int, prefix: str = "w") -> tuple[str, ...]:
@@ -176,3 +185,85 @@ def semantic_change_oracle(
     v1 = unit(space_t1.vector(word) @ alignment.rotation)
     v2 = unit(space_t2.vector(word))
     return 1.0 - float(np.clip(v1 @ v2, -1.0, 1.0))
+
+
+def tie_rich_rows(rng: np.random.Generator, v: int, d: int, quantized: bool) -> np.ndarray:
+    """v rows for ranking tests: quantized rows with exact ties, or Gaussian rows.
+
+    A quantized row has one or four entries of +-1, scaled by 1, 2 or 3, and
+    about a third of them repeat an earlier row.  Their unit rows hold 0,
+    +-1/2 and +-1, so every cosine and every 3CosAdd score is a multiple of
+    1/4, computed exactly in any summation order: ties are exact whatever the
+    BLAS.  Duplicates of Gaussian rows would not be, since a matrix product
+    may round two equal columns differently, so Gaussian rows are all distinct.
+    """
+    if not quantized:
+        return rng.normal(size=(v, d))
+    rows = np.zeros((v, d))
+    for i in range(v):
+        if i and rng.random() < 0.3:
+            rows[i] = rows[rng.integers(i)] * rng.integers(1, 4)
+        else:
+            axes = rng.choice(d, size=1 if d < 4 or rng.random() < 0.3 else 4, replace=False)
+            rows[i, axes] = rng.choice([-1.0, 1.0], size=len(axes)) * rng.integers(1, 4)
+    return rows
+
+
+def shuffled_words(rng: np.random.Generator, v: int) -> list[str]:
+    """v distinct short words in random (not lexicographic) order."""
+    letters = list("abcdefgzé")
+    words: set[str] = set()
+    while len(words) < v:
+        words.add("".join(rng.choice(letters, size=rng.integers(1, 4))))
+    return [str(w) for w in rng.permutation(sorted(words))]
+
+
+def _unit_matrix(space: EmbeddingSpace) -> np.ndarray:
+    if space.normalized:
+        return space.matrix
+    return space.matrix / np.linalg.norm(space.matrix, axis=1)[:, None]
+
+
+def nearest_neighbors_oracle(
+    space: EmbeddingSpace, target: str, n: int
+) -> list[tuple[str, float]]:
+    """Top-n (word, cosine) from one matrix-vector product and a full argsort,
+    each run of equal similarities then sorted by word."""
+    pos = space.vocab.position(target)
+    sims = _unit_matrix(space) @ _unit_matrix(space)[pos]
+    sims[pos] = -np.inf
+    words = space.vocab.words
+    order = list(np.argsort(-sims, kind="stable"))
+    start = 0
+    while start < len(order):
+        end = start + 1
+        while end < len(order) and sims[order[end]] == sims[order[start]]:
+            end += 1
+        order[start:end] = sorted(order[start:end], key=lambda i: words[i])
+        start = end
+    return [(words[i], float(np.clip(sims[i], -1.0, 1.0))) for i in order[:n]]
+
+
+def analogy_score_oracle(
+    space: EmbeddingSpace,
+    dataset: AnalogyDataset,
+    restrict_to: Iterable[str] | None = None,
+) -> tuple[float, float]:
+    """3CosAdd accuracy and coverage, one matrix-vector product per question."""
+    allowed = set(space.vocab.words if restrict_to is None else restrict_to)
+    eval_words: Sequence[str] = [w for w in space.vocab.words if w in allowed]
+    positions = {w: i for i, w in enumerate(eval_words)}
+    unit = _unit_matrix(space)[[space.vocab.position(w) for w in eval_words]]
+    answered = correct = 0
+    for a, b, c, d in dataset.questions:
+        if any(w not in positions for w in (a, b, c, d)):
+            continue
+        answered += 1
+        scores = unit @ (unit[positions[b]] - unit[positions[a]] + unit[positions[c]])
+        for w in (a, b, c):
+            scores[positions[w]] = -np.inf
+        ties = np.flatnonzero(scores == scores.max())
+        correct += min(eval_words[i] for i in ties) == d
+    if answered == 0:
+        return 0.0, 0.0
+    return correct / answered, answered / len(dataset.questions)

@@ -1,22 +1,36 @@
 """Nearest-neighbor overlap metrics p@n and j@n."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from embedstab import (
+    EmbeddingSpace,
     RunSet,
+    Vocabulary,
+    joint_vocabulary,
     list_overlap,
     mean_overlap,
-    nearest_neighbors,
+    normalize,
     p_at_n,
     p_to_j,
+    restrict,
 )
-
+from embedstab import space as space_module
 from embedstab.overlap import _neighbor_lists, _summaries
 
-from helpers import planted_cosine_space, random_normalized_space, rotated_copy, words_for
+from helpers import (
+    nearest_neighbors_oracle,
+    planted_cosine_space,
+    random_normalized_space,
+    rotated_copy,
+    shuffled_words,
+    tie_rich_rows,
+    words_for,
+)
 
 
 class TestListOverlap:
@@ -121,8 +135,6 @@ class TestPAtN:
         cos_a = {"a": 0.9, "b": 0.8, "d": 0.99}
         space_a = planted_cosine_space("t", cos_a)
         full_b = planted_cosine_space("t", {"a": 0.9, "b": 0.8, "d": 0.7})
-        from embedstab import restrict
-
         space_b = restrict(full_b, ["t", "a", "b"])
         got = p_at_n(space_a, space_b, "t", 2)
         assert (got.m, got.p_at_n) == (2, 1.0)
@@ -140,7 +152,7 @@ class TestPAtN:
         space_b = random_normalized_space(25, 5, seed=15)
         target = space_a.vocab.words[3]
         lists = [
-            [w for w, _ in nearest_neighbors(s, target, 6)]
+            [w for w, _ in nearest_neighbors_oracle(s, target, 6)]
             for s in (space_a, space_b)
         ]
         expected = len(set(lists[0]) & set(lists[1]))
@@ -187,6 +199,35 @@ class TestMeanOverlap:
         longer = _neighbor_lists(spaces, words, 7)
         for n in (1, 2, 5):
             assert _summaries(longer, words, n) == mean_overlap(RunSet(spaces), words, n)
+
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_lists_match_the_oracle_over_the_joint_vocabulary(self, data):
+        # Each space stores its own subset of a shared word pool in its own
+        # order; the ranking block is shrunk so the targets span many blocks.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        v, d = data.draw(st.integers(3, 30)), data.draw(st.integers(1, 6))
+        pool, quantized = shuffled_words(rng, v), data.draw(st.booleans())
+        spaces = []
+        for _ in range(data.draw(st.integers(2, 4))):
+            kept = pool[:2] + [w for w in pool[2:] if rng.random() < 0.8]
+            words = [kept[i] for i in rng.permutation(len(kept))]
+            space = EmbeddingSpace(
+                Vocabulary(tuple(words)), tie_rich_rows(rng, len(words), d, quantized)
+            )
+            spaces.append(normalize(space) if rng.random() < 0.5 else space)
+        joint = joint_vocabulary(spaces).words
+        n = data.draw(st.integers(1, len(joint) - 1))
+        targets = data.draw(st.lists(st.sampled_from(joint), min_size=1, max_size=12))
+        block = data.draw(st.integers(1, 3 * len(joint)))
+        with mock.patch.object(space_module, "_TOP_K_BLOCK_ENTRIES", block):
+            got = _neighbor_lists(spaces, targets, n)
+        for space, lists in zip(spaces, got):
+            sub = restrict(space, joint)
+            for target in targets:
+                want = [w for w, _ in nearest_neighbors_oracle(sub, target, n)]
+                assert lists[target] == want
+                assert target not in lists[target]
 
     def test_needs_two_runs(self):
         space = random_normalized_space(10, 3, seed=24)

@@ -29,7 +29,15 @@ from embedstab import (
     save_text_vectors,
 )
 
-from helpers import load_text_vectors_oracle, random_normalized_space, words_for
+from helpers import (
+    analogy_score_oracle,
+    load_text_vectors_oracle,
+    nearest_neighbors_oracle,
+    random_normalized_space,
+    shuffled_words,
+    tie_rich_rows,
+    words_for,
+)
 
 BLOCK = space_module._LOAD_BLOCK_LINES
 
@@ -253,6 +261,9 @@ class TestBlockLoader:
             f"{word} 1 \u0661 3\n": "non-numeric value",
             f"{word} 1 0x1 3\n": "non-numeric value",
             f"{word} 1 #2 3\n": "non-numeric value",
+            f"{word} 1 inf 3\n": "non-finite value",
+            f"{word} nan 2 3\n": "non-finite value",
+            f"{word} 1 2 -1e400\n": "non-finite value",
             "w0000 1 2 3\n": "duplicate word 'w0000'",
             "\n": "blank line where a row was expected",
             " \t \n": "blank line where a row was expected",
@@ -308,12 +319,17 @@ class TestBlockLoader:
         path.write_text(f"1 {len(values)}\nw  " + "\t".join(values) + " \r\n", encoding="utf-8")
         loaded = load_text_vectors(path).matrix[0]
         assert loaded.tobytes() == np.array([float(x) for x in values]).tobytes()
-        # Non-finite spellings parse; the space then rejects them as values.
+        # Non-finite spellings parse, and the loader rejects them by line.
         for value in ["INF", "-inf", "nan", "NaN", "1e400", "Infinity"]:
             path.write_text(f"1 2\nw 1 {value}\n", encoding="utf-8")
-            with pytest.raises(ValueError, match="non-finite") as info:
-                load_text_vectors(path)
-            assert not isinstance(info.value, LoadError)
+            assert self.message(path, path.read_text()) == f"{path}:2: non-finite value"
+        # Within a block, the first faulty line is named, whatever its fault.
+        assert self.message(path, "3 2\nw 1 inf\nx 1\ny 1 2\n") == (
+            f"{path}:2: non-finite value"
+        )
+        assert self.message(path, "3 2\nw 1 2\nx 1\ny nan 2\n") == (
+            f"{path}:3: expected 2 values for 'x', got 1"
+        )
 
 
 class TestCosineAndNeighbors:
@@ -356,6 +372,34 @@ class TestCosineAndNeighbors:
             nearest_neighbors(space, space.vocab.words[0], 4)
         with pytest.raises(ValueError):
             nearest_neighbors(space, space.vocab.words[0], 0)
+
+
+@st.composite
+def tie_rich_spaces(draw):
+    """Quantized spaces full of exact ties, or Gaussian ones; words stored
+    out of lexicographic order; flagged normalized or not."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v, d = draw(st.integers(2, 40)), draw(st.integers(1, 6))
+    space = EmbeddingSpace(
+        Vocabulary(tuple(shuffled_words(rng, v))),
+        tie_rich_rows(rng, v, d, quantized=draw(st.booleans())),
+    )
+    return normalize(space) if draw(st.booleans()) else space
+
+
+class TestTopKKernel:
+    """The one neighbor kernel against the full-argsort oracle."""
+
+    @settings(max_examples=60)
+    @given(tie_rich_spaces(), st.data())
+    def test_nearest_neighbors_match_the_oracle(self, space, data):
+        for target in space.vocab.words:
+            n = data.draw(st.integers(1, len(space) - 1))
+            got = nearest_neighbors(space, target, n)
+            want = nearest_neighbors_oracle(space, target, n)
+            assert [w for w, _ in got] == [w for w, _ in want]
+            assert_allclose([s for _, s in got], [s for _, s in want], rtol=0, atol=1e-14)
+            assert target not in [w for w, _ in got]
 
 
 class TestJointAndRestrict:
@@ -434,3 +478,23 @@ class TestAnalogies:
         assert coverage == 0.0
         full_accuracy, _ = analogy_score(space, dataset)
         assert full_accuracy == 1.0
+
+    @settings(max_examples=60)
+    @given(tie_rich_spaces(), st.data())
+    def test_3cosadd_matches_the_per_question_oracle(self, space, data):
+        words = list(space.vocab.words)
+        word = st.sampled_from(words + ["oov"])
+        questions = data.draw(st.lists(st.tuples(word, word, word, word), max_size=30))
+        dataset = AnalogyDataset(tuple(questions))
+        restrict_to = data.draw(st.none() | st.lists(st.sampled_from(words), unique=True))
+        got = analogy_score(space, dataset, restrict_to)
+        assert got == analogy_score_oracle(space, dataset, restrict_to)
+
+    def test_tied_best_scores_go_to_the_first_word(self):
+        # b - a + c = (1, 0) scores 1 for both "zed" and "bee"; "bee" wins.
+        vectors = {"a": [0.0, 1.0], "b": [1.0, 0.0], "c": [0.0, 1.0],
+                   "zed": [1.0, 0.0], "bee": [2.0, 0.0], "far": [-1.0, 0.0]}
+        space = EmbeddingSpace(Vocabulary(tuple(vectors)), np.array(list(vectors.values())))
+        for answer, accuracy in (("bee", 1.0), ("zed", 0.0)):
+            dataset = AnalogyDataset((("a", "b", "c", answer),))
+            assert analogy_score(space, dataset) == (accuracy, 1.0)
