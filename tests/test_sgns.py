@@ -1,6 +1,10 @@
 """Deterministic skip-gram negative-sampling trainer."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +43,25 @@ def tiny_corpus():
 
 SMALL = SgnsConfig(dim=8, window=2, negatives=2, epochs=2, initial_lr=0.05,
                    subsample_t=1.0, min_count=1, seed=0)
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Trains 300 Zipfian documents of 48 tokens at dims 100 and 300 and prints
+# the sha256 of each trained matrix.
+_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from embedstab import Corpus, SgnsConfig, train
+
+rng = np.random.default_rng(11)
+weights = 1.0 / np.arange(1, 401)
+draws = rng.choice(400, size=(300, 48), p=weights / weights.sum())
+corpus = Corpus(tuple(tuple(f"w{i}" for i in row) for row in draws.tolist()))
+for dim in (100, 300):
+    config = SgnsConfig(dim=dim, window=4, negatives=5, epochs=2, initial_lr=0.025,
+                        subsample_t=1e-3, min_count=1, seed=5)
+    print(hashlib.sha256(train(corpus, config).matrix.tobytes()).hexdigest())
+"""
 
 
 class TestConfig:
@@ -356,6 +379,34 @@ class TestTrain:
         space_dynamic = train(corpus, SMALL)
         space_static = train(corpus, static)
         assert not np.allclose(space_dynamic.matrix, space_static.matrix)
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        """Trained bytes are the same with one and with two BLAS threads.
+
+        Each setting trains in its own interpreter, since BLAS reads its
+        thread count at load time; no process starts more than two threads.
+        A blocked matrix product may split its sums by thread and round them
+        differently, which a step built on one would show here.  On a
+        machine with one processor a second BLAS thread does not change how
+        sums are split, so there the test passes without testing anything.
+        """
+        hashes = [
+            subprocess.run(
+                [sys.executable, "-c", _THREAD_PROBE],
+                env={
+                    **os.environ,
+                    "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+                    **{var: threads for var in _BLAS_THREAD_VARS},
+                },
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=300,
+            ).stdout.split()
+            for threads in ("1", "2")
+        ]
+        assert len(hashes[0]) == 2
+        assert hashes[0] == hashes[1]
 
     def test_two_topic_corpus_separates(self):
         corpus, topic_a, topic_b = two_topic_corpus(docs=200, doc_len=30, seed=7)
