@@ -166,8 +166,10 @@ def wordwise_reduced_pip_loss(
 
     Compares the word's cosine profile against the proxy words between the
     two spaces; the word itself may appear in the proxy and contributes 0.
-    Each call builds the whole O(|proxy| d^2) pair sketch, so score many
-    words of one pair in one pass, as `frequency_profile` and the CLI do.
+    Each call builds the whole O(|proxy| d^2) pair sketch, however few words
+    it scores, so a loop over words repeats that work per word.  To score
+    many words of one pair, pass all of them in one call, as
+    `frequency_profile` and `embedstab instability --words` do.
     """
     return float(_pair_losses(space_a, space_b, proxy, [word])[1][0])
 

@@ -15,6 +15,12 @@ count, so the expected gradient is that of k noise words per pair.  All
 random choices come from one PCG64 stream consumed in a fixed order: the
 initialization, then per block the subsampling, the window widths, the
 noise words and the clash redraws.
+
+The step is written in NumPy plus one `scipy.sparse` product per block.
+It uses no BLAS call: a dense matrix product may split its sums across
+BLAS threads and round them differently, while the sparse product adds the
+terms one by one on a single thread.  So the trained bits do not depend on
+the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from dataclasses import dataclass
 from collections import Counter
 
 import numpy as np
+from scipy import sparse
 
 from .corpus import Corpus
 from .space import EmbeddingSpace, Vocabulary
@@ -156,14 +163,6 @@ def _shared_negatives(
     return negatives
 
 
-def _scatter_add(matrix: np.ndarray, rows: np.ndarray, updates: np.ndarray) -> None:
-    """matrix[rows] += updates, summing the updates of repeated rows in order."""
-    order = np.argsort(rows, kind="stable")
-    rows = rows[order]
-    starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
-    matrix[rows[starts]] += np.add.reduceat(updates[order], starts, axis=0)
-
-
 def _block_update(
     input_vectors: np.ndarray,
     output_vectors: np.ndarray,
@@ -180,24 +179,42 @@ def _block_update(
     pairs (c, o) and lr[i] n_i log sigma(-in[i] . out[n]) over the noise
     words n of each position i with n_i pairs.  Gradients are evaluated at
     the incoming vectors; the contributions to a recurring row are summed.
+
+    The block's distinct input rows U and output rows W are stacked into
+    X = [in[U]; out[W]].  Each pair and noise draw is a term joining one row
+    of U with one row of W, with the loss-gradient coefficient rate *
+    (sigma(score) - label), label 1 for a pair and 0 for a noise draw.  The
+    coefficients summed per (U, W) row pair form C, and the whole step is
+    X -= M X with M = [[0, C], [C^T, 0]]: the top rows of M X are C out[W]
+    and the bottom rows C^T in[U].  M is kept as COO: its product adds the
+    terms one by one in their given order, with no sort or merge of the
+    terms that share a row pair.
     """
-    inp, out = input_vectors[words], output_vectors[words]
-    noise = output_vectors[negatives]
-    inp_c, out_o = inp[centers], out[contexts]
-    g_pos = lr[centers] * (1.0 - _sigmoid(np.einsum("pd,pd->p", inp_c, out_o)))
-    weight = lr * np.bincount(centers, minlength=len(words))
-    g_neg = -weight[:, None] * _sigmoid(np.einsum("md,mkd->mk", inp, noise))
-    _scatter_add(
-        input_vectors,
-        np.concatenate((words[centers], words)),
-        np.concatenate((g_pos[:, None] * out_o, np.einsum("mk,mkd->md", g_neg, noise))),
+    m, k = negatives.shape
+    v, p = len(input_vectors), len(centers)
+    # Input word w is stacked row w and output word w is row v + w, so one
+    # np.unique numbers both sides, the input rows first.
+    rows, at = np.unique(
+        np.concatenate((words, v + words[contexts], v + negatives.ravel())),
+        return_inverse=True,
     )
-    noise_grads = (g_neg[:, :, None] * inp[:, None, :]).reshape(-1, inp.shape[1])
-    _scatter_add(
-        output_vectors,
-        np.concatenate((words[contexts], negatives.ravel())),
-        np.concatenate((g_pos[:, None] * inp_c, noise_grads)),
-    )
+    n_in = int(np.searchsorted(rows, v))
+    in_rows, out_rows = rows[:n_in], rows[n_in:] - v
+    stacked = np.concatenate((input_vectors[in_rows], output_vectors[out_rows]))
+    # Term t joins stacked rows a[t] and b[t]: the pairs, then the k noise
+    # draws of each position, which are weighted by its pair count.
+    a = np.concatenate((at[centers], np.repeat(at[:m], k)))
+    b = at[m:]
+    coef = _sigmoid(np.einsum("td,td->t", stacked[a], stacked[b]))
+    coef[:p] -= 1.0
+    coef *= np.concatenate((lr[centers], np.repeat(lr * np.bincount(centers, minlength=m), k)))
+    n = len(rows)
+    step = sparse.coo_array(
+        (np.concatenate((coef, coef)), (np.concatenate((a, b)), np.concatenate((b, a)))),
+        shape=(n, n),
+    ) @ stacked
+    input_vectors[in_rows] -= step[:n_in]
+    output_vectors[out_rows] -= step[n_in:]
 
 
 def train(corpus: Corpus, config: SgnsConfig) -> EmbeddingSpace:

@@ -16,6 +16,7 @@ from embedstab import (
     Vocabulary,
     normalize,
 )
+from embedstab.sgns import _sigmoid
 
 
 def words_for(count: int, prefix: str = "w") -> tuple[str, ...]:
@@ -133,6 +134,46 @@ def block_objective(
         for w in noise:
             total += weight * log_sigmoid(-(input_vectors[words[i]] @ output_vectors[w]))
     return total
+
+
+def block_update_oracle(
+    input_vectors: np.ndarray,
+    output_vectors: np.ndarray,
+    words: np.ndarray,
+    centers: np.ndarray,
+    contexts: np.ndarray,
+    negatives: np.ndarray,
+    lr: np.ndarray,
+) -> None:
+    """The SGNS block step as one gathered vector per pair and noise draw.
+
+    Every pair and noise draw gets its own gradient row, and the rows of a
+    recurring word are summed by a stable argsort and `np.add.reduceat`.
+    """
+
+    def scatter_add(matrix: np.ndarray, rows: np.ndarray, updates: np.ndarray) -> None:
+        order = np.argsort(rows, kind="stable")
+        rows = rows[order]
+        starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+        matrix[rows[starts]] += np.add.reduceat(updates[order], starts, axis=0)
+
+    inp, out = input_vectors[words], output_vectors[words]
+    noise = output_vectors[negatives]
+    inp_c, out_o = inp[centers], out[contexts]
+    g_pos = lr[centers] * (1.0 - _sigmoid(np.einsum("pd,pd->p", inp_c, out_o)))
+    weight = lr * np.bincount(centers, minlength=len(words))
+    g_neg = -weight[:, None] * _sigmoid(np.einsum("md,mkd->mk", inp, noise))
+    scatter_add(
+        input_vectors,
+        np.concatenate((words[centers], words)),
+        np.concatenate((g_pos[:, None] * out_o, np.einsum("mk,mkd->md", g_neg, noise))),
+    )
+    noise_grads = (g_neg[:, :, None] * inp[:, None, :]).reshape(-1, inp.shape[1])
+    scatter_add(
+        output_vectors,
+        np.concatenate((words[contexts], negatives.ravel())),
+        np.concatenate((g_pos[:, None] * inp_c, noise_grads)),
+    )
 
 
 def finite_difference_gradients(

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from embedstab import (
@@ -23,6 +24,7 @@ from embedstab import (
 from embedstab import sgns
 from embedstab.sgns import (
     _BLOCK_TOKENS,
+    _LR_FLOOR_FACTOR,
     _block_bounds,
     _block_update,
     _shared_negatives,
@@ -30,7 +32,12 @@ from embedstab.sgns import (
     _window_pairs,
 )
 
-from helpers import block_objective, finite_difference_gradients, two_topic_corpus
+from helpers import (
+    block_objective,
+    block_update_oracle,
+    finite_difference_gradients,
+    two_topic_corpus,
+)
 
 
 def tiny_corpus():
@@ -205,6 +212,61 @@ class TestGradientStep:
         np.add.at(want_out, rows, np.outer(g, center))
         assert_allclose(stepped_in, want_in, rtol=1e-13, atol=1e-16)
         assert_allclose(stepped_out, want_out, rtol=1e-13, atol=1e-16)
+
+
+FLOOR_RATE = SgnsConfig().initial_lr * _LR_FLOOR_FACTOR
+
+
+@st.composite
+def step_blocks(draw):
+    """A block as `train` hands it to the step, over a vocabulary of at most
+    six words, so words recur at several positions and as noise draws, and
+    noise draws repeat and hit context words and the position's own word.
+    Each rate is either the floor rate or drawn from [1e-3, 1]."""
+    v, d, m, k = (draw(st.integers(1, hi)) for hi in (6, 6, 12, 4))
+    word = st.integers(0, v - 1)
+    words = draw(st.lists(word, min_size=m, max_size=m))
+    doc_of = sorted(draw(st.lists(st.integers(0, 2), min_size=m, max_size=m)))
+    widths = draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
+    negatives = draw(st.lists(st.lists(word, min_size=k, max_size=k), min_size=m, max_size=m))
+    rate = st.one_of(st.just(FLOOR_RATE), st.floats(1e-3, 1.0))
+    lr = draw(st.lists(rate, min_size=m, max_size=m))
+    return v, d, draw(st.integers(0, 2**32 - 1)), words, doc_of, widths, negatives, lr
+
+
+class TestStepOracle:
+    """The sparse-product step against the gather/scatter oracle."""
+
+    @settings(max_examples=150)
+    @given(step_blocks())
+    # Word 2 at positions 0 and 2, word 3 at 1 and 3; position 0 draws its
+    # context word 3 twice, position 2 its own word 2 twice.
+    @example((5, 3, 1, [2, 3, 2, 3, 1], [0, 0, 0, 1, 1], [1, 2, 1, 1, 1],
+              [[3, 3], [2, 4], [2, 2], [0, 3], [1, 0]], [0.5, 0.02, 1.0, 0.3, 0.7]))
+    # One position, so no pairs: the noise draws carry weight 0.
+    @example((3, 4, 2, [1], [0], [2], [[1, 0, 1]], [0.4]))
+    # Every rate at the floor.
+    @example((4, 5, 3, [0, 1, 0, 2], [0, 0, 0, 0], [2, 2, 2, 2],
+              [[0, 1], [1, 3], [3, 3], [2, 0]], [FLOOR_RATE] * 4))
+    def test_matches_the_gather_scatter_oracle(self, block):
+        v, d, seed, words, doc_of, widths, negatives, lr = block
+        rng = np.random.default_rng(seed)
+        input_vectors = rng.normal(0.0, 0.6, (v, d))
+        output_vectors = rng.normal(0.0, 0.6, (v, d))
+        words = np.array(words)
+        centers, contexts = _window_pairs(np.array(doc_of), np.array(widths))
+        args = (words, centers, contexts, np.array(negatives), np.array(lr))
+        stepped_in, stepped_out = input_vectors.copy(), output_vectors.copy()
+        _block_update(stepped_in, stepped_out, *args)
+        want_in, want_out = input_vectors.copy(), output_vectors.copy()
+        block_update_oracle(want_in, want_out, *args)
+        # 1e-12 of the largest step, plus one rounding of the stored value.
+        for before, got, want in (
+            (input_vectors, stepped_in, want_in),
+            (output_vectors, stepped_out, want_out),
+        ):
+            bound = 1e-12 * np.abs(want - before).max() + np.spacing(np.abs(before))
+            assert np.all(np.abs(got - want) <= bound)
 
 
 class TestSgnsStep:
