@@ -15,7 +15,7 @@ import itertools
 import json
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -32,7 +32,7 @@ from .change import (
     load_gold_binary,
     load_gold_graded,
 )
-from .corpus import SAMPLING_MODES, Corpus, SamplingMode, dedup_lines, sample, tokenize
+from .corpus import SAMPLING_MODES, Corpus, SamplingMode, dedup_lines, sample, save_corpus, tokenize
 from .gaussian import (
     estimate_profile,
     expected_overlap,
@@ -49,7 +49,6 @@ from .space import (
     RunSet,
     analogy_score,
     load_analogies,
-    load_frequencies,
     load_text_vectors,
     normalize,
     save_frequencies,
@@ -118,12 +117,41 @@ def _base_meta(command: str, inputs: Sequence[tuple[str, str | Path]]) -> list[t
     return meta
 
 
+def _space_inputs(paths: Sequence[str]) -> list[tuple[str, str]]:
+    """Report input labels `space 0`, `space 1`, ... in argument order."""
+    return [(f"space {i}", p) for i, p in enumerate(paths)]
+
+
+def _file_entry(path: str | Path, name: str | None = None) -> dict[str, str]:
+    """A manifest's record of one file: its name (`path` by default) and sha256."""
+    return {"file": str(path) if name is None else name, "sha256": _sha256(path)}
+
+
+def _write_manifest(
+    path: str | Path, command: str, config: dict[str, object], **sections: object
+) -> None:
+    header = {"tool": "embedstab", "version": __version__, "command": command}
+    _write_json(path, {**header, "config": config, **sections})
+
+
 def _read_corpus(path: str, lowercase: bool, dedup: bool) -> Corpus:
+    """One document per line, split only at line ends (as `load_corpus` reads
+    it); dedup compares the raw line text."""
     text = Path(path).read_text(encoding="utf-8")
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [line for line in text.split("\n") if line.strip()]
     if dedup:
         lines = dedup_lines(lines)
     return Corpus(tuple(tokenize(line, lowercase=lowercase) for line in lines))
+
+
+def _corpus_config(path: str, mode: str, lowercase: bool, dedup: bool) -> dict[str, object]:
+    return {
+        "corpus": path,
+        "corpus_sha256": _sha256(path),
+        "mode": mode,
+        "lowercase": lowercase,
+        "dedup": dedup,
+    }
 
 
 def _load_space(path: str | Path, require_frequencies: bool = False) -> EmbeddingSpace:
@@ -135,24 +163,30 @@ def _load_space(path: str | Path, require_frequencies: bool = False) -> Embeddin
     return load_text_vectors(path)
 
 
-def _vec_files(directory: str) -> list[Path]:
-    files = sorted(Path(directory).glob("*.vec"))
-    if not files:
-        raise LoadError(f"no .vec files in {directory}")
-    return files
+def _read_spaces(
+    paths: Sequence[str | Path],
+    minimum: int = 1,
+    require_frequencies: bool = False,
+    what: str = "input spaces",
+) -> tuple[EmbeddingSpace, ...]:
+    """Load each vector file (with its .freq sidecar, if any) with unit rows."""
+    if len(paths) < minimum:
+        raise ValueError(f"need at least {minimum} {what}")
+    return tuple(normalize(_load_space(p, require_frequencies)) for p in paths)
 
 
 def _load_runs(directory: str, count: int | str, mode: str) -> tuple[RunSet, list[Path]]:
     """First `count` (sorted) .vec files of a directory, renormalized."""
-    files = _vec_files(directory)
+    files = sorted(Path(directory).glob("*.vec"))
+    if not files:
+        raise LoadError(f"no .vec files in {directory}")
     if count != "all":
         if len(files) < int(count):
             raise LoadError(
                 f"{directory}: {len(files)} .vec files but {count} runs requested"
             )
         files = files[: int(count)]
-    spaces = tuple(normalize(_load_space(f)) for f in files)
-    return RunSet(spaces, mode=mode), files
+    return RunSet(_read_spaces(files, 2, what=f"{mode} runs"), mode=mode), files
 
 
 def _read_words(path: str) -> list[str]:
@@ -213,51 +247,40 @@ def _train_run(
         raise ValueError(f"{label} failed: {exc}") from exc
 
 
-def _save_run(
-    space: EmbeddingSpace, index: int, seed: int, path: Path, name: str
-) -> dict[str, object]:
-    """Write one run's vectors and frequency sidecar; return its manifest
-    entry, which records the files as `name` and `name`.freq."""
-    save_text_vectors(space, path)
-    freq_path = f"{path}.freq"
-    save_frequencies(space.vocab.frequency, freq_path)
-    return {
-        "index": index,
-        "seed": seed,
-        "file": name,
-        "sha256": _sha256(path),
-        "frequency_file": f"{name}.freq",
-        "frequency_sha256": _sha256(freq_path),
-    }
+def _train_and_save(config: ExperimentConfig, out: str | None = None) -> Path:
+    """Train and save run i of `config` with seed seed + i, then its manifest.
 
-
-def _train_manifest(
-    config: ExperimentConfig, entries: list[dict[str, object]]
-) -> dict[str, object]:
-    trainer = config.trainer
-    return {
-        "tool": "embedstab",
-        "version": __version__,
-        "command": "train",
-        "config": {
-            "corpus": config.corpus,
-            "corpus_sha256": _sha256(config.corpus),
-            "mode": config.mode,
-            "runs": config.runs,
-            "global_seed": config.seed,
-            "lowercase": config.lowercase,
-            "dedup": config.dedup,
-            "dim": trainer.dim,
-            "window": trainer.window,
-            "negatives": trainer.negatives,
-            "epochs": trainer.epochs,
-            "initial_lr": trainer.initial_lr,
-            "subsample_t": trainer.subsample_t,
-            "min_count": trainer.min_count,
-            "dynamic_window": trainer.dynamic_window,
-        },
-        "runs": entries,
+    With `out` the one run goes to `out` (manifest `out`.manifest.json);
+    otherwise runs go to out_dir/run_###.vec (manifest out_dir/manifest.json).
+    """
+    corpus = _read_corpus(config.corpus, config.lowercase, config.dedup)
+    if out is None:
+        out_dir = Path(config.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        paths = [out_dir / f"run_{index:03d}.vec" for index in range(config.runs)]
+        names = [path.name for path in paths]
+        manifest_path = out_dir / "manifest.json"
+    else:
+        paths, names, manifest_path = [Path(out)], [out], Path(f"{out}.manifest.json")
+    entries = []
+    for index, (path, name) in enumerate(zip(paths, names)):
+        seed = config.seed + index
+        space = _train_run(corpus, config.mode, seed, config.trainer, f"run {index}")
+        save_text_vectors(space, path)
+        save_frequencies(space.vocab.frequency, f"{path}.freq")
+        entry = {"index": index, "seed": seed, **_file_entry(path, name)}
+        entry.update(frequency_file=f"{name}.freq", frequency_sha256=_sha256(f"{path}.freq"))
+        entries.append(entry)
+    # Every trainer setting but the seed, which each run entry records.
+    trainer = {k: v for k, v in asdict(config.trainer).items() if k != "seed"}
+    settings = {
+        **_corpus_config(config.corpus, config.mode, config.lowercase, config.dedup),
+        **trainer,
+        "runs": config.runs,
+        "global_seed": config.seed,
     }
+    _write_manifest(manifest_path, "train", settings, runs=entries)
+    return manifest_path
 
 
 def run_experiment(config: ExperimentConfig) -> Path:
@@ -267,18 +290,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
     configuration with content hashes; returns the manifest path.  A failing
     run aborts with its index in the error message.
     """
-    corpus = _read_corpus(config.corpus, config.lowercase, config.dedup)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for index in range(config.runs):
-        run_seed = config.seed + index
-        space = _train_run(corpus, config.mode, run_seed, config.trainer, f"run {index}")
-        vec_path = out_dir / f"run_{index:03d}.vec"
-        entries.append(_save_run(space, index, run_seed, vec_path, vec_path.name))
-    manifest_path = out_dir / "manifest.json"
-    _write_json(manifest_path, _train_manifest(config, entries))
-    return manifest_path
+    return _train_and_save(config)
 
 
 # ---------------------------------------------------------------------------
@@ -314,39 +326,19 @@ def _cmd_train(args: argparse.Namespace) -> int:
         lowercase=args.lowercase,
         dedup=args.dedup,
     )
-    if args.out_dir is not None:
-        run_experiment(config)
-        return EXIT_OK
-    corpus = _read_corpus(args.corpus, args.lowercase, args.dedup)
-    space = _train_run(corpus, args.mode, args.seed, config.trainer, "run 0")
-    entry = _save_run(space, 0, args.seed, Path(args.out), str(args.out))
-    _write_json(f"{args.out}.manifest.json", _train_manifest(config, [entry]))
+    _train_and_save(config, args.out)
     return EXIT_OK
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     corpus = _read_corpus(args.corpus, args.lowercase, args.dedup)
-    sampled = sample(corpus, SamplingMode(args.mode, args.seed))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", encoding="utf-8") as fh:
-        for doc in sampled.documents:
-            fh.write(" ".join(doc) + "\n")
-    manifest = {
-        "tool": "embedstab",
-        "version": __version__,
-        "command": "sample",
-        "config": {
-            "corpus": args.corpus,
-            "corpus_sha256": _sha256(args.corpus),
-            "mode": args.mode,
-            "seed": args.seed,
-            "lowercase": args.lowercase,
-            "dedup": args.dedup,
-        },
-        "output": {"file": str(out), "sha256": _sha256(out)},
-    }
-    _write_json(f"{out}.manifest.json", manifest)
+    save_corpus(sample(corpus, SamplingMode(args.mode, args.seed)), out)
+    settings = _corpus_config(args.corpus, args.mode, args.lowercase, args.dedup)
+    _write_manifest(
+        f"{out}.manifest.json", "sample", {**settings, "seed": args.seed}, output=_file_entry(out)
+    )
     return EXIT_OK
 
 
@@ -359,14 +351,10 @@ def _wordwise_flags(args: argparse.Namespace) -> None:
 
 def _cmd_instability(args: argparse.Namespace) -> int:
     shuffled, shuffled_files = _load_runs(args.shuffled, args.runs, "shuffled")
-    if len(shuffled) < 2:
-        raise ValueError("need at least 2 shuffled runs")
     boot = None
     boot_files: list[Path] = []
     if args.bootstrapped is not None:
         boot, boot_files = _load_runs(args.bootstrapped, args.runs, "bootstrapped")
-        if len(boot) < 2:
-            raise ValueError("need at least 2 bootstrapped runs")
     _wordwise_flags(args)
     if args.words is not None and boot is None:
         raise UsageError("word-level instability needs --bootstrapped runs")
@@ -415,13 +403,11 @@ def _cmd_instability(args: argparse.Namespace) -> int:
 
 
 def _cmd_overlap(args: argparse.Namespace) -> int:
-    spaces = tuple(normalize(_load_space(p)) for p in args.inputs)
-    if len(spaces) < 2:
-        raise ValueError("need at least 2 input spaces")
+    spaces = _read_spaces(args.inputs, 2)
     runs = RunSet(spaces, mode="fixed")
     targets = _read_words(args.targets)
     summaries = mean_overlap(runs, targets, args.n)
-    meta = _base_meta("overlap", [(f"space {i}", p) for i, p in enumerate(args.inputs)])
+    meta = _base_meta("overlap", _space_inputs(args.inputs))
     meta.append(("n", args.n))
     rows = [(s.target, s.n, s.mean_p, s.mean_j, s.pair_count) for s in summaries]
     _write_report(
@@ -431,9 +417,7 @@ def _cmd_overlap(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    spaces = tuple(normalize(_load_space(p)) for p in args.inputs)
-    if len(spaces) < 2:
-        raise ValueError("need at least 2 input spaces")
+    spaces = _read_spaces(args.inputs, 2)
     runs = RunSet(spaces, mode="fixed")
     targets = _read_words(args.targets)
     if args.profiles is not None:
@@ -463,7 +447,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
                 measured_2[target],
             )
         )
-    meta = _base_meta("predict", [(f"space {i}", p) for i, p in enumerate(args.inputs)])
+    meta = _base_meta("predict", _space_inputs(args.inputs))
     meta.append(("candidates", args.candidates))
     _write_report(
         args.out,
@@ -483,13 +467,11 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_pip(args: argparse.Namespace) -> int:
-    spaces = tuple(normalize(_load_space(p)) for p in args.inputs)
-    if len(spaces) < 2:
-        raise ValueError("need at least 2 input spaces")
+    spaces = _read_spaces(args.inputs, 2)
     _wordwise_flags(args)
     words = _read_words(args.words) if args.words is not None else []
     proxy = sample_proxy(spaces, size=args.proxy_size, seed=args.seed)
-    meta = _base_meta("pip", [(f"space {i}", p) for i, p in enumerate(args.inputs)])
+    meta = _base_meta("pip", _space_inputs(args.inputs))
     meta += [("proxy_size", len(proxy)), ("proxy_seed", proxy.seed)]
     pairs = [
         (i, j, *_pair_losses(spaces[i], spaces[j], proxy, words))
@@ -513,9 +495,8 @@ def _cmd_pip(args: argparse.Namespace) -> int:
 
 
 def _cmd_average(args: argparse.Namespace) -> int:
-    spaces = tuple(normalize(_load_space(p)) for p in args.inputs)
     averaged = aligned_average_tree(
-        spaces,
+        _read_spaces(args.inputs),
         renormalize=not args.no_renorm,
         pairing=args.pairing,
         seed=args.seed,
@@ -523,21 +504,15 @@ def _cmd_average(args: argparse.Namespace) -> int:
     save_text_vectors(averaged, args.out)
     if averaged.vocab.frequency is not None:
         save_frequencies(averaged.vocab.frequency, f"{args.out}.freq")
-    manifest = {
-        "tool": "embedstab",
-        "version": __version__,
-        "command": "average",
-        "config": {
-            "inputs": [
-                {"file": str(p), "sha256": _sha256(p)} for p in args.inputs
-            ],
-            "renormalize": not args.no_renorm,
-            "pairing": args.pairing,
-            "seed": args.seed,
-        },
-        "output": {"file": str(args.out), "sha256": _sha256(args.out)},
+    settings = {
+        "inputs": [_file_entry(p) for p in args.inputs],
+        "renormalize": not args.no_renorm,
+        "pairing": args.pairing,
+        "seed": args.seed,
     }
-    _write_json(f"{args.out}.manifest.json", manifest)
+    _write_manifest(
+        f"{args.out}.manifest.json", "average", settings, output=_file_entry(args.out)
+    )
     return EXIT_OK
 
 
@@ -562,9 +537,9 @@ def _cmd_analogy(args: argparse.Namespace) -> int:
 
 
 def _cmd_change(args: argparse.Namespace) -> int:
-    need_freq = args.min_count > 1
-    space_t1 = normalize(_load_space(args.t1, require_frequencies=need_freq))
-    space_t2 = normalize(_load_space(args.t2, require_frequencies=need_freq))
+    space_t1, space_t2 = _read_spaces(
+        [args.t1, args.t2], require_frequencies=args.min_count > 1
+    )
     targets = _read_words(args.targets)
     report = build_change_report(
         space_t1, space_t2, targets=targets, min_count=args.min_count
@@ -572,9 +547,10 @@ def _cmd_change(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    inputs = [("t1", args.t1), ("t2", args.t2), ("targets", args.targets)]
-    meta = _base_meta("change", inputs)
-    meta += [
+    base_meta = _base_meta(
+        "change", [("t1", args.t1), ("t2", args.t2), ("targets", args.targets)]
+    )
+    meta = base_meta + [
         ("min_count", args.min_count),
         ("tau", report.tau),
         ("delta_mean", report.mean),
@@ -606,14 +582,13 @@ def _cmd_change(args: argparse.Namespace) -> int:
             graded=load_gold_graded(args.gold_graded) if args.gold_graded else {},
         )
         accuracy, rho = evaluate(report, gold)
-        eval_meta = _base_meta("change", inputs)
         eval_rows = [
             ("accuracy", accuracy),
             ("spearman_rho", rho),
             ("binary_targets", len(gold.binary)),
             ("graded_targets", len(gold.graded)),
         ]
-        _write_report(out_dir / "evaluation.tsv", eval_meta, ("metric", "value"), eval_rows)
+        _write_report(out_dir / "evaluation.tsv", base_meta, ("metric", "value"), eval_rows)
     return EXIT_OK
 
 
@@ -766,10 +741,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.format == "json":
         _write_json(args.out, {"meta": meta, "columns": columns, "rows": rows})
     else:
-        lines = [f"# {key}: {value}" for key, value in meta]
-        lines.append("\t".join(columns))
-        lines.extend("\t".join(row) for row in rows)
-        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_report(args.out, meta, columns, rows)
     return EXIT_OK
 
 
@@ -1028,33 +1000,27 @@ def _coerce_config_value(action: argparse.Action, raw: str, key: str) -> object:
 
 def _apply_config_file(
     args: argparse.Namespace, parser: argparse.ArgumentParser, argv: Sequence[str]
-) -> None:
-    """Fill any flag the user did not type from the key=value config file."""
+) -> argparse.Namespace:
+    """Parse `argv` again with the key=value config file's values as the
+    subcommand's defaults, so every flag the user typed wins."""
     if getattr(args, "config", None) is None:
-        return
-    sub_actions = None
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            sub_actions = action.choices[args.command]._actions
-    assert sub_actions is not None
+        return args
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    subparser = commands.choices[args.command]
     by_dest = {
         action.dest: action
-        for action in sub_actions
+        for action in subparser._actions
         if action.option_strings and action.dest not in ("help", "config")
     }
-    explicit = set()
-    for action in sub_actions:
-        for option in action.option_strings:
-            if any(tok == option or tok.startswith(f"{option}=") for tok in argv):
-                explicit.add(action.dest)
+    defaults = {}
     for key, raw in _read_config_file(args.config).items():
         dest = key.replace("-", "_")
         action = by_dest.get(dest)
         if action is None:
             raise UsageError(f"unknown config key {key!r} for command {args.command!r}")
-        if dest in explicit:
-            continue
-        setattr(args, dest, _coerce_config_value(action, raw, key))
+        defaults[dest] = _coerce_config_value(action, raw, key)
+    subparser.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -1062,7 +1028,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args, parser, argv)
+        args = _apply_config_file(args, parser, argv)
         return args.func(args)
     except UsageError as exc:
         print(f"embedstab: usage error: {exc}", file=sys.stderr)

@@ -17,6 +17,7 @@ from embedstab import (
     Vocabulary,
     aligned_average_tree,
     intrinsic_instability,
+    load_corpus,
     load_profile,
     load_text_vectors,
     mean_overlap,
@@ -237,6 +238,20 @@ class TestSample:
         ) == 0
         assert kept.read_text().splitlines() == ["a b", "a b", "c d"]
 
+    def test_lines_split_where_load_corpus_splits(self, tmp_path):
+        # Form feed, NEL and CR LF: only the line ends (\n, \r\n) start a
+        # new document, the others are whitespace inside one.
+        corpus = tmp_path / "breaks.txt"
+        corpus.write_bytes("a b\x0cc d\ne f g h\r\ni j\x85k l\n".encode("utf-8"))
+        out = tmp_path / "fixed.txt"
+        assert run_cli(
+            "sample", "--corpus", corpus, "--mode", "fixed", "--no-dedup",
+            "--out", out,
+        ) == 0
+        want = load_corpus(corpus).documents
+        assert len(want) == 3
+        assert load_corpus(out).documents == want
+
     def test_lowercase_flag(self, tmp_path):
         corpus = tmp_path / "case.txt"
         corpus.write_text("Apple Pie\n")
@@ -286,6 +301,19 @@ class TestConfigFile:
             "--dim", 6, "--sample", 1.0, "--min-count", 1, "--out", out,
         ) == 0
         assert load_text_vectors(out).matrix.shape[1] == 6
+
+    def test_abbreviated_flag_beats_config(self, tmp_path, corpus_file):
+        config = tmp_path / "train.cfg"
+        config.write_text("dim=4\nepochs=1\nmode=fixed\n")
+        out = tmp_path / "abbrev.vec"
+        assert run_cli(
+            "train", "--corpus", corpus_file, "--config", config,
+            "--di", 6, "--sample", 1.0, "--min-count", 1, "--out", out,
+        ) == 0
+        assert load_text_vectors(out).matrix.shape[1] == 6
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["config"]["dim"] == 6
+        assert manifest["config"]["epochs"] == 1
 
     def test_boolean_coercion(self, tmp_path):
         # argparse still enforces required flags (--mode, --out); the config
@@ -813,3 +841,148 @@ class TestReportCommand:
             "report", "--in", empty, "--format", "json",
             "--out", tmp_path / "z.json",
         ) == 3
+
+
+class TestInputCounts:
+    @pytest.mark.parametrize("command", ["overlap", "predict", "pip"])
+    def test_one_input_is_a_data_error(self, command, tmp_path, run_dir, targets_file, capsys):
+        first = sorted(run_dir.glob("*.vec"))[0]
+        extra = () if command == "pip" else ("--targets", targets_file)
+        assert run_cli(
+            command, "--inputs", first, *extra, "--out", tmp_path / "x.tsv"
+        ) == 3
+        assert "need at least 2 input spaces" in capsys.readouterr().err
+
+    def test_average_of_one_input_is_that_space(self, tmp_path, run_dir, run_spaces):
+        first = sorted(run_dir.glob("*.vec"))[0]
+        out = tmp_path / "one.vec"
+        assert run_cli("average", "--inputs", first, "--out", out) == 0
+        averaged = load_text_vectors(out, f"{out}.freq")
+        assert averaged.vocab.words == run_spaces[0].vocab.words
+        assert averaged.vocab.frequency == run_spaces[0].vocab.frequency
+        assert_allclose(averaged.matrix, run_spaces[0].matrix, atol=1e-9)
+
+
+def sha256_of(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def input_hashes(report):
+    """(label, hex digest) of a report's `# input <label>: sha256:<hex>` lines."""
+    pairs = []
+    for line in Path(report).read_text().splitlines():
+        if line.startswith("# input "):
+            label, _, value = line[len("# input "):].partition(": ")
+            assert value.startswith("sha256:")
+            pairs.append((label, value[len("sha256:"):]))
+    return pairs
+
+
+def file_record(path, name=None):
+    return {"file": str(path) if name is None else name, "sha256": sha256_of(path)}
+
+
+class TestReportProvenance:
+    """Every report names its inputs in argument order with their sha256;
+    every manifest records its files' sha256."""
+
+    def test_space_list_reports(self, tmp_path, run_dir, targets_file):
+        files = sorted(run_dir.glob("*.vec"))[::-1]  # argument order, not sorted
+        want = [(f"space {i}", sha256_of(f)) for i, f in enumerate(files)]
+        for command, extra in (
+            ("overlap", ("--targets", targets_file)),
+            ("predict", ("--targets", targets_file)),
+            ("pip", ()),
+        ):
+            out = tmp_path / f"{command}.tsv"
+            assert run_cli(command, "--inputs", *files, *extra, "--out", out) == 0
+            assert input_hashes(out) == want, command
+
+    def test_instability(self, tmp_path, run_dir):
+        out = tmp_path / "inst.tsv"
+        assert run_cli(
+            "instability", "--shuffled", run_dir, "--bootstrapped", run_dir,
+            "--runs", "all", "--out", out,
+        ) == 0
+        files = sorted(run_dir.glob("*.vec"))
+        want = [(f"shuffled {f.name}", sha256_of(f)) for f in files]
+        want += [(f"bootstrapped {f.name}", sha256_of(f)) for f in files]
+        assert input_hashes(out) == want
+
+    def test_analogy(self, tmp_path, run_dir, targets_file):
+        vec = sorted(run_dir.glob("*.vec"))[0]
+        a, b, c = targets_file.read_text().split()
+        questions = tmp_path / "questions.txt"
+        questions.write_text(f"{a} {b} {c} {a}\n")
+        out = tmp_path / "analogy.tsv"
+        assert run_cli(
+            "analogy", "--input", vec, "--analogies", questions, "--out", out
+        ) == 0
+        assert input_hashes(out) == [
+            ("space", sha256_of(vec)), ("analogies", sha256_of(questions))
+        ]
+
+    def test_change_report_and_evaluation(self, tmp_path):
+        p1, p2, changed, control = write_epoch_pair(tmp_path)
+        targets = tmp_path / "targets.txt"
+        targets.write_text(f"{changed}\n{control}\n")
+        gold = tmp_path / "gold.tsv"
+        gold.write_text(f"{changed}\t1\n{control}\t0\n")
+        out_dir = tmp_path / "change"
+        assert run_cli(
+            "change", "--t1", p1, "--t2", p2, "--targets", targets,
+            "--gold-binary", gold, "--out", out_dir,
+        ) == 0
+        want = [
+            ("t1", sha256_of(p1)), ("t2", sha256_of(p2)), ("targets", sha256_of(targets))
+        ]
+        assert input_hashes(out_dir / "report.tsv") == want
+        assert input_hashes(out_dir / "evaluation.tsv") == want
+
+    def test_conformity(self, tmp_path, epochs_dir):
+        out = tmp_path / "conformity.tsv"
+        assert run_cli(
+            "conformity", "--epochs", epochs_dir, "--runs", 1, "--avg", 1,
+            "--min-count", 1, "--train-dim", 4, "--train-window", 2,
+            "--train-neg", 2, "--train-epochs", 1, "--train-sample", 1.0,
+            "--train-min-count", 1, "--out", out,
+        ) == 0
+        files = sorted(epochs_dir.iterdir())
+        assert input_hashes(out) == [(f"epoch {f.name}", sha256_of(f)) for f in files]
+
+    def test_train_manifests(self, tmp_path, corpus_file, run_dir):
+        out = tmp_path / "single.vec"
+        assert run_cli(
+            "train", "--corpus", corpus_file, *FAST_TRAINER, "--out", out
+        ) == 0
+        for manifest_path, paths, names in (
+            (Path(f"{out}.manifest.json"), [out], [str(out)]),
+            (
+                run_dir / "manifest.json",
+                sorted(run_dir.glob("*.vec")),
+                [f"run_{i:03d}.vec" for i in range(3)],
+            ),
+        ):
+            manifest = json.loads(manifest_path.read_text())
+            assert manifest["config"]["corpus_sha256"] == sha256_of(corpus_file)
+            assert len(manifest["runs"]) == len(paths)
+            for entry, path, name in zip(manifest["runs"], paths, names):
+                assert (entry["file"], entry["sha256"]) == (name, sha256_of(path))
+                assert entry["frequency_file"] == f"{name}.freq"
+                assert entry["frequency_sha256"] == sha256_of(f"{path}.freq")
+
+    def test_sample_and_average_manifests(self, tmp_path, corpus_file, run_dir):
+        sampled = tmp_path / "sampled.txt"
+        assert run_cli(
+            "sample", "--corpus", corpus_file, "--mode", "shuffled", "--out", sampled
+        ) == 0
+        manifest = json.loads(Path(f"{sampled}.manifest.json").read_text())
+        assert manifest["config"]["corpus_sha256"] == sha256_of(corpus_file)
+        assert manifest["output"] == file_record(sampled)
+
+        files = sorted(run_dir.glob("*.vec"))[::-1]
+        averaged = tmp_path / "avg.vec"
+        assert run_cli("average", "--inputs", *files, "--out", averaged) == 0
+        manifest = json.loads(Path(f"{averaged}.manifest.json").read_text())
+        assert manifest["config"]["inputs"] == [file_record(f) for f in files]
+        assert manifest["output"] == file_record(averaged)
