@@ -9,15 +9,16 @@ over many runs in a binary tree yields progressively more stable spaces.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .gaussian import _pair_moments
 from .space import (
-    EmbeddingSpace, RunSet, Vocabulary, _unit_rows, joint_vocabulary, normalize, restrict
+    EmbeddingSpace, RunSet, Vocabulary, _positions, _row_dots, _unit_rows, joint_vocabulary,
+    normalize, restrict,
 )
 
 __all__ = [
@@ -46,11 +47,8 @@ def _joint_rows(
     space_a: EmbeddingSpace, space_b: EmbeddingSpace
 ) -> tuple[Vocabulary, np.ndarray, np.ndarray]:
     joint = joint_vocabulary([space_a, space_b])
-    if not joint.words:
-        raise ValueError("spaces share no vocabulary")
-    rows_a = np.array([space_a.vocab.position(w) for w in joint.words], dtype=np.intp)
-    rows_b = np.array([space_b.vocab.position(w) for w in joint.words], dtype=np.intp)
-    return joint, space_a.matrix[rows_a], space_b.matrix[rows_b]
+    a = space_a.matrix[_positions(space_a.vocab, joint.words)]
+    return joint, a, space_b.matrix[_positions(space_b.vocab, joint.words)]
 
 
 def _solve_rotation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -84,34 +82,21 @@ def _average_pair_raw(
     """Aligned average without normalization preconditions (tree internal)."""
     joint, a, b = _joint_rows(space_a, space_b)
     rotation = _solve_rotation(a, b)
-    joint_set = set(joint.words)
-
-    words: list[str] = []
-    rows: list[np.ndarray] = []
-    frequency: dict[str, int] = {}
-
-    def add(word: str, row: np.ndarray, freq: dict[str, int] | None) -> None:
-        words.append(word)
-        rows.append(row)
-        if freq is not None and word in freq:
-            frequency[word] = freq[word]
-
-    averaged = 0.5 * (a @ rotation + b)
-    averaged_of = {w: averaged[i] for i, w in enumerate(joint.words)}
     # The second space is the fixed frame: its words keep their order and,
     # outside the joint vocabulary, their original rows; words only in the
-    # first space are appended with their rows rotated into the frame.
-    for w in space_b.vocab.words:
-        if w in joint_set:
-            add(w, averaged_of[w], space_b.vocab.frequency)
-        else:
-            add(w, space_b.vector(w), space_b.vocab.frequency)
-    for w in space_a.vocab.words:
-        if w not in joint_set:
-            add(w, space_a.vector(w) @ rotation, space_a.vocab.frequency)
-
-    vocab = Vocabulary(tuple(words), frequency or None)
-    return EmbeddingSpace(vocab, np.array(rows), normalized=False)
+    # first space are appended with their rows rotated into the frame, each
+    # as a one-row product (a plain `rows @ rotation` rounds differently).
+    matrix = space_b.matrix.copy()
+    matrix[_positions(space_b.vocab, joint.words)] = 0.5 * (a @ rotation + b)
+    only_a = [w for w in space_a.vocab.words if w not in space_b.vocab]
+    rows = space_a.matrix[_positions(space_a.vocab, only_a)]
+    matrix = np.vstack((matrix, (rows[:, None, :] @ rotation)[:, 0, :]))
+    frequency: dict[str, int] = {}
+    for space, words in ((space_b, space_b.vocab.words), (space_a, only_a)):
+        if space.vocab.frequency is not None:
+            frequency.update((w, space.vocab.frequency[w]) for w in words)
+    vocab = Vocabulary(space_b.vocab.words + tuple(only_a), frequency or None)
+    return EmbeddingSpace(vocab, matrix, normalized=False)
 
 
 def aligned_average_pair(
@@ -210,17 +195,13 @@ def _pair_cosine_moments(
     runs: RunSet, word_pairs: Sequence[tuple[str, str]]
 ) -> tuple[float, float]:
     """Mean over word pairs of the across-run (mu, sigma) of the cosine."""
+    first, second = zip(*word_pairs)
     samples = np.empty((len(runs), len(word_pairs)))
     for i, space in enumerate(runs.spaces):
         unit = _unit_rows(space)
-        for j, (w1, w2) in enumerate(word_pairs):
-            samples[i, j] = np.clip(
-                unit[space.vocab.position(w1)] @ unit[space.vocab.position(w2)],
-                -1.0,
-                1.0,
-            )
-    mu = samples.mean(axis=0)
-    sigma = np.sqrt(((samples - mu) ** 2).mean(axis=0))
+        a, b = (unit[_positions(space.vocab, words)] for words in (first, second))
+        samples[i] = np.clip(_row_dots(a, b), -1.0, 1.0)
+    mu, sigma = _pair_moments(samples, unbiased=False)
     return float(mu.mean()), float(sigma.mean())
 
 

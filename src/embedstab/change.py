@@ -18,7 +18,7 @@ import numpy as np
 
 from .align import AlignmentResult, procrustes
 from .corpus import Corpus
-from .space import EmbeddingSpace, joint_vocabulary
+from .space import EmbeddingSpace, _positions, _row_dots, joint_vocabulary
 from .stats import spearman
 
 __all__ = [
@@ -75,12 +75,6 @@ class FrequencyEffectResult:
     fit_method: str = "profiled-ml"
 
 
-def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # A stack of 1 x d by d x 1 products: one BLAS dot per row, the same
-    # call, and so the same rounding, as `x[i] @ y[i]` on one row.
-    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
-
-
 def _change_scores(
     words: Sequence[str],
     space_t1: EmbeddingSpace,
@@ -90,8 +84,8 @@ def _change_scores(
     """Cosine distances of `words` between the aligned epoch-1 rows and the
     epoch-2 rows: one stacked product with the rotation, row norms and a
     row-wise dot."""
-    rows1 = space_t1.matrix[[space_t1.vocab.position(w) for w in words]]
-    rows2 = space_t2.matrix[[space_t2.vocab.position(w) for w in words]]
+    rows1 = space_t1.matrix[_positions(space_t1.vocab, words)]
+    rows2 = space_t2.matrix[_positions(space_t2.vocab, words)]
     rows1 = (rows1[:, None, :] @ alignment.rotation)[:, 0, :]
     norms1 = np.sqrt(_row_dots(rows1, rows1))
     norms2 = np.sqrt(_row_dots(rows2, rows2))

@@ -39,9 +39,9 @@ from .gaussian import (
     save_profile,
     structure_factor,
 )
-from .instability import _extrinsic_and_words, intrinsic_instability
+from .instability import _extrinsic_and_words, _pairwise, intrinsic_instability
 from .overlap import _neighbor_lists, _summaries, mean_overlap
-from .pip_loss import DEFAULT_PROXY_SIZE, _pair_losses, sample_proxy
+from .pip_loss import DEFAULT_PROXY_SIZE, sample_proxy
 from .sgns import SgnsConfig, train
 from .space import (
     EmbeddingSpace,
@@ -108,23 +108,43 @@ def _write_report(
 
 
 def _base_meta(command: str, inputs: Sequence[tuple[str, str | Path]]) -> list[tuple[str, object]]:
-    meta: list[tuple[str, object]] = [
-        ("tool", f"embedstab {__version__}"),
-        ("command", command),
-    ]
-    for label, path in inputs:
-        meta.append((f"input {label}", f"sha256:{_sha256(path)}"))
-    return meta
+    return [("tool", f"embedstab {__version__}"), ("command", command), *_input_meta(inputs)]
 
 
-def _space_inputs(paths: Sequence[str]) -> list[tuple[str, str]]:
-    """Report input labels `space 0`, `space 1`, ... in argument order."""
-    return [(f"space {i}", p) for i, p in enumerate(paths)]
+def _input_meta(inputs: Sequence[tuple[str, str | Path]]) -> list[tuple[str, object]]:
+    return [(f"input {label}", f"sha256:{_sha256(path)}") for label, path in inputs]
+
+
+def _sidecar(path: str | Path) -> Path | None:
+    """The `<path>.freq` frequency sidecar, if it exists; loading `path` reads it."""
+    freq_path = Path(f"{path}.freq")
+    return freq_path if freq_path.exists() else None
+
+
+def _vec_inputs(label: str, path: str | Path) -> list[tuple[str, str | Path]]:
+    """Report inputs of a vector file: its own, then `<label> frequencies`
+    for the sidecar that loading it reads, if any."""
+    freq_path = _sidecar(path)
+    return [(label, path)] + ([] if freq_path is None else [(f"{label} frequencies", freq_path)])
+
+
+def _space_inputs(paths: Sequence[str]) -> list[tuple[str, str | Path]]:
+    """Report inputs `space 0`, `space 1`, ... in argument order."""
+    return [item for i, p in enumerate(paths) for item in _vec_inputs(f"space {i}", p)]
 
 
 def _file_entry(path: str | Path, name: str | None = None) -> dict[str, str]:
     """A manifest's record of one file: its name (`path` by default) and sha256."""
     return {"file": str(path) if name is None else name, "sha256": _sha256(path)}
+
+
+def _vec_entry(path: str | Path, name: str | None = None) -> dict[str, str]:
+    """A manifest's record of a vector file and of its frequency sidecar, if any."""
+    entry = _file_entry(path, name)
+    freq_path = _sidecar(path)
+    if freq_path is not None:
+        entry.update(frequency_file=f"{entry['file']}.freq", frequency_sha256=_sha256(freq_path))
+    return entry
 
 
 def _write_manifest(
@@ -155,12 +175,10 @@ def _corpus_config(path: str, mode: str, lowercase: bool, dedup: bool) -> dict[s
 
 
 def _load_space(path: str | Path, require_frequencies: bool = False) -> EmbeddingSpace:
-    freq_path = Path(f"{path}.freq")
-    if freq_path.exists():
-        return load_text_vectors(path, freq_path)
-    if require_frequencies:
-        raise LoadError(f"{path}: frequency sidecar {freq_path} not found")
-    return load_text_vectors(path)
+    freq_path = _sidecar(path)
+    if freq_path is None and require_frequencies:
+        raise LoadError(f"{path}: frequency sidecar {Path(f'{path}.freq')} not found")
+    return load_text_vectors(path, freq_path)
 
 
 def _read_spaces(
@@ -268,9 +286,7 @@ def _train_and_save(config: ExperimentConfig, out: str | None = None) -> Path:
         space = _train_run(corpus, config.mode, seed, config.trainer, f"run {index}")
         save_text_vectors(space, path)
         save_frequencies(space.vocab.frequency, f"{path}.freq")
-        entry = {"index": index, "seed": seed, **_file_entry(path, name)}
-        entry.update(frequency_file=f"{name}.freq", frequency_sha256=_sha256(f"{path}.freq"))
-        entries.append(entry)
+        entries.append({"index": index, "seed": seed, **_vec_entry(path, name)})
     # Every trainer setting but the seed, which each run entry records.
     trainer = {k: v for k, v in asdict(config.trainer).items() if k != "seed"}
     settings = {
@@ -366,8 +382,8 @@ def _cmd_instability(args: argparse.Namespace) -> int:
     else:
         report, word_parts = _extrinsic_and_words(shuffled, boot, proxy, words)
 
-    inputs = [(f"shuffled {p.name}", p) for p in shuffled_files]
-    inputs += [(f"bootstrapped {p.name}", p) for p in boot_files]
+    inputs = [item for p in shuffled_files for item in _vec_inputs(f"shuffled {p.name}", p)]
+    inputs += [item for p in boot_files for item in _vec_inputs(f"bootstrapped {p.name}", p)]
     proxy_meta = _base_meta("instability", inputs)
     proxy_meta += [("proxy_size", report.proxy_size), ("proxy_seed", report.proxy_seed)]
     meta = proxy_meta + [
@@ -473,17 +489,15 @@ def _cmd_pip(args: argparse.Namespace) -> int:
     proxy = sample_proxy(spaces, size=args.proxy_size, seed=args.seed)
     meta = _base_meta("pip", _space_inputs(args.inputs))
     meta += [("proxy_size", len(proxy)), ("proxy_seed", proxy.seed)]
-    pairs = [
-        (i, j, *_pair_losses(spaces[i], spaces[j], proxy, words))
-        for i, j in itertools.combinations(range(len(spaces)), 2)
-    ]
-    rows = [(i, j, value) for i, j, value, _ in pairs]
+    values, wordwise = _pairwise(RunSet(spaces, mode="fixed"), proxy, words)
+    pairs = list(itertools.combinations(range(len(spaces)), 2))
+    rows = [(i, j, value) for (i, j), value in zip(pairs, values.tolist())]
     _write_report(args.out, meta, ("run_a", "run_b", "reduced_pip"), rows)
     if words:
         word_rows = [
             (i, j, word, value)
-            for i, j, _, wordwise in pairs
-            for word, value in zip(words, wordwise.tolist())
+            for (i, j), pair_values in zip(pairs, wordwise.tolist())
+            for word, value in zip(words, pair_values)
         ]
         _write_report(
             args.wordwise_out,
@@ -505,7 +519,7 @@ def _cmd_average(args: argparse.Namespace) -> int:
     if averaged.vocab.frequency is not None:
         save_frequencies(averaged.vocab.frequency, f"{args.out}.freq")
     settings = {
-        "inputs": [_file_entry(p) for p in args.inputs],
+        "inputs": [_vec_entry(p) for p in args.inputs],
         "renormalize": not args.no_renorm,
         "pairing": args.pairing,
         "seed": args.seed,
@@ -524,7 +538,7 @@ def _cmd_analogy(args: argparse.Namespace) -> int:
         restrict_to = space.vocab.words[: args.restrict]
     accuracy, coverage = analogy_score(space, dataset, restrict_to)
     meta = _base_meta(
-        "analogy", [("space", args.input), ("analogies", args.analogies)]
+        "analogy", _vec_inputs("space", args.input) + [("analogies", args.analogies)]
     )
     meta.append(("restrict", args.restrict))
     rows = [
@@ -547,9 +561,8 @@ def _cmd_change(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    base_meta = _base_meta(
-        "change", [("t1", args.t1), ("t2", args.t2), ("targets", args.targets)]
-    )
+    inputs = _vec_inputs("t1", args.t1) + _vec_inputs("t2", args.t2)
+    base_meta = _base_meta("change", inputs + [("targets", args.targets)])
     meta = base_meta + [
         ("min_count", args.min_count),
         ("tau", report.tau),
@@ -577,6 +590,8 @@ def _cmd_change(args: argparse.Namespace) -> int:
     )
 
     if args.gold_binary or args.gold_graded:
+        gold_files = [("gold binary", args.gold_binary), ("gold graded", args.gold_graded)]
+        eval_meta = base_meta + _input_meta([(label, p) for label, p in gold_files if p])
         gold = GoldData(
             binary=load_gold_binary(args.gold_binary) if args.gold_binary else {},
             graded=load_gold_graded(args.gold_graded) if args.gold_graded else {},
@@ -588,7 +603,7 @@ def _cmd_change(args: argparse.Namespace) -> int:
             ("binary_targets", len(gold.binary)),
             ("graded_targets", len(gold.graded)),
         ]
-        _write_report(out_dir / "evaluation.tsv", base_meta, ("metric", "value"), eval_rows)
+        _write_report(out_dir / "evaluation.tsv", eval_meta, ("metric", "value"), eval_rows)
     return EXIT_OK
 
 

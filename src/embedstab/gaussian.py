@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erfc as _erfc_array, ndtr as _ndtr, roots_legendre
+from scipy.special import erfc as _erfc, ndtr as _ndtr, roots_legendre
 
-from .space import RunSet, _unit_rows, joint_vocabulary
+from .space import RunSet, _positions, _unit_rows, joint_vocabulary
 
 __all__ = [
     "PairStatistics",
@@ -130,24 +130,21 @@ def _cosine_samples(runs: RunSet, target: str, queries: Sequence[str]) -> np.nda
     for space in runs.spaces:
         unit = _unit_rows(space)
         t = unit[space.vocab.position(target)]
-        q = np.array([space.vocab.position(w) for w in queries], dtype=np.intp)
-        rows.append(np.clip(unit[q] @ t, -1.0, 1.0))
+        rows.append(np.clip(unit[_positions(space.vocab, queries)] @ t, -1.0, 1.0))
     return np.array(rows)
 
 
 def estimate_pair_stats(
     runs: RunSet, target: str, query: str, *, unbiased: bool = False
 ) -> PairStatistics:
-    """Per-pair moments across runs.
+    """Per-pair moments across runs: the one entry of a one-query profile.
 
     `sigma` divides by r (maximum likelihood) by default; pass
     `unbiased=True` for the conventional r - 1 denominator.
     """
     if target == query:
         raise ValueError("target and query must differ")
-    samples = _cosine_samples(runs, target, [query])[:, 0]
-    mu, sigma = _pair_moments(samples[:, None], unbiased)
-    return PairStatistics(target, query, float(mu[0]), float(sigma[0]), len(runs))
+    return estimate_profile(runs, target, [query], unbiased=unbiased).entries[0]
 
 
 def estimate_profile(
@@ -182,27 +179,19 @@ def prob_greater(a: PairStatistics, b: PairStatistics) -> float:
 
     Equals 0.5 by convention when both sigmas are zero and the means tie.
     """
-    variance = a.sigma * a.sigma + b.sigma * b.sigma
-    if variance == 0.0:
-        if a.mu == b.mu:
-            return 0.5
-        return 1.0 if a.mu > b.mu else 0.0
-    arg = (a.mu - b.mu) / math.sqrt(2.0 * variance)
-    # erfc keeps the far tails accurate (erf saturates past |x| ~ 6), and the
-    # sign branch makes prob_greater(a, b) + prob_greater(b, a) = 1 exact.
-    if arg >= 0.0:
-        return 1.0 - 0.5 * math.erfc(arg)
-    return 0.5 * math.erfc(-arg)
+    return float(_prob_greater_vs(np.array([a.mu]), np.array([a.sigma]), b.mu, b.sigma)[0])
 
 
 def _prob_greater_vs(mu: np.ndarray, sigma: np.ndarray, mu0: float, sigma0: float) -> np.ndarray:
-    """Vectorized P(entry > reference) for pruning decisions."""
+    """P(entry > reference) per entry under independent Gaussians."""
     variance = sigma * sigma + sigma0 * sigma0
     out = np.where(mu > mu0, 1.0, np.where(mu < mu0, 0.0, 0.5))
     positive = variance > 0.0
     if np.any(positive):
         arg = (mu[positive] - mu0) / np.sqrt(2.0 * variance[positive])
-        tail = 0.5 * _erfc_array(np.abs(arg))
+        # erfc keeps the far tails accurate (erf saturates past |x| ~ 6), and
+        # the sign branch makes P(a > b) + P(b > a) = 1 exact.
+        tail = 0.5 * _erfc(np.abs(arg))
         out[positive] = np.where(arg >= 0.0, 1.0 - tail, tail)
     return out
 

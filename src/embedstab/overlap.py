@@ -11,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from .space import EmbeddingSpace, RunSet, _top_k, joint_vocabulary
+from .space import EmbeddingSpace, RunSet, _positions, _top_k, joint_vocabulary
 
 __all__ = [
     "OverlapMeasurement",
@@ -74,7 +72,7 @@ def _neighbor_lists(
     if n > len(joint) - 1:
         raise ValueError(f"n={n} exceeds joint vocabulary size {len(joint)} minus 1")
     words = joint.words
-    queries = np.array([joint.position(t) for t in targets], dtype=np.intp)[:, None]
+    queries = _positions(joint, targets)[:, None]
     per_space = []
     for space in spaces:
         found, _ = _top_k(space, words, queries, n)
@@ -103,12 +101,11 @@ def _summaries(
     pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
     summaries = []
     for target in targets:
-        p_total = 0.0
-        j_total = 0.0
+        p_total = j_total = 0.0
         for i, j in pairs:
-            m = len(set(per_space[i][target][:n]) & set(per_space[j][target][:n]))
-            p_total += m / n
-            j_total += m / (2 * n - m)
+            measured = list_overlap(per_space[i][target], per_space[j][target], n)
+            p_total += measured.p_at_n
+            j_total += measured.j_at_n
         summaries.append(
             OverlapSummary(target, n, p_total / len(pairs), j_total / len(pairs), len(pairs))
         )

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .align import _solve_rotation
-from .space import EmbeddingSpace, joint_vocabulary
+from .space import EmbeddingSpace, _positions, joint_vocabulary
 from .gaussian import StabilityProfile
 
 __all__ = [
@@ -81,7 +81,7 @@ def _rows(space: EmbeddingSpace, words: Sequence[str], name: str) -> np.ndarray:
             f"{name} is not normalized; PIP entries are cosines only for "
             "unit rows, so normalize explicitly first"
         )
-    return space.matrix[np.array([space.vocab.position(w) for w in words], dtype=np.intp)]
+    return space.matrix[_positions(space.vocab, words)]
 
 
 def _pip_kernel(
@@ -153,7 +153,7 @@ def reduced_pip_loss(
     space_a: EmbeddingSpace, space_b: EmbeddingSpace, proxy: ProxySample
 ) -> float:
     """PIP loss rescaled by 1/(2 |proxy|) into [0, 1]."""
-    return pip_loss(space_a, space_b, proxy) / (2.0 * len(proxy))
+    return _pair_losses(space_a, space_b, proxy)[0]
 
 
 def wordwise_reduced_pip_loss(

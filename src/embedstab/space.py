@@ -294,6 +294,8 @@ def load_frequencies(path: str | Path) -> dict[str, int]:
                 count = int(raw)
             except ValueError:
                 raise LoadError(f"{path}:{lineno}: non-integer count {raw!r}") from None
+            if count < 1:
+                raise LoadError(f"{path}:{lineno}: count must be >= 1, got {count}")
             if word in counts:
                 raise LoadError(f"{path}:{lineno}: duplicate word {word!r}")
             counts[word] = count
@@ -324,18 +326,12 @@ def load_analogies(path: str | Path) -> AnalogyDataset:
 
 def normalize(space: EmbeddingSpace) -> EmbeddingSpace:
     """Scale every row to unit L2 norm. Zero rows are an error naming the word."""
-    norms = np.linalg.norm(space.matrix, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ValueError(f"cannot normalize zero vector of {space.vocab.words[zero[0]]!r}")
-    return EmbeddingSpace(space.vocab, space.matrix / norms[:, None], normalized=True)
+    return EmbeddingSpace(space.vocab, _scaled_rows(space), normalized=True)
 
 
-def _unit_rows(space: EmbeddingSpace, rows: np.ndarray | None = None) -> np.ndarray:
-    """The space's rows (or the given rows) scaled to unit length."""
+def _scaled_rows(space: EmbeddingSpace, rows: np.ndarray | None = None) -> np.ndarray:
+    """The space's rows (or the given rows) divided by their L2 norms."""
     matrix = space.matrix if rows is None else space.matrix[rows]
-    if space.normalized:
-        return matrix
     norms = np.linalg.norm(matrix, axis=1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
@@ -344,15 +340,29 @@ def _unit_rows(space: EmbeddingSpace, rows: np.ndarray | None = None) -> np.ndar
     return matrix / norms[:, None]
 
 
+def _unit_rows(space: EmbeddingSpace, rows: np.ndarray | None = None) -> np.ndarray:
+    """The space's rows (or the given rows) at unit length: read as they are
+    from a normalized space, scaled otherwise."""
+    if space.normalized:
+        return space.matrix if rows is None else space.matrix[rows]
+    return _scaled_rows(space, rows)
+
+
+def _positions(vocab: Vocabulary, words: Sequence[str]) -> np.ndarray:
+    """Row positions of `words` in `vocab`; an unknown word is a KeyError."""
+    return np.array([vocab.position(w) for w in words], dtype=np.intp)
+
+
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # A stack of 1 x d by d x 1 products: one BLAS dot per row, the same
+    # call, and so the same rounding, as `x[i] @ y[i]` on one row.
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
 def cosine(space: EmbeddingSpace, w1: str, w2: str) -> float:
     """Cosine similarity of two words' rows, clipped to [-1, 1]."""
-    a = space.vector(w1)
-    b = space.vector(w2)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError(f"zero vector for {w1 if na == 0.0 else w2!r}")
-    return float(np.clip(float(a @ b) / (na * nb), -1.0, 1.0))
+    a, b = _unit_rows(space, _positions(space.vocab, [w1, w2]))
+    return float(np.clip(a @ b, -1.0, 1.0))
 
 
 def _top_k(
@@ -368,7 +378,7 @@ def _top_k(
     cut is ordered by (-similarity, word), so lists are exact under ties and
     independent of storage order.  Returns (q, n) positions and similarities.
     """
-    unit = _unit_rows(space, np.array([space.vocab.position(w) for w in words], dtype=np.intp))
+    unit = _unit_rows(space, _positions(space.vocab, words))
     found = np.empty((len(queries), n), dtype=np.intp)
     sims_found = np.empty((len(queries), n))
     step = max(1, _TOP_K_BLOCK_ENTRIES // len(unit))
@@ -449,9 +459,8 @@ def joint_vocabulary(spaces: Sequence[EmbeddingSpace]) -> Vocabulary:
 
 def restrict(space: EmbeddingSpace, words: Sequence[str]) -> EmbeddingSpace:
     """Sub-space holding exactly `words`, in the given order."""
-    rows = np.array([space.vocab.position(w) for w in words], dtype=np.intp)
     frequency = None
     if space.vocab.frequency is not None:
         frequency = {w: space.vocab.frequency[w] for w in words}
-    matrix = space.matrix[rows] if rows.size else np.empty((0, space.dim))
+    matrix = space.matrix[_positions(space.vocab, words)]
     return EmbeddingSpace(Vocabulary(tuple(words), frequency), matrix, space.normalized)

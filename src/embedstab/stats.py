@@ -1,9 +1,11 @@
 """Rank correlation and normality tests used by the stability analyses.
 
-Both tests are implemented here rather than imported so their p-value
-approximations are pinned: Spearman uses the t-approximation with n - 2
-degrees of freedom, Shapiro-Wilk uses Royston's AS R94 weights and
-normalizing transforms (valid for 3 <= n <= 5000).
+Spearman is implemented here, with the t-approximation p-value on n - 2
+degrees of freedom, because the `change` command ranks with it and must not
+pay for importing `scipy.stats`.  Shapiro-Wilk is `scipy.stats.shapiro`
+(Royston's AS R94 weights and normalizing transforms, valid for
+3 <= n <= 5000), imported inside `shapiro_wilk` for the same reason: that
+import takes longer than the rest of the package.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erfc, ndtri, stdtr
+from scipy.special import stdtr
 
 __all__ = ["average_ranks", "spearman", "shapiro_wilk"]
 
@@ -61,83 +63,20 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
     return rho, min(p, 1.0)
 
 
-# Royston AS R94 polynomial coefficients (ascending powers).
-_C1 = (0.221157, -0.147981, -2.071190, 4.434685, -2.706056)
-_C2 = (0.042981, -0.293762, -1.752461, 5.682633, -3.582633)
-_C3 = (0.5440, -0.39978, 0.025054, -6.714e-4)
-_C4 = (1.3822, -0.77857, 0.062767, -20.322e-4)
-_C5 = (-1.5861, -0.31082, -0.083751, 38.915e-4)
-_C6 = (-0.4803, -0.082676, 30.302e-4)
-
-
-def _poly(coeffs: tuple[float, ...], x: float) -> float:
-    total = 0.0
-    for power, coeff in enumerate(coeffs):
-        total += coeff * x**power
-    return total
-
-
-def _shapiro_weights(n: int) -> np.ndarray:
-    m = ndtri((np.arange(1, n + 1) - 0.375) / (n + 0.25))
-    msq = float(m @ m)
-    if n == 3:
-        a = np.zeros(3)
-        a[2] = math.sqrt(0.5)
-        a[0] = -a[2]
-        return a
-    c = m / math.sqrt(msq)
-    u = 1.0 / math.sqrt(n)
-    a = np.empty(n)
-    a_n = c[-1] + u * _poly(_C1, u)
-    if n > 5:
-        a_n1 = c[-2] + u * _poly(_C2, u)
-        phi = (msq - 2.0 * m[-1] ** 2 - 2.0 * m[-2] ** 2) / (
-            1.0 - 2.0 * a_n**2 - 2.0 * a_n1**2
-        )
-        a[2 : n - 2] = m[2 : n - 2] / math.sqrt(phi)
-        a[-1], a[-2] = a_n, a_n1
-        a[0], a[1] = -a_n, -a_n1
-    else:
-        phi = (msq - 2.0 * m[-1] ** 2) / (1.0 - 2.0 * a_n**2)
-        a[1 : n - 1] = m[1 : n - 1] / math.sqrt(phi)
-        a[-1] = a_n
-        a[0] = -a_n
-    return a
-
-
 def shapiro_wilk(xs: Sequence[float]) -> tuple[float, float]:
-    """Shapiro-Wilk W statistic and p-value, Royston AS R94 approximation.
+    """Shapiro-Wilk W statistic and p-value (`scipy.stats.shapiro`).
 
     Valid for sample sizes 3 <= n <= 5000; a constant sample is an error.
     """
-    xs = np.sort(np.asarray(xs, dtype=np.float64))
+    # Imported here: scipy.stats takes about a second to import, longer
+    # than the rest of the package, and only this test needs it.
+    from scipy.stats import shapiro
+
+    xs = np.asarray(xs, dtype=np.float64)
     n = xs.size
     if not 3 <= n <= 5000:
         raise ValueError(f"sample size must be in [3, 5000], got {n}")
-    if xs[0] == xs[-1]:
+    if xs.min() == xs.max():
         raise ValueError("all observations are equal; W is undefined")
-    a = _shapiro_weights(n)
-    centered = xs - xs.mean()
-    ssq = float(centered @ centered)
-    w_num = float(a @ xs) ** 2
-    w = min(w_num / ssq, 1.0)
-    if n == 3:
-        p = 6.0 / math.pi * (math.asin(math.sqrt(w)) - math.asin(math.sqrt(0.75)))
-        return w, float(np.clip(p, 0.0, 1.0))
-    if w == 1.0:
-        return w, 1.0
-    if n <= 11:
-        gamma = -2.273 + 0.459 * n
-        if gamma - math.log(1.0 - w) <= 0.0:
-            return w, 1e-99
-        wt = -math.log(gamma - math.log(1.0 - w))
-        mu = _poly(_C3, float(n))
-        sigma = math.exp(_poly(_C4, float(n)))
-    else:
-        wt = math.log(1.0 - w)
-        logn = math.log(n)
-        mu = _poly(_C5, logn)
-        sigma = math.exp(_poly(_C6, logn))
-    z = (wt - mu) / sigma
-    p = 0.5 * float(erfc(z / math.sqrt(2.0)))
-    return w, float(np.clip(p, 0.0, 1.0))
+    w, p = shapiro(xs)
+    return float(w), float(p)

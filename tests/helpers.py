@@ -16,6 +16,7 @@ from embedstab import (
     Vocabulary,
     normalize,
 )
+from embedstab.align import _solve_rotation
 from embedstab.sgns import _sigmoid
 
 
@@ -308,3 +309,48 @@ def analogy_score_oracle(
     if answered == 0:
         return 0.0, 0.0
     return correct / answered, answered / len(dataset.questions)
+
+
+def aligned_average_pair_oracle(
+    space_a: EmbeddingSpace, space_b: EmbeddingSpace
+) -> EmbeddingSpace:
+    """Aligned average of two spaces without normalization checks, built one
+    word at a time: the second space's words in its order (joint rows
+    averaged), then the first space's other words rotated into its frame."""
+    joint = [w for w in space_a.vocab.words if w in space_b.vocab]
+    a = np.array([space_a.vector(w) for w in joint])
+    b = np.array([space_b.vector(w) for w in joint])
+    rotation = _solve_rotation(a, b)
+    averaged = 0.5 * (a @ rotation + b)
+    averaged_of = {w: averaged[i] for i, w in enumerate(joint)}
+    words, rows, frequency = [], [], {}
+    for space, own in ((space_b, True), (space_a, False)):
+        for w in space.vocab.words:
+            if own:
+                row = averaged_of[w] if w in averaged_of else space.vector(w)
+            elif w in averaged_of:
+                continue
+            else:
+                row = space.vector(w) @ rotation
+            words.append(w)
+            rows.append(row)
+            if space.vocab.frequency is not None:
+                frequency[w] = space.vocab.frequency[w]
+    vocab = Vocabulary(tuple(words), frequency or None)
+    return EmbeddingSpace(vocab, np.array(rows), normalized=False)
+
+
+def pair_cosine_moments_oracle(
+    runs: RunSet, word_pairs: Sequence[tuple[str, str]]
+) -> tuple[float, float]:
+    """Mean over word pairs of the across-run (mu, sigma) of the cosine, one
+    dot product per run and pair."""
+    samples = np.empty((len(runs), len(word_pairs)))
+    for i, space in enumerate(runs.spaces):
+        unit = _unit_matrix(space)
+        for j, (w1, w2) in enumerate(word_pairs):
+            dot = unit[space.vocab.position(w1)] @ unit[space.vocab.position(w2)]
+            samples[i, j] = np.clip(dot, -1.0, 1.0)
+    mu = samples.mean(axis=0)
+    sigma = np.sqrt(((samples - mu) ** 2).mean(axis=0))
+    return float(mu.mean()), float(sigma.mean())

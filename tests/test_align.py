@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from embedstab import (
@@ -17,13 +18,25 @@ from embedstab import (
     procrustes,
     sample_word_pairs,
 )
+from embedstab.align import _average_pair_raw
 
 from helpers import (
+    aligned_average_pair_oracle,
+    pair_cosine_moments_oracle,
     random_normalized_space,
     random_rotation,
     rotated_copy,
+    shuffled_words,
     words_for,
 )
+
+
+def _random_space(rng, words, d, counts):
+    """A space over `words` in a random order, normalized or raw at random."""
+    words = [words[i] for i in rng.permutation(len(words))]
+    frequency = None if counts is None else {w: counts[w] for w in words}
+    space = EmbeddingSpace(Vocabulary(tuple(words), frequency), rng.normal(size=(len(words), d)))
+    return normalize(space) if rng.random() < 0.5 else space
 
 
 class TestProcrustes:
@@ -150,6 +163,30 @@ class TestAlignedAveragePair:
         norms = np.linalg.norm(averaged.matrix, axis=1)
         assert np.all(norms <= 1.0 + 1e-12)
         assert np.mean(norms) < 1.0
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_matches_the_per_word_oracle(self, data):
+        # Vocabularies overlap in part, in different orders; the first space
+        # may hold no word of its own.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        joint, only_a, only_b = (data.draw(st.integers(low, 8)) for low in (1, 0, 0))
+        pool = shuffled_words(rng, joint + only_a + only_b)
+        counts = None
+        if data.draw(st.booleans()):
+            counts = {w: int(c) for w, c in zip(pool, rng.integers(1, 100, size=len(pool)))}
+        d = data.draw(st.integers(1, 6))
+        space_a = _random_space(rng, pool[: joint + only_a], d, counts)
+        space_b = _random_space(rng, pool[:joint] + pool[joint + only_a :], d, counts)
+        got = _average_pair_raw(space_a, space_b)
+        want = aligned_average_pair_oracle(space_a, space_b)
+        assert got.vocab.words == want.vocab.words
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        if counts is None:
+            assert got.vocab.frequency is None and want.vocab.frequency is None
+        else:
+            assert list(got.vocab.frequency.items()) == list(want.vocab.frequency.items())
+        assert not got.normalized
 
 
 class TestAlignedAverageTree:
@@ -294,6 +331,27 @@ class TestBiasVarianceReport:
         pairs = sample_word_pairs(spaces, 30, seed=91)
         sigma_ratio, mu_ratio = bias_variance_report(runs, runs, pairs)
         assert_allclose((sigma_ratio, mu_ratio), (1.0, 1.0), rtol=1e-12)
+
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_matches_the_per_pair_oracle(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        pool = shuffled_words(rng, data.draw(st.integers(2, 12)))
+        d = data.draw(st.integers(1, 6))
+        runs, averaged = (
+            RunSet(tuple(_random_space(rng, pool, d, None) for _ in range(count)))
+            for count in (data.draw(st.integers(2, 5)), data.draw(st.integers(2, 4)))
+        )
+        count = data.draw(st.integers(1, min(12, len(pool) * (len(pool) - 1) // 2)))
+        pairs = sample_word_pairs(runs.spaces, count, seed=data.draw(st.integers(0, 99)))
+        mu_orig, sigma_orig = pair_cosine_moments_oracle(runs, pairs)
+        mu_avg, sigma_avg = pair_cosine_moments_oracle(averaged, pairs)
+        if sigma_orig == 0.0 or mu_orig == 0.0:
+            with pytest.raises(ValueError, match="ratios are undefined"):
+                bias_variance_report(runs, averaged, pairs)
+        else:
+            got = bias_variance_report(runs, averaged, pairs)
+            assert got == (sigma_avg / sigma_orig, mu_avg / mu_orig)
 
     def test_validation(self):
         spaces = tuple(random_normalized_space(10, 3, seed=95 + i) for i in range(2))

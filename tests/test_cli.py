@@ -24,6 +24,7 @@ from embedstab import (
     normalize,
     reduced_pip_loss,
     sample_proxy,
+    save_frequencies,
     save_text_vectors,
 )
 from embedstab.cli import ExperimentConfig, main, run_experiment
@@ -416,6 +417,17 @@ class TestPipCommand:
         assert run_cli(
             "pip", "--inputs", first, "--out", tmp_path / "pip.tsv"
         ) == 3
+
+    def test_sidecar_count_below_one_names_its_line(self, tmp_path, capsys):
+        paths = [tmp_path / "a.vec", tmp_path / "b.vec"]
+        for seed, path in enumerate(paths):
+            save_text_vectors(random_normalized_space(3, 2, seed=seed), path)
+        freq = tmp_path / "b.vec.freq"
+        freq.write_text("w0000\t4\nw0001\t0\nw0002\t1\n")
+        assert run_cli("pip", "--inputs", *paths, "--out", tmp_path / "pip.tsv") == 3
+        assert capsys.readouterr().err == (
+            f"embedstab: data error: {freq}:2: count must be >= 1, got 0\n"
+        )
 
 
 class TestOverlapCommand:
@@ -883,12 +895,18 @@ def file_record(path, name=None):
 
 
 class TestReportProvenance:
-    """Every report names its inputs in argument order with their sha256;
-    every manifest records its files' sha256."""
+    """Every report names its inputs in argument order with their sha256,
+    each frequency sidecar it read right after its vector file; every
+    manifest records its files' sha256."""
 
     def test_space_list_reports(self, tmp_path, run_dir, targets_file):
         files = sorted(run_dir.glob("*.vec"))[::-1]  # argument order, not sorted
-        want = [(f"space {i}", sha256_of(f)) for i, f in enumerate(files)]
+        want = [
+            pair
+            for i, f in enumerate(files)
+            for pair in ((f"space {i}", sha256_of(f)),
+                         (f"space {i} frequencies", sha256_of(f"{f}.freq")))
+        ]
         for command, extra in (
             ("overlap", ("--targets", targets_file)),
             ("predict", ("--targets", targets_file)),
@@ -905,8 +923,13 @@ class TestReportProvenance:
             "--runs", "all", "--out", out,
         ) == 0
         files = sorted(run_dir.glob("*.vec"))
-        want = [(f"shuffled {f.name}", sha256_of(f)) for f in files]
-        want += [(f"bootstrapped {f.name}", sha256_of(f)) for f in files]
+        want = [
+            pair
+            for mode in ("shuffled", "bootstrapped")
+            for f in files
+            for pair in ((f"{mode} {f.name}", sha256_of(f)),
+                         (f"{mode} {f.name} frequencies", sha256_of(f"{f}.freq")))
+        ]
         assert input_hashes(out) == want
 
     def test_analogy(self, tmp_path, run_dir, targets_file):
@@ -919,7 +942,9 @@ class TestReportProvenance:
             "analogy", "--input", vec, "--analogies", questions, "--out", out
         ) == 0
         assert input_hashes(out) == [
-            ("space", sha256_of(vec)), ("analogies", sha256_of(questions))
+            ("space", sha256_of(vec)),
+            ("space frequencies", sha256_of(f"{vec}.freq")),
+            ("analogies", sha256_of(questions)),
         ]
 
     def test_change_report_and_evaluation(self, tmp_path):
@@ -928,6 +953,8 @@ class TestReportProvenance:
         targets.write_text(f"{changed}\n{control}\n")
         gold = tmp_path / "gold.tsv"
         gold.write_text(f"{changed}\t1\n{control}\t0\n")
+        graded = tmp_path / "graded.tsv"
+        graded.write_text(f"{changed}\t0.9\n{control}\t0.1\n")
         out_dir = tmp_path / "change"
         assert run_cli(
             "change", "--t1", p1, "--t2", p2, "--targets", targets,
@@ -937,7 +964,46 @@ class TestReportProvenance:
             ("t1", sha256_of(p1)), ("t2", sha256_of(p2)), ("targets", sha256_of(targets))
         ]
         assert input_hashes(out_dir / "report.tsv") == want
-        assert input_hashes(out_dir / "evaluation.tsv") == want
+        assert input_hashes(out_dir / "evaluation.tsv") == want + [("gold binary", sha256_of(gold))]
+
+        # With sidecars, each is listed after its vector file; with both gold
+        # files, binary comes before graded.
+        words = load_text_vectors(p1).vocab.words
+        for path in (p1, p2):
+            save_frequencies({w: 600 for w in words}, f"{path}.freq")
+        assert run_cli(
+            "change", "--t1", p1, "--t2", p2, "--targets", targets, "--min-count", 5,
+            "--gold-graded", graded, "--gold-binary", gold, "--out", out_dir,
+        ) == 0
+        want = [
+            ("t1", sha256_of(p1)), ("t1 frequencies", sha256_of(f"{p1}.freq")),
+            ("t2", sha256_of(p2)), ("t2 frequencies", sha256_of(f"{p2}.freq")),
+            ("targets", sha256_of(targets)),
+        ]
+        assert input_hashes(out_dir / "report.tsv") == want
+        assert input_hashes(out_dir / "evaluation.tsv") == want + [
+            ("gold binary", sha256_of(gold)), ("gold graded", sha256_of(graded))
+        ]
+
+    def test_editing_only_a_sidecar_changes_the_input_lines(self, tmp_path):
+        # The counts decide which words `--min-count` scores, so a report
+        # must change when only a sidecar does.
+        p1, p2, changed, _ = write_epoch_pair(tmp_path)
+        targets = tmp_path / "targets.txt"
+        targets.write_text(f"{changed}\n")
+        words = load_text_vectors(p1).vocab.words
+        lines = []
+        for counts in ({w: 600 for w in words}, {w: 600 if i % 2 else 2 for i, w in enumerate(words)}):
+            for path in (p1, p2):
+                save_frequencies(counts, f"{path}.freq")
+            out_dir = tmp_path / f"change{len(lines)}"
+            assert run_cli(
+                "change", "--t1", p1, "--t2", p2, "--targets", targets,
+                "--min-count", 5, "--out", out_dir,
+            ) == 0
+            lines.append(input_hashes(out_dir / "report.tsv"))
+        assert lines[0] != lines[1]
+        assert [label for label, _ in lines[0]] == [label for label, _ in lines[1]]
 
     def test_conformity(self, tmp_path, epochs_dir):
         out = tmp_path / "conformity.tsv"
@@ -984,5 +1050,9 @@ class TestReportProvenance:
         averaged = tmp_path / "avg.vec"
         assert run_cli("average", "--inputs", *files, "--out", averaged) == 0
         manifest = json.loads(Path(f"{averaged}.manifest.json").read_text())
-        assert manifest["config"]["inputs"] == [file_record(f) for f in files]
+        assert manifest["config"]["inputs"] == [
+            {**file_record(f), "frequency_file": f"{f}.freq",
+             "frequency_sha256": sha256_of(f"{f}.freq")}
+            for f in files
+        ]
         assert manifest["output"] == file_record(averaged)

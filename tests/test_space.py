@@ -190,6 +190,14 @@ class TestTextVectorIO:
         with pytest.raises((LoadError, ValueError)):
             load_text_vectors(vec, path)
 
+    def test_count_below_one_names_its_line(self, tmp_path):
+        path = tmp_path / "f.freq"
+        for count in ("0", "-3"):
+            path.write_text(f"a\t3\nb\t{count}\n")
+            with pytest.raises(LoadError) as caught:
+                load_frequencies(path)
+            assert str(caught.value) == f"{path}:2: count must be >= 1, got {count}"
+
 
 class TestBlockLoader:
     """The block loader against the per-value oracle, and every fault it names."""
