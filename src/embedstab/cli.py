@@ -440,9 +440,12 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         Path(args.profiles).mkdir(parents=True, exist_ok=True)
     # One pass serves the candidate queries and both measured overlaps,
     # which read the top-1 and top-2 prefixes of the same lists.
-    neighbor_lists = _neighbor_lists(spaces, targets, max(args.candidates, 2))
-    measured_1 = {s.target: s.mean_p for s in _summaries(neighbor_lists, targets, 1)}
-    measured_2 = {s.target: s.mean_p for s in _summaries(neighbor_lists, targets, 2)}
+    sizes = (1, 2)
+    neighbor_lists = _neighbor_lists(spaces, targets, max(args.candidates, *sizes))
+    measured = [
+        {s.target: s.mean_p for s in _summaries(neighbor_lists, targets, n)}
+        for n in sizes
+    ]
     rows = []
     for index, target in enumerate(targets):
         queries = sorted(
@@ -456,11 +459,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             (
                 target,
                 len(queries),
-                expected_overlap(profile, 1),
-                expected_overlap(profile, 2),
+                *(expected_overlap(profile, n) for n in sizes),
                 structure_factor(profile, 1),
-                measured_1[target],
-                measured_2[target],
+                *(by_target[target] for by_target in measured),
             )
         )
     meta = _base_meta("predict", _space_inputs(args.inputs))

@@ -2,20 +2,21 @@
 
 Across repeated runs the cosine of a fixed (target, query) pair is modeled
 as an independent Gaussian with parameters (mu, sigma) estimated per pair.
-From a target's full profile of pair statistics the model predicts the
-probability that a query lands at rank 1 or within the top 2 of the
-target's neighbor list in a fresh run, and from those the expected top-n
-overlap between two fresh runs.
+From a target's full profile of pair statistics the model predicts p#n,
+the probability that a query lands within the top n of the target's
+neighbor list in a fresh run, for any n >= 1, and from it the expected
+top-n overlap between two fresh runs.
 
-Both probabilities come for every query of a profile at once from one
-quadrature pass: panel Gauss-Legendre nodes between the breakpoints
-mu + k sigma of all entries, one matrix of competitor CDFs, and a
-leave-one-out recurrence over the entries that gives, per entry and node,
-the chance that no other entry, or exactly one other entry, lies above.
-The grid is fixed by the entries' breakpoints, so there is no integration
-tolerance to set; `pruning_threshold` is the only accuracy knob.  The
-result is computed once per profile and pruning threshold and kept on the
-profile.
+One kernel gives p#1 ... p#n for every query of a profile at once:
+panel Gauss-Legendre nodes between the breakpoints mu + k sigma of all
+entries, one matrix of competitor CDFs, and per entry and node the
+distribution of how many other entries lie above, as a truncated product
+of one polynomial per competitor.  The grid is fixed by the entries'
+breakpoints, so there is no integration tolerance to set;
+`pruning_threshold` is the only accuracy knob: an entry takes part in a
+table of size n only if its chance of exceeding one of the n highest means
+reaches it.  A table is computed once per profile, pruning threshold and
+size and kept on the profile; p#1 and p#2 both read the size-2 table.
 """
 
 from __future__ import annotations
@@ -79,8 +80,8 @@ class StabilityProfile:
     target: str
     entries: tuple[PairStatistics, ...]
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
-    # (p#1, p#2) arrays per pruning threshold, filled on first use.
-    _ranks: dict[float, tuple[np.ndarray, np.ndarray]] = field(
+    # p#1 ... p#n tables per (pruning threshold, n), filled on first use.
+    _ranks: dict[tuple[float, int], np.ndarray] = field(
         init=False, repr=False, compare=False
     )
 
@@ -182,13 +183,17 @@ def prob_greater(a: PairStatistics, b: PairStatistics) -> float:
     return float(_prob_greater_vs(np.array([a.mu]), np.array([a.sigma]), b.mu, b.sigma)[0])
 
 
-def _prob_greater_vs(mu: np.ndarray, sigma: np.ndarray, mu0: float, sigma0: float) -> np.ndarray:
-    """P(entry > reference) per entry under independent Gaussians."""
+def _prob_greater_vs(
+    mu: np.ndarray, sigma: np.ndarray, mu0: np.ndarray | float, sigma0: np.ndarray | float
+) -> np.ndarray:
+    """P(entry > reference) under independent Gaussians, broadcast over the
+    entries (mu, sigma) and the references (mu0, sigma0)."""
+    mu, sigma, mu0, sigma0 = np.broadcast_arrays(mu, sigma, mu0, sigma0)
     variance = sigma * sigma + sigma0 * sigma0
     out = np.where(mu > mu0, 1.0, np.where(mu < mu0, 0.0, 0.5))
     positive = variance > 0.0
     if np.any(positive):
-        arg = (mu[positive] - mu0) / np.sqrt(2.0 * variance[positive])
+        arg = (mu[positive] - mu0[positive]) / np.sqrt(2.0 * variance[positive])
         # erfc keeps the far tails accurate (erf saturates past |x| ~ 6), and
         # the sign branch makes P(a > b) + P(b > a) = 1 exact.
         tail = 0.5 * _erfc(np.abs(arg))
@@ -209,62 +214,48 @@ def _cdf_matrix(x: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _rank_reference(mu: np.ndarray, sigma: np.ndarray, rank: int) -> tuple[float, float]:
-    """(mu, sigma) of the entry with the rank-th highest mean (0-based)."""
-    order = np.argsort(-mu, kind="stable")
-    ref = order[min(rank, len(order) - 1)]
-    return float(mu[ref]), float(sigma[ref])
+def _keep_mask(mu: np.ndarray, sigma: np.ndarray, threshold: float, n: int) -> np.ndarray:
+    """Entries with a non-negligible chance of reaching the top n.
 
-
-def _keep_mask(
-    mu: np.ndarray, sigma: np.ndarray, threshold: float, rank: int
-) -> np.ndarray:
-    """Entries with a non-negligible chance of reaching the given rank.
-
-    An entry whose probability of exceeding the rank-th highest mean falls
-    below `threshold` can neither reach the top-(rank+1) list nor shift the
+    An entry whose probability of exceeding each of the n highest means
+    falls below `threshold` can neither reach the top-n list nor shift the
     survivors' integrals (its CDF factor is 1 there), so it is dropped.
     """
-    mu0, sigma0 = _rank_reference(mu, sigma, rank)
-    return _prob_greater_vs(mu, sigma, mu0, sigma0) >= threshold
+    ref = np.argsort(-mu, kind="stable")[:n]
+    beats = _prob_greater_vs(mu[:, None], sigma[:, None], mu[ref], sigma[ref])
+    return (beats >= threshold).any(axis=1)
 
 
-def _exclusive_products(f: np.ndarray) -> np.ndarray:
-    """Per row i and column, the product of f over all rows except i."""
-    before = np.ones_like(f)
-    np.cumprod(f[:-1], axis=0, out=before[1:])
-    after = np.ones_like(f)
-    after[:-1] = np.cumprod(f[:0:-1], axis=0)[::-1]
-    return before * after
+def _poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of polynomials stacked along axis 0, truncated to their length."""
+    out = a[0] * b
+    for j in range(1, len(a)):
+        out[j:] += a[j] * b[:-j]
+    return out
 
 
-def _leave_one_out(
-    cdf: np.ndarray, first: np.ndarray, second: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per entry and node: P(no other `first` entry lies above the node),
-    P(no other `second` entry lies above it) and P(exactly one does).
+def _others_above(cdf: np.ndarray, n: int) -> np.ndarray:
+    """(n, entries, nodes) array: P(exactly c entries other than i lie above
+    the node) for c < n.
 
-    Entries outside a mask count as always below.  The `second` mask runs
-    a two-state (none above, one above) recurrence over the entries
-    before i and another over those after i, and joins them; no division,
-    so CDF values of exactly 0 or 1 are safe.
+    Entry j contributes the polynomial F_j + (1 - F_j) z, and entry i's
+    distribution is the product over j != i, truncated at z^(n-1).  The
+    inclusive prefix and suffix products come from a Hillis-Steele scan in
+    log2(entries) steps, and entry i joins prefix(i - 1) with suffix(i + 1):
+    no division, so CDF values of exactly 0 or 1 are safe.
     """
-    none_first = _exclusive_products(np.where(first[:, None], cdf, 1.0))
-    below = np.where(second[:, None], cdf, 1.0)
-    above = 1.0 - below
-    k, width = cdf.shape
-    before_none, before_one = np.empty_like(cdf), np.empty_like(cdf)
-    after_none, after_one = np.empty_like(cdf), np.empty_like(cdf)
-    for order, none_out, one_out in (
-        (range(k), before_none, before_one),
-        (range(k - 1, -1, -1), after_none, after_one),
-    ):
-        none, one = np.ones(width), np.zeros(width)
-        for i in order:
-            none_out[i], one_out[i] = none, one
-            none, one = none * below[i], one * below[i] + none * above[i]
-    one_second = before_none * after_one + before_one * after_none
-    return none_first, before_none * after_none, one_second
+    poly = np.zeros((n, *cdf.shape))
+    poly[0], poly[1:2] = cdf, 1.0 - cdf
+    prefix, suffix = poly, poly.copy()
+    step = 1
+    while step < cdf.shape[0]:
+        prefix[:, step:] = _poly_mul(prefix[:, :-step], prefix[:, step:])
+        suffix[:, :-step] = _poly_mul(suffix[:, :-step], suffix[:, step:])
+        step *= 2
+    before, after = np.zeros_like(poly), np.zeros_like(poly)
+    before[0, 0] = after[0, -1] = 1.0
+    before[:, 1:], after[:, :-1] = prefix[:, :-1], suffix[:, 1:]
+    return _poly_mul(before, after)
 
 
 def _quadrature_nodes(
@@ -289,50 +280,45 @@ def _quadrature_nodes(
 
 
 def _rank_kernel(
-    mu: np.ndarray, sigma: np.ndarray, pruning_threshold: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """p#1 and p#2 of every entry of a profile.
+    mu: np.ndarray, sigma: np.ndarray, pruning_threshold: float, n: int
+) -> np.ndarray:
+    """(n, entries) table whose row m - 1 holds p#m of every entry.
 
-    p#1 of entry i integrates its density against P(no other rank-0-kept
-    entry lies above); p#2 adds the integral against P(exactly one other
-    rank-1-kept entry lies above).  Entries kept for neither rank take no
-    part.  Point masses tied at one mean share their ranks uniformly: at
-    its own node, each of t + 1 tied masses is on top of the tie with
-    chance 1 / (t + 1), and second in it with the same chance when t >= 1.
-    Nodes are taken in blocks, so memory is O(entries x block).
+    P(rank m) of entry i integrates its density against P(exactly m - 1
+    other kept entries lie above); p#m sums ranks 1 to m.  Entries outside
+    `_keep_mask` take no part and score 0.  Point masses tied at one mean
+    share their ranks uniformly: at its own node, each of t + 1 tied masses
+    with c others strictly above takes each rank c + 1 ... c + t + 1 with
+    chance 1 / (t + 1).  Nodes are taken in blocks, so memory is
+    O(n x entries x block).
     """
-    first = _keep_mask(mu, sigma, pruning_threshold, rank=0)
-    second = _keep_mask(mu, sigma, pruning_threshold, rank=1)
-    p1_all, p2_all = np.zeros(mu.size), np.zeros(mu.size)
-    active = np.flatnonzero(first | second)
+    table = np.zeros((n, mu.size))
+    active = np.flatnonzero(_keep_mask(mu, sigma, pruning_threshold, n))
     mu, sigma = mu[active], sigma[active]
-    first, second = first[active], second[active]
     spread = sigma > 0.0
     scale = np.where(spread, sigma, 1.0)[:, None]
     x, w, owner = _quadrature_nodes(mu, sigma)
     ties = np.zeros(active.size)  # other point masses at each one's mean
     _, group, size = np.unique(mu[~spread], return_inverse=True, return_counts=True)
     ties[~spread] = size[group] - 1
-    p1, above = np.zeros(active.size), np.zeros(active.size)
-    block = max(1, _BLOCK_ELEMENTS // max(1, active.size))
+    lag = np.subtract.outer(np.arange(n), np.arange(n))[:, :, None]
+    rank = np.zeros((n, active.size))
+    block = max(1, _BLOCK_ELEMENTS // max(1, n * active.size))
     for start in range(0, x.size, block):
         xb, wb, ob = (a[start : start + block] for a in (x, w, owner))
         t = (xb - mu[:, None]) / scale
         density = np.exp(-0.5 * t * t) * (wb * _INV_SQRT_2PI) / scale
         weight = np.where(spread[:, None] & (ob < 0), density, 0.0)
         owned = np.flatnonzero(ob >= 0)
-        weight[ob[owned], owned] = 1.0
-        none, none_second, one = _leave_one_out(_cdf_matrix(xb, mu, sigma), first, second)
         mass = ob[owned]
-        share = 1.0 / (ties[mass] + 1.0)
-        tied_second = (ties[mass] > 0) * none_second[mass, owned]
-        one[mass, owned] = (one[mass, owned] + tied_second) * share
-        none[mass, owned] *= share
-        p1 += np.einsum("ij,ij->i", weight, none)
-        above += np.einsum("ij,ij->i", weight, one)
-    p1_all[active] = np.where(first, np.clip(p1, 0.0, 1.0), 0.0)
-    p2_all[active] = np.minimum(1.0, p1_all[active] + np.where(second, above, 0.0))
-    return p1_all, p2_all
+        weight[mass, owned] = 1.0
+        above = _others_above(_cdf_matrix(xb, mu, sigma), n)
+        tied = ties[mass]
+        window = ((lag >= 0) & (lag <= tied)) / (tied + 1.0)
+        above[:, mass, owned] = np.einsum("cjm,jm->cm", window, above[:, mass, owned])
+        rank += np.einsum("ij,cij->ci", weight, above)
+    table[:, active] = np.clip(np.cumsum(rank, axis=0), 0.0, 1.0)
+    return table
 
 
 def _profile_arrays(profile: StabilityProfile) -> tuple[np.ndarray, np.ndarray]:
@@ -342,16 +328,21 @@ def _profile_arrays(profile: StabilityProfile) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rank_probabilities(
-    profile: StabilityProfile, pruning_threshold: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(p#1, p#2) per entry, computed once per profile and threshold."""
-    ranks = profile._ranks.get(pruning_threshold)
-    if ranks is None:
-        ranks = _rank_kernel(*_profile_arrays(profile), pruning_threshold)
-        for values in ranks:
-            values.setflags(write=False)
-        profile._ranks[pruning_threshold] = ranks
-    return ranks
+    profile: StabilityProfile, pruning_threshold: float, n: int = 2
+) -> np.ndarray:
+    """(max(n, 2), entries) table of p#1 ... p#max(n, 2), computed once per
+    profile, threshold and size.
+
+    p#1 and p#2 always come from the size-2 table, so p#1 <= p#2 holds
+    exactly; tables of other sizes have other grids and may differ by ulps.
+    """
+    key = (pruning_threshold, max(n, 2))
+    table = profile._ranks.get(key)
+    if table is None:
+        table = _rank_kernel(*_profile_arrays(profile), *key)
+        table.setflags(write=False)
+        profile._ranks[key] = table
+    return table
 
 
 def predict_p_hash1(
@@ -364,13 +355,12 @@ def predict_p_hash1(
 
     Integrates the query's similarity density against the product of the
     competitors' CDFs over mu +- 8 sigma.  Entries with probability below
-    `pruning_threshold` of exceeding the highest-mean entry are pruned:
-    as candidates they return 0 outright, and as competitors they are
-    dropped from the CDF product.
+    `pruning_threshold` of exceeding both of the two highest means are
+    pruned: as candidates they return 0 outright, and as competitors they
+    are dropped from the CDF product.
     """
     profile.entry(query)
-    p1, _ = _rank_probabilities(profile, pruning_threshold)
-    return float(p1[profile._index[query]])
+    return float(_rank_probabilities(profile, pruning_threshold)[0, profile._index[query]])
 
 
 def predict_p_hash2(
@@ -382,13 +372,11 @@ def predict_p_hash2(
     """Probability that `query` lands in the target's top-2 list in one run.
 
     Adds to the rank-1 probability the probability that exactly one other
-    entry exceeds the query.  Pruning for that term is relative to the
-    second-highest mean: an entry must have a non-negligible chance of
-    cracking the top two to participate.
+    entry exceeds the query, from the same kernel call, kept set and grid
+    as `predict_p_hash1`, so p#2 >= p#1 exactly.
     """
     profile.entry(query)
-    _, p2 = _rank_probabilities(profile, pruning_threshold)
-    return float(p2[profile._index[query]])
+    return float(_rank_probabilities(profile, pruning_threshold)[1, profile._index[query]])
 
 
 def expected_overlap(
@@ -397,15 +385,17 @@ def expected_overlap(
     *,
     pruning_threshold: float = DEFAULT_PRUNING_THRESHOLD,
 ) -> float:
-    """Expected top-n overlap fraction between two independent runs.
+    """Expected top-n overlap fraction between two independent runs, n >= 1.
 
     Two runs agree on a top-n slot with probability p_#n(query) per query;
     summing the squares and dividing by the list size n gives the expected
-    overlap fraction, which stays in [0, 1].
+    overlap fraction, which stays in [0, 1].  p_#n comes from the one rank
+    kernel; pruning keeps the entries with a chance of at least
+    `pruning_threshold` of exceeding one of the max(n, 2) highest means.
     """
-    if n not in (1, 2):
-        raise ValueError(f"n must be 1 or 2, got {n}")
-    p = _rank_probabilities(profile, pruning_threshold)[n - 1]
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    p = _rank_probabilities(profile, pruning_threshold, n)[n - 1]
     return min(1.0, float(p @ p) / n)
 
 

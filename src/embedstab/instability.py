@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .pip_loss import ProxySample, _pair_losses
+from .pip_loss import ProxySample, _pair_losses, _rows
 from .space import RunSet, joint_vocabulary
 from .stats import spearman
 
@@ -69,12 +69,11 @@ def _pairwise(
     runs: RunSet, proxy: ProxySample, words: Sequence[str] = ()
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reduced PIP loss per run pair and the (pair, word) matrix of word-wise
-    reduced PIP losses, one kernel call per pair."""
+    reduced PIP losses: one gather of rows per run, one kernel call per pair."""
     if len(runs) < 2:
         raise ValueError(f"need at least 2 runs, got {len(runs)}")
-    values, wordwise = zip(
-        *(_pair_losses(a, b, proxy, words) for a, b in combinations(runs.spaces, 2))
-    )
+    rows = [_rows(space, proxy, words, f"run {i}") for i, space in enumerate(runs.spaces)]
+    values, wordwise = zip(*(_pair_losses(*a, *b) for a, b in combinations(rows, 2)))
     return np.array(values), np.array(wordwise)
 
 

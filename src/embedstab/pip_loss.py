@@ -75,20 +75,20 @@ def sample_proxy(
     return ProxySample(tuple(joint[i] for i in picks), seed)
 
 
-def _rows(space: EmbeddingSpace, words: Sequence[str], name: str) -> np.ndarray:
+def _rows(
+    space: EmbeddingSpace, proxy: ProxySample, words: Sequence[str], name: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The proxy rows and the word rows of one normalized space."""
     if not space.normalized:
         raise ValueError(
             f"{name} is not normalized; PIP entries are cosines only for "
             "unit rows, so normalize explicitly first"
         )
-    return space.matrix[_positions(space.vocab, words)]
+    return tuple(space.matrix[_positions(space.vocab, w)] for w in (proxy.words, words))
 
 
 def _pip_kernel(
-    space_a: EmbeddingSpace,
-    space_b: EmbeddingSpace,
-    proxy: ProxySample,
-    words: Sequence[str] = (),
+    a: np.ndarray, words_a: np.ndarray, b: np.ndarray, words_b: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Squared PIP loss ||A A^T - B B^T||_F^2 over the proxy rows A and B, and
     the norm ||a A^T - b B^T|| of each word's rows (a, b).
@@ -106,8 +106,6 @@ def _pip_kernel(
     error in R R^T = I enters the loss divided by its size.  Identical proxy
     rows skip the rotation and score exactly zero.
     """
-    a, words_a = (_rows(space_a, w, "first space") for w in (proxy.words, words))
-    b, words_b = (_rows(space_b, w, "second space") for w in (proxy.words, words))
     if not np.array_equal(a, b):
         rotation = _solve_rotation(b, a)
         rotation = 1.5 * rotation - 0.5 * (rotation @ rotation.T) @ rotation
@@ -127,33 +125,39 @@ def _pip_kernel(
     return max(squared, 0.0), 0.5 * np.sqrt(np.maximum(forms, 0.0))
 
 
-def _pair_losses(
+def _pair_rows(
     space_a: EmbeddingSpace,
     space_b: EmbeddingSpace,
     proxy: ProxySample,
     words: Sequence[str] = (),
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`_pip_kernel` arguments of one pair of spaces."""
+    return (*_rows(space_a, proxy, words, "first space"),
+            *_rows(space_b, proxy, words, "second space"))
+
+
+def _pair_losses(
+    a: np.ndarray, words_a: np.ndarray, b: np.ndarray, words_b: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Reduced PIP loss of one run pair and the word-wise reduced PIP loss
-    of each of `words`, from one kernel call."""
-    squared, norms = _pip_kernel(space_a, space_b, proxy, words)
-    return (
-        math.sqrt(squared) / (2.0 * len(proxy)),
-        norms / (2.0 * math.sqrt(len(proxy))),
-    )
+    """Reduced PIP loss of one pair of proxy row sets and the word-wise
+    reduced PIP loss of each word row, from one kernel call."""
+    squared, norms = _pip_kernel(a, words_a, b, words_b)
+    size = a.shape[0]
+    return math.sqrt(squared) / (2.0 * size), norms / (2.0 * math.sqrt(size))
 
 
 def pip_loss(
     space_a: EmbeddingSpace, space_b: EmbeddingSpace, proxy: ProxySample
 ) -> float:
     """Frobenius norm of the difference of the proxy-restricted PIP matrices."""
-    return math.sqrt(_pip_kernel(space_a, space_b, proxy)[0])
+    return math.sqrt(_pip_kernel(*_pair_rows(space_a, space_b, proxy))[0])
 
 
 def reduced_pip_loss(
     space_a: EmbeddingSpace, space_b: EmbeddingSpace, proxy: ProxySample
 ) -> float:
     """PIP loss rescaled by 1/(2 |proxy|) into [0, 1]."""
-    return _pair_losses(space_a, space_b, proxy)[0]
+    return _pair_losses(*_pair_rows(space_a, space_b, proxy))[0]
 
 
 def wordwise_reduced_pip_loss(
@@ -171,7 +175,7 @@ def wordwise_reduced_pip_loss(
     many words of one pair, pass all of them in one call, as
     `frequency_profile` and `embedstab instability --words` do.
     """
-    return float(_pair_losses(space_a, space_b, proxy, [word])[1][0])
+    return float(_pair_losses(*_pair_rows(space_a, space_b, proxy, [word]))[1][0])
 
 
 def expected_wordwise_pip(profile: StabilityProfile) -> float:

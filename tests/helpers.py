@@ -16,6 +16,7 @@ from embedstab import (
     Vocabulary,
     normalize,
 )
+from embedstab import gaussian
 from embedstab.align import _solve_rotation
 from embedstab.sgns import _sigmoid
 
@@ -354,3 +355,93 @@ def pair_cosine_moments_oracle(
     mu = samples.mean(axis=0)
     sigma = np.sqrt(((samples - mu) ** 2).mean(axis=0))
     return float(mu.mean()), float(sigma.mean())
+
+
+def _exclusive_products(f: np.ndarray) -> np.ndarray:
+    """Per row i and column, the product of f over all rows except i."""
+    before = np.ones_like(f)
+    np.cumprod(f[:-1], axis=0, out=before[1:])
+    after = np.ones_like(f)
+    after[:-1] = np.cumprod(f[:0:-1], axis=0)[::-1]
+    return before * after
+
+
+def _leave_one_out(
+    cdf: np.ndarray, first: np.ndarray, second: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per entry and node: P(no other `first` entry lies above the node),
+    P(no other `second` entry lies above it) and P(exactly one does).
+
+    Entries outside a mask count as always below.  The `second` mask runs
+    a two-state (none above, one above) recurrence over the entries
+    before i and another over those after i, and joins them.
+    """
+    none_first = _exclusive_products(np.where(first[:, None], cdf, 1.0))
+    below = np.where(second[:, None], cdf, 1.0)
+    above = 1.0 - below
+    k, width = cdf.shape
+    before_none, before_one = np.empty_like(cdf), np.empty_like(cdf)
+    after_none, after_one = np.empty_like(cdf), np.empty_like(cdf)
+    for order, none_out, one_out in (
+        (range(k), before_none, before_one),
+        (range(k - 1, -1, -1), after_none, after_one),
+    ):
+        none, one = np.ones(width), np.zeros(width)
+        for i in order:
+            none_out[i], one_out[i] = none, one
+            none, one = none * below[i], one * below[i] + none * above[i]
+    one_second = before_none * after_one + before_one * after_none
+    return none_first, before_none * after_none, one_second
+
+
+def rank_probabilities_oracle(
+    mu: np.ndarray, sigma: np.ndarray, pruning_threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """p#1 and p#2 of every entry from a leave-one-out product for rank 1
+    and a two-state Python recurrence over the entries for rank 2.
+
+    Runs on the rank kernel's grid.  p#1 keeps the entries likely enough to
+    beat the highest mean, and the one-above term of p#2 those likely
+    enough to beat the second highest; p#2 is p#1 plus that term.  With
+    pruning the two masks differ, and the sum may count some cases twice;
+    at `pruning_threshold=0.0` both masks hold every entry and the result
+    is exact up to the quadrature.
+    """
+    order = np.argsort(-mu, kind="stable")
+
+    def keep(rank: int) -> np.ndarray:
+        ref = order[min(rank, len(order) - 1)]
+        return gaussian._prob_greater_vs(mu, sigma, mu[ref], sigma[ref]) >= pruning_threshold
+
+    first, second = keep(0), keep(1)
+    p1_all, p2_all = np.zeros(mu.size), np.zeros(mu.size)
+    active = np.flatnonzero(first | second)
+    mu, sigma = mu[active], sigma[active]
+    first, second = first[active], second[active]
+    spread = sigma > 0.0
+    scale = np.where(spread, sigma, 1.0)[:, None]
+    x, w, owner = gaussian._quadrature_nodes(mu, sigma)
+    ties = np.zeros(active.size)
+    _, group, size = np.unique(mu[~spread], return_inverse=True, return_counts=True)
+    ties[~spread] = size[group] - 1
+    p1, above = np.zeros(active.size), np.zeros(active.size)
+    block = max(1, gaussian._BLOCK_ELEMENTS // max(1, active.size))
+    for start in range(0, x.size, block):
+        xb, wb, ob = (a[start : start + block] for a in (x, w, owner))
+        t = (xb - mu[:, None]) / scale
+        density = np.exp(-0.5 * t * t) * (wb * gaussian._INV_SQRT_2PI) / scale
+        weight = np.where(spread[:, None] & (ob < 0), density, 0.0)
+        owned = np.flatnonzero(ob >= 0)
+        weight[ob[owned], owned] = 1.0
+        cdf = gaussian._cdf_matrix(xb, mu, sigma)
+        none, none_second, one = _leave_one_out(cdf, first, second)
+        mass = ob[owned]
+        share = 1.0 / (ties[mass] + 1.0)
+        tied_second = (ties[mass] > 0) * none_second[mass, owned]
+        one[mass, owned] = (one[mass, owned] + tied_second) * share
+        none[mass, owned] *= share
+        p1 += np.einsum("ij,ij->i", weight, none)
+        above += np.einsum("ij,ij->i", weight, one)
+    p1_all[active] = np.where(first, np.clip(p1, 0.0, 1.0), 0.0)
+    p2_all[active] = np.minimum(1.0, p1_all[active] + np.where(second, above, 0.0))
+    return p1_all, p2_all

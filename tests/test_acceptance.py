@@ -9,7 +9,10 @@ probability (the companion test pins the attainable parts).
 
 import itertools
 import math
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -177,47 +180,58 @@ def test_criterion_04_rotation_invariance():
 # --- criterion 5: nearest-neighbor probability vs Monte Carlo ----------------
 
 
+def _criterion_05_profile(
+    k: int, mus: np.ndarray, sigmas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Predicted top-1 probabilities of profile k, their Monte-Carlo oracle
+    and the top-1 frequencies observed over 128 simulated runs."""
+    profile = StabilityProfile(
+        "t",
+        tuple(
+            PairStatistics("t", f"q{i:02d}", float(mus[i]), float(sigmas[i]), 64)
+            for i in range(50)
+        ),
+    )
+    predicted = np.array([predict_p_hash1(profile, q) for q in profile.queries])
+
+    # Monte-Carlo oracle: one million independent similarity draws per
+    # profile, in chunks; the arg-max histogram estimates every query's
+    # top-1 probability with standard error <= 5e-4.  Scaling standard
+    # normals in place gives the draws of mc_rng.normal(mus, sigmas,
+    # size=draws.shape) bit for bit, without a fresh array per chunk.
+    mc_rng = np.random.default_rng(10_000 + k)
+    counts = np.zeros(50, dtype=np.int64)
+    draws = np.empty((100_000, 50))
+    for _ in range(10):
+        mc_rng.standard_normal(out=draws)
+        draws *= sigmas
+        draws += mus
+        counts += np.bincount(np.argmax(draws, axis=1), minlength=50)
+
+    # Small-sample "observed" frequencies over 128 simulated runs.
+    run_rng = np.random.default_rng(77_000 + k)
+    runs = run_rng.normal(mus, sigmas, size=(128, 50))
+    measured = np.bincount(np.argmax(runs, axis=1), minlength=50) / 128.0
+    return predicted, counts / 1e6, measured
+
+
 def test_criterion_05_rank_probability_matches_monte_carlo():
     start = time.perf_counter()
     rng = np.random.default_rng(42)
-    max_err = 0.0
-    all_predicted, all_measured = [], []
-    for k in range(100):
-        mus = rng.uniform(0.2, 0.8, 50)
-        sigmas = rng.uniform(0.002, 0.08, 50)
-        profile = StabilityProfile(
-            "t",
-            tuple(
-                PairStatistics("t", f"q{i:02d}", float(mus[i]), float(sigmas[i]), 64)
-                for i in range(50)
-            ),
+    profiles = [(rng.uniform(0.2, 0.8, 50), rng.uniform(0.002, 0.08, 50)) for _ in range(100)]
+    # The oracle's draws dominate the time; each profile's draws are seeded
+    # by its index, so spreading profiles over processes changes no value.
+    workers = min(4, len(os.sched_getaffinity(0)))
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
+        results = list(
+            pool.map(_criterion_05_profile, range(100), *zip(*profiles), timeout=300.0)
         )
-        predicted = np.array([predict_p_hash1(profile, q) for q in profile.queries])
-
-        # Monte-Carlo oracle: one million independent similarity draws per
-        # profile, in chunks; the arg-max histogram estimates every query's
-        # top-1 probability with standard error <= 5e-4.  Scaling standard
-        # normals in place gives the draws of mc_rng.normal(mus, sigmas,
-        # size=draws.shape) bit for bit, without a fresh array per chunk.
-        mc_rng = np.random.default_rng(10_000 + k)
-        counts = np.zeros(50, dtype=np.int64)
-        draws = np.empty((100_000, 50))
-        for _ in range(10):
-            mc_rng.standard_normal(out=draws)
-            draws *= sigmas
-            draws += mus
-            counts += np.bincount(np.argmax(draws, axis=1), minlength=50)
-        max_err = max(max_err, float(np.max(np.abs(predicted - counts / 1e6))))
-
-        # Small-sample "observed" frequencies over 128 simulated runs.
-        run_rng = np.random.default_rng(77_000 + k)
-        runs = run_rng.normal(mus, sigmas, size=(128, 50))
-        measured = np.bincount(np.argmax(runs, axis=1), minlength=50) / 128.0
-        all_predicted.extend(predicted)
-        all_measured.extend(measured)
+    predicted, oracle, measured = (np.concatenate(r) for r in zip(*results))
+    max_err = float(np.max(np.abs(predicted - oracle)))
 
     assert max_err < 0.005  # frozen runs land at 0.00125
-    pearson = float(np.corrcoef(all_predicted, all_measured)[0, 1])
+    pearson = float(np.corrcoef(predicted, measured)[0, 1])
     assert pearson > 0.95  # frozen runs land at 0.9867
     assert time.perf_counter() - start < 300.0
 

@@ -562,15 +562,15 @@ class TestInstabilityCommand:
 class TestPipKernelCalls:
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
-        """Word lists of the PIP kernel's calls, in call order."""
+        """Word row counts of the PIP kernel's calls, in call order."""
         # The package's `pip_loss` function shadows the module of that name.
         pip_module = importlib.import_module("embedstab.pip_loss")
         calls = []
         kernel = pip_module._pip_kernel
 
-        def counting(space_a, space_b, proxy, words=()):
-            calls.append(list(words))
-            return kernel(space_a, space_b, proxy, words)
+        def counting(a, words_a, b, words_b):
+            calls.append(len(words_a))
+            return kernel(a, words_a, b, words_b)
 
         monkeypatch.setattr(pip_module, "_pip_kernel", counting)
         return calls
@@ -585,7 +585,7 @@ class TestPipKernelCalls:
             "--wordwise-out", tmp_path / "w.tsv", "--out", tmp_path / "i.tsv",
         ) == 0
         words = targets_file.read_text().split()
-        assert kernel_calls == [words] * 6
+        assert kernel_calls == [len(words)] * 6
 
     def test_pip_words_run_the_kernel_once_per_pair(
         self, tmp_path, run_dir, targets_file, kernel_calls
@@ -595,7 +595,7 @@ class TestPipKernelCalls:
             "--words", targets_file, "--wordwise-out", tmp_path / "w.tsv",
             "--out", tmp_path / "p.tsv",
         ) == 0
-        assert kernel_calls == [targets_file.read_text().split()] * 3
+        assert kernel_calls == [len(targets_file.read_text().split())] * 3
 
 
 class TestAverageCommand:

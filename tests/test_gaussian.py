@@ -27,7 +27,7 @@ from embedstab import (
     structure_factor,
 )
 
-from helpers import planted_cosine_space
+from helpers import planted_cosine_space, rank_probabilities_oracle
 
 
 def pair(query, mu, sigma, target="t", r=10):
@@ -38,14 +38,15 @@ def profile_of(*entries):
     return StabilityProfile("t", tuple(entries))
 
 
-def mc_rank_probabilities(mus, sigmas, draws=400_000, seed=0):
-    """Monte-Carlo p_#1 and p_#2 per entry from independent Gaussian draws."""
+def mc_rank_probabilities(mus, sigmas, n=2, draws=400_000, seed=0):
+    """Monte-Carlo p_#1 ... p_#n per entry from independent Gaussian draws."""
     rng = np.random.default_rng(seed)
     samples = rng.normal(mus, sigmas, size=(draws, len(mus)))
     order = np.argsort(-samples, axis=1)
-    p1 = np.bincount(order[:, 0], minlength=len(mus)) / draws
-    top2 = np.bincount(order[:, :2].ravel(), minlength=len(mus)) / draws
-    return p1, top2
+    return np.array([
+        np.bincount(order[:, :m].ravel(), minlength=len(mus)) / draws
+        for m in range(1, n + 1)
+    ])
 
 
 def quad_p_first(mus, sigmas, idx):
@@ -82,6 +83,27 @@ def quad_p_top2(mus, sigmas, idx):
         hi = mus[idx] + 10 * sigmas[idx]
         total += scipy.integrate.quad(integrand, lo, hi, limit=200)[0]
     return total
+
+
+def quad_p_not_last(mus, sigmas, idx):
+    """p_#(K-1) of entry idx: one minus P(entry idx is the minimum), via quad."""
+    others = [k for k in range(len(mus)) if k != idx]
+
+    def integrand(x):
+        value = scipy.stats.norm.pdf(x, mus[idx], sigmas[idx])
+        for k in others:
+            value *= scipy.stats.norm.sf(x, mus[k], sigmas[k])
+        return value
+
+    lo = mus[idx] - 10 * sigmas[idx]
+    hi = mus[idx] + 10 * sigmas[idx]
+    points = [mus[k] for k in others if lo < mus[k] < hi]
+    return 1.0 - scipy.integrate.quad(integrand, lo, hi, points=points, limit=400)[0]
+
+
+def profile_from(mus, sigmas):
+    return profile_of(*(pair(f"q{k}", float(m), float(s))
+                        for k, (m, s) in enumerate(zip(mus, sigmas))))
 
 
 def quad_rank_probabilities(mus, sigmas):
@@ -255,7 +277,8 @@ class TestRankProbabilities:
     def test_dominant_query_takes_rank_one(self):
         profile = profile_of(pair("big", 0.9, 0.01), pair("small", 0.2, 0.01))
         assert_allclose(predict_p_hash1(profile, "big"), 1.0, atol=1e-9)
-        assert predict_p_hash1(profile, "small") == 0.0  # pruned outright
+        # big's CDF at small's nodes, 70 of its sigmas out, rounds to 0.
+        assert predict_p_hash1(profile, "small") == 0.0
 
     def test_matches_quad_oracle(self):
         mus = [0.62, 0.60, 0.55, 0.50, 0.30]
@@ -289,6 +312,42 @@ class TestRankProbabilities:
         assert_allclose(sum(p1s), 1.0, atol=1e-4)
         assert_allclose(sum(p2s), 2.0, atol=1e-4)
         assert all(p2 >= p1 for p1, p2 in zip(p1s, p2s))
+        for n in (3, 5):
+            table = gaussian._rank_probabilities(profile, gaussian.DEFAULT_PRUNING_THRESHOLD, n)
+            assert_allclose(table.sum(axis=1), np.arange(1, n + 1), atol=1e-4)
+            assert np.all(np.diff(table, axis=0) >= 0.0)
+
+    def test_rank_two_sums_to_two_when_the_masks_differ(self):
+        # Pruning for rank 1 drops q6, which pruning for rank 2 keeps.  A p#2
+        # built as p#1 over one kept set plus P(one above) over another
+        # counts some cases twice and sums to 1.99998649; one kept set and
+        # one polynomial product sum to 2.
+        mus = [0.766, 0.794, 0.631, 0.700, 0.685, 0.612, 0.583, 0.735]
+        sigmas = [0.0076, 0.0066, 0.0184, 0.0206, 0.0092, 0.0126, 0.0294, 0.0120]
+        profile = profile_from(mus, sigmas)
+        p2 = [predict_p_hash2(profile, q) for q in profile.queries]
+        assert_allclose(sum(p2), 2.0, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("n", [5, 10])
+    def test_top_n_matches_monte_carlo(self, n):
+        rng = np.random.default_rng(n)
+        mus = rng.uniform(0.45, 0.7, size=12)
+        sigmas = rng.uniform(0.02, 0.1, size=12)
+        profile = profile_from(mus, sigmas)
+        mc = mc_rank_probabilities(mus, sigmas, n, seed=n)
+        table = gaussian._rank_probabilities(profile, gaussian.DEFAULT_PRUNING_THRESHOLD, n)
+        assert_allclose(table, mc, atol=5e-3)
+        assert_allclose(expected_overlap(profile, n), mc[-1] @ mc[-1] / n, atol=5e-3)
+
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_all_but_last_matches_quad_oracle(self, k):
+        rng = np.random.default_rng(100 + k)
+        mus = rng.uniform(0.4, 0.6, size=k)
+        sigmas = rng.uniform(0.02, 0.1, size=k)
+        profile = profile_from(mus, sigmas)
+        got = gaussian._rank_probabilities(profile, 0.0, k - 1)[k - 2]
+        want = [quad_p_not_last(mus, sigmas, i) for i in range(k)]
+        assert_allclose(got, want, atol=1e-6)
 
     def test_zero_sigma_query_integrates_as_point_mass(self):
         profile = profile_of(pair("fixed", 0.55, 0.0), pair("noisy", 0.5, 0.1))
@@ -338,6 +397,19 @@ class TestRankKernel:
         assert_allclose(p1.sum(), 1.0, atol=atol)
         assert_allclose(p2.sum(), 2.0, atol=atol)
         assert np.all(p2 >= p1)
+        for n in (3, 5):
+            table = gaussian._rank_probabilities(profile, threshold, n)
+            counts = np.minimum(np.arange(1, n + 1), len(profile))
+            assert_allclose(table.sum(axis=1), counts, atol=atol)
+            assert np.all(np.diff(table, axis=0) >= 0.0)
+
+    @settings(max_examples=150)
+    @given(random_profiles())
+    def test_rank_two_table_matches_the_two_state_oracle(self, profile):
+        mu, sigma = gaussian._profile_arrays(profile)
+        want = rank_probabilities_oracle(mu, sigma, 0.0)
+        got = gaussian._rank_probabilities(profile, 0.0)
+        assert_allclose(got, want, rtol=0.0, atol=1e-14)
 
     @settings(max_examples=50)
     @given(random_profiles())
@@ -366,6 +438,10 @@ class TestRankKernel:
         assert predict_p_hash2(profile, "low", pruning_threshold=threshold) == 0.0
         assert_allclose(expected_overlap(profile, 1, pruning_threshold=threshold),
                         1.0 / m, rtol=1e-12)
+        for n in (3, 5):
+            p = gaussian._rank_probabilities(profile, threshold, n)[n - 1]
+            assert_allclose(p[:m], min(1.0, n / m), rtol=1e-12)
+            assert p[m] == (1.0 if n > m else 0.0)
 
     def test_tied_point_masses_beside_a_gaussian_at_their_mean(self):
         # N(0.5, 0.05) lies above the three masses at 0.5 half of the time;
@@ -376,13 +452,18 @@ class TestRankKernel:
         p2 = [predict_p_hash2(profile, q) for q in profile.queries]
         assert_allclose(p1, [1 / 6, 1 / 6, 1 / 6, 0.5], atol=1e-9)
         assert_allclose(p2, [0.5, 0.5, 0.5, 0.5], atol=1e-9)
+        threshold = gaussian.DEFAULT_PRUNING_THRESHOLD
+        p3 = gaussian._rank_probabilities(profile, threshold, 3)[2]
+        assert_allclose(p3, [5 / 6, 5 / 6, 5 / 6, 0.5], atol=1e-9)
+        p5 = gaussian._rank_probabilities(profile, threshold, 5)[4]
+        assert_allclose(p5, 1.0, atol=1e-9)
 
     def test_kernel_runs_once_per_profile_and_threshold(self, monkeypatch):
         calls = []
         kernel = gaussian._rank_kernel
 
         def counting(*args):
-            calls.append(args[-1])
+            calls.append(args[2:])
             return kernel(*args)
 
         monkeypatch.setattr(gaussian, "_rank_kernel", counting)
@@ -392,9 +473,12 @@ class TestRankKernel:
             predict_p_hash2(profile, query)
         expected_overlap(profile, 1)
         expected_overlap(profile, 2)
-        assert calls == [gaussian.DEFAULT_PRUNING_THRESHOLD]
+        default = gaussian.DEFAULT_PRUNING_THRESHOLD
+        assert calls == [(default, 2)]
+        expected_overlap(profile, 3)
+        expected_overlap(profile, 3)
         predict_p_hash1(profile, "q0", pruning_threshold=0.0)
-        assert calls == [gaussian.DEFAULT_PRUNING_THRESHOLD, 0.0]
+        assert calls == [(default, 2), (default, 3), (0.0, 2)]
 
 
 class TestExpectedOverlap:
@@ -426,10 +510,13 @@ class TestExpectedOverlap:
         assert expected_overlap(profile, 1) == 1.0
         assert expected_overlap(profile, 2) == 1.0
 
-    def test_only_top_one_and_two_supported(self):
-        profile = profile_of(pair("a", 0.5, 0.1))
-        with pytest.raises(ValueError, match="must be 1 or 2"):
-            expected_overlap(profile, 3)
+    def test_list_size_below_one_rejected(self):
+        profile = profile_of(pair("a", 0.5, 0.1), pair("b", 0.4, 0.1))
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                expected_overlap(profile, n)
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                structure_factor(profile, n)
 
 
 class TestStructureFactor:
@@ -446,9 +533,11 @@ class TestStructureFactor:
                             pair("c", 0.4, 0.05)), 1), rtol=1e-12)
 
     def test_already_constant_sigma_is_a_fixed_point(self):
-        profile = profile_of(pair("a", 0.6, 0.1), pair("b", 0.5, 0.1))
-        assert_allclose(structure_factor(profile, 1),
-                        expected_overlap(profile, 1), rtol=1e-12)
+        profile = profile_of(pair("a", 0.6, 0.1), pair("b", 0.5, 0.1),
+                             pair("c", 0.55, 0.1), pair("d", 0.45, 0.1))
+        for n in (1, 2, 3, 5):
+            assert_allclose(structure_factor(profile, n),
+                            expected_overlap(profile, n), rtol=1e-12)
 
     def test_gamma_zero_freezes_the_ranking(self):
         profile = profile_of(pair("a", 0.6, 0.3), pair("b", 0.5, 0.3))

@@ -1,5 +1,6 @@
 """Intrinsic/extrinsic instability aggregation over run sets."""
 
+import importlib
 import math
 from itertools import combinations
 
@@ -49,6 +50,21 @@ class TestIntrinsic:
         assert report.boot_pair_count == 0
         assert report.extrinsic is None
         assert not report.extrinsic_undefined  # no bootstrapped runs given
+
+    def test_rows_are_gathered_once_per_run(self, monkeypatch):
+        module = importlib.import_module("embedstab.instability")
+        gathered = []
+        rows = module._rows
+
+        def counting(space, *args):
+            gathered.append(space)
+            return rows(space, *args)
+
+        monkeypatch.setattr(module, "_rows", counting)
+        runs = RunSet(tuple(random_normalized_space(20, 4, seed=s) for s in range(4)))
+        report = intrinsic_instability(runs, ProxySample(runs.spaces[0].vocab.words))
+        assert report.pair_count == 6
+        assert [id(s) for s in gathered] == [id(s) for s in runs.spaces]
 
     def test_identical_runs_have_zero_instability(self):
         space = random_normalized_space(10, 3, seed=30)
