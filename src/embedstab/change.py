@@ -11,6 +11,7 @@ control condition separates genuine diachronic signal from training noise.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .align import AlignmentResult, procrustes
 from .corpus import Corpus
-from .space import EmbeddingSpace, _positions, _row_dots, joint_vocabulary
+from .space import EmbeddingSpace, _positions, _read_map, _row_dots, joint_vocabulary
 from .stats import spearman
 
 __all__ = [
@@ -343,36 +344,11 @@ def control_condition(
 
 
 def load_gold_binary(path: str) -> dict[str, int]:
-    """Read "word<TAB>{0,1}" lines."""
-    out: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or parts[1] not in ("0", "1"):
-                raise ValueError(f"{path}:{lineno}: expected 'word<TAB>0|1'")
-            out[parts[0]] = int(parts[1])
-    return out
+    """Read "word<TAB>{0,1}" lines; a repeated word is an error."""
+    # ("0", "1").index reads "0" and "1", and any other text is a ValueError.
+    return _read_map(path, "label", ("0", "1").index, "0 or 1", 0, 1)
 
 
 def load_gold_graded(path: str) -> dict[str, float]:
-    """Read "word<TAB>score" lines."""
-    out: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'word<TAB>score'")
-            try:
-                score = float(parts[1])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad score {parts[1]!r}") from None
-            if not math.isfinite(score):
-                raise ValueError(f"{path}:{lineno}: score must be finite")
-            out[parts[0]] = score
-    return out
+    """Read "word<TAB>score" lines (finite scores); a repeated word is an error."""
+    return _read_map(path, "score", float, "finite", -sys.float_info.max, sys.float_info.max)

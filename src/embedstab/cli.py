@@ -47,6 +47,9 @@ from .space import (
     EmbeddingSpace,
     LoadError,
     RunSet,
+    _read_lines,
+    _read_table,
+    _write_table,
     analogy_score,
     load_analogies,
     load_text_vectors,
@@ -82,29 +85,6 @@ def _sha256(path: str | Path) -> str:
         for block in iter(lambda: fh.read(1 << 20), b""):
             digest.update(block)
     return digest.hexdigest()
-
-
-def _fmt(value: object) -> str:
-    if value is None:
-        return "NA"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _write_report(
-    path: str | Path,
-    meta: Sequence[tuple[str, object]],
-    columns: Sequence[str],
-    rows: Sequence[Sequence[object]],
-) -> None:
-    lines = [f"# {key}: {_fmt(value)}" for key, value in meta]
-    lines.append("\t".join(columns))
-    for row in rows:
-        lines.append("\t".join(_fmt(cell) for cell in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _base_meta(command: str, inputs: Sequence[tuple[str, str | Path]]) -> list[tuple[str, object]]:
@@ -155,12 +135,10 @@ def _write_manifest(
 
 
 def _read_corpus(path: str, lowercase: bool, dedup: bool) -> Corpus:
-    """One document per line, split only at line ends (as `load_corpus` reads
-    it); dedup compares the raw line text."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [line for line in text.split("\n") if line.strip()]
-    if dedup:
-        lines = dedup_lines(lines)
+    """One document per line, read as `load_corpus` reads it; dedup compares
+    the raw line text."""
+    lines = [line for _, (line,) in _read_lines(path, "\n")]
+    lines = dedup_lines(lines) if dedup else lines
     return Corpus(tuple(tokenize(line, lowercase=lowercase) for line in lines))
 
 
@@ -208,11 +186,8 @@ def _load_runs(directory: str, count: int | str, mode: str) -> tuple[RunSet, lis
 
 
 def _read_words(path: str) -> list[str]:
-    words = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        word = line.strip()
-        if word:
-            words.append(word)
+    """The stripped non-blank lines of a file, first occurrences only."""
+    words = [line.strip() for _, (line,) in _read_lines(path, "\n")]
     if not words:
         raise LoadError(f"{path}: no words")
     return list(dict.fromkeys(words))
@@ -406,14 +381,14 @@ def _cmd_instability(args: argparse.Namespace) -> int:
         if runs is not None
         for (i, j), value in zip(itertools.combinations(range(len(runs)), 2), values)
     ]
-    _write_report(args.out, meta, ("set", "run_a", "run_b", "reduced_pip"), rows)
+    _write_table(args.out, rows, ("set", "run_a", "run_b", "reduced_pip"), meta)
 
     if words:
-        _write_report(
+        _write_table(
             args.wordwise_out,
-            proxy_meta,
-            ("word", "intrinsic", "extrinsic"),
             [(word, *parts) for word, parts in zip(words, word_parts)],
+            ("word", "intrinsic", "extrinsic"),
+            proxy_meta,
         )
     return EXIT_OK
 
@@ -426,9 +401,7 @@ def _cmd_overlap(args: argparse.Namespace) -> int:
     meta = _base_meta("overlap", _space_inputs(args.inputs))
     meta.append(("n", args.n))
     rows = [(s.target, s.n, s.mean_p, s.mean_j, s.pair_count) for s in summaries]
-    _write_report(
-        args.out, meta, ("target", "n", "mean_p_at_n", "mean_j_at_n", "pairs"), rows
-    )
+    _write_table(args.out, rows, ("target", "n", "mean_p_at_n", "mean_j_at_n", "pairs"), meta)
     return EXIT_OK
 
 
@@ -466,9 +439,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         )
     meta = _base_meta("predict", _space_inputs(args.inputs))
     meta.append(("candidates", args.candidates))
-    _write_report(
+    _write_table(
         args.out,
-        meta,
+        rows,
         (
             "target",
             "queries",
@@ -478,7 +451,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             "measured_p1",
             "measured_p2",
         ),
-        rows,
+        meta,
     )
     return EXIT_OK
 
@@ -493,19 +466,14 @@ def _cmd_pip(args: argparse.Namespace) -> int:
     values, wordwise = _pairwise(RunSet(spaces, mode="fixed"), proxy, words)
     pairs = list(itertools.combinations(range(len(spaces)), 2))
     rows = [(i, j, value) for (i, j), value in zip(pairs, values.tolist())]
-    _write_report(args.out, meta, ("run_a", "run_b", "reduced_pip"), rows)
+    _write_table(args.out, rows, ("run_a", "run_b", "reduced_pip"), meta)
     if words:
         word_rows = [
             (i, j, word, value)
             for (i, j), pair_values in zip(pairs, wordwise.tolist())
             for word, value in zip(words, pair_values)
         ]
-        _write_report(
-            args.wordwise_out,
-            meta,
-            ("run_a", "run_b", "word", "wordwise_pip"),
-            word_rows,
-        )
+        _write_table(args.wordwise_out, word_rows, ("run_a", "run_b", "word", "wordwise_pip"), meta)
     return EXIT_OK
 
 
@@ -547,7 +515,7 @@ def _cmd_analogy(args: argparse.Namespace) -> int:
         ("coverage", coverage),
         ("questions", len(dataset)),
     ]
-    _write_report(args.out, meta, ("metric", "value"), rows)
+    _write_table(args.out, rows, ("metric", "value"), meta)
     return EXIT_OK
 
 
@@ -576,19 +544,12 @@ def _cmd_change(args: argparse.Namespace) -> int:
         (word, delta, word in target_set, report.labels.get(word))
         for word, delta in sorted(report.deltas.items(), key=lambda k: (-k[1], k[0]))
     ]
-    _write_report(
-        out_dir / "report.tsv", meta, ("word", "delta", "is_target", "changed"), rows
-    )
+    _write_table(out_dir / "report.tsv", rows, ("word", "delta", "is_target", "changed"), meta)
 
     # SemEval-style plain answer files: no comment headers.
-    binary_lines = [f"{w}\t{int(report.labels[w])}" for w in sorted(targets)]
-    (out_dir / "answers-binary.tsv").write_text(
-        "\n".join(binary_lines) + "\n", encoding="utf-8"
-    )
-    graded_lines = [f"{w}\t{report.deltas[w]!r}" for w in sorted(targets)]
-    (out_dir / "answers-graded.tsv").write_text(
-        "\n".join(graded_lines) + "\n", encoding="utf-8"
-    )
+    answers = sorted(targets)
+    _write_table(out_dir / "answers-binary.tsv", [(w, int(report.labels[w])) for w in answers])
+    _write_table(out_dir / "answers-graded.tsv", [(w, report.deltas[w]) for w in answers])
 
     if args.gold_binary or args.gold_graded:
         gold_files = [("gold binary", args.gold_binary), ("gold graded", args.gold_graded)]
@@ -604,7 +565,7 @@ def _cmd_change(args: argparse.Namespace) -> int:
             ("binary_targets", len(gold.binary)),
             ("graded_targets", len(gold.graded)),
         ]
-        _write_report(out_dir / "evaluation.tsv", eval_meta, ("metric", "value"), eval_rows)
+        _write_table(out_dir / "evaluation.tsv", eval_rows, ("metric", "value"), eval_meta)
     return EXIT_OK
 
 
@@ -697,9 +658,9 @@ def _cmd_conformity(args: argparse.Namespace) -> int:
         )
         for name, fit, _ in conditions
     ]
-    _write_report(
+    _write_table(
         args.out,
-        meta,
+        rows,
         (
             "condition",
             "beta_f",
@@ -711,7 +672,7 @@ def _cmd_conformity(args: argparse.Namespace) -> int:
             "n_words",
             "fit_method",
         ),
-        rows,
+        meta,
     )
     if args.observations_out is not None:
         obs_rows = [
@@ -719,45 +680,21 @@ def _cmd_conformity(args: argparse.Namespace) -> int:
             for name, _, obs in conditions
             for word, pair, delta, frequency in obs
         ]
-        _write_report(
+        _write_table(
             args.observations_out,
-            meta,
-            ("condition", "word", "epoch_pair", "delta", "frequency"),
             obs_rows,
+            ("condition", "word", "epoch_pair", "delta", "frequency"),
+            meta,
         )
     return EXIT_OK
 
 
-def _parse_report_file(path: str) -> tuple[list[list[str]], list[str], list[list[str]]]:
-    meta: list[list[str]] = []
-    columns: list[str] | None = None
-    rows: list[list[str]] = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if columns is None and line.startswith("# "):
-            key, sep, value = line[2:].partition(": ")
-            if not sep:
-                raise LoadError(f"{path}: bad meta line {line!r}")
-            meta.append([key, value])
-        elif columns is None:
-            columns = line.split("\t")
-        else:
-            cells = line.split("\t")
-            if len(cells) != len(columns):
-                raise LoadError(
-                    f"{path}: row has {len(cells)} cells, header has {len(columns)}"
-                )
-            rows.append(cells)
-    if columns is None:
-        raise LoadError(f"{path}: no header row")
-    return meta, columns, rows
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
-    meta, columns, rows = _parse_report_file(args.in_path)
+    meta, columns, rows = _read_table(args.in_path)
     if args.format == "json":
         _write_json(args.out, {"meta": meta, "columns": columns, "rows": rows})
     else:
-        _write_report(args.out, meta, columns, rows)
+        _write_table(args.out, rows, columns, meta)
     return EXIT_OK
 
 
@@ -975,14 +912,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_config_file(path: str) -> dict[str, str]:
+    """key=value lines; blank and "#" lines are skipped, others are usage errors."""
     values: dict[str, str] = {}
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, sep, value = stripped.partition("=")
+    for lineno, (line,) in _read_lines(path, "\n", comments=("#",)):
+        key, sep, value = line.strip().partition("=")
         if not sep:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
         values[key.strip()] = value.strip()

@@ -13,6 +13,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .space import _read_lines
+
 __all__ = [
     "Corpus",
     "SamplingMode",
@@ -95,15 +97,10 @@ def tokenize(line: str, lowercase: bool = False) -> tuple[str, ...]:
 
 
 def load_corpus(path: str | Path, lowercase: bool = False) -> Corpus:
-    """Read one document per line, whitespace-tokenized; blank lines are skipped."""
-    path = Path(path)
-    documents: list[tuple[str, ...]] = []
-    with path.open("r", encoding="utf-8") as handle:
-        for line in handle:
-            tokens = tokenize(line, lowercase=lowercase)
-            if tokens:
-                documents.append(tokens)
-    return Corpus(tuple(documents))
+    """Read one document per line, whitespace-tokenized; lines split only
+    at line ends, and blank lines are skipped."""
+    lines = _read_lines(path, "\n")
+    return Corpus(tuple(tokenize(line, lowercase=lowercase) for _, (line,) in lines))
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:

@@ -28,7 +28,9 @@ from typing import Sequence
 import numpy as np
 from scipy.special import erfc as _erfc, ndtr as _ndtr, roots_legendre
 
-from .space import RunSet, _positions, _unit_rows, joint_vocabulary
+from .space import (
+    LoadError, RunSet, _positions, _read_lines, _unit_rows, _write_table, joint_vocabulary,
+)
 
 __all__ = [
     "PairStatistics",
@@ -426,27 +428,30 @@ def structure_factor(
     return expected_overlap(flattened, n, pruning_threshold=pruning_threshold)
 
 
+_PROFILE_COLUMNS = ["target", "query", "mu", "sigma", "r"]
+
+
 def save_profile(profile: StabilityProfile, path: str) -> None:
-    """Write a profile as TSV with columns: target query mu sigma r."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("target\tquery\tmu\tsigma\tr\n")
-        for e in profile.entries:
-            fh.write(f"{e.target}\t{e.query}\t{e.mu!r}\t{e.sigma!r}\t{e.r}\n")
+    """Write a profile as TSV with columns: target query mu sigma r (floats by repr)."""
+    rows = ((e.target, e.query, e.mu, e.sigma, e.r) for e in profile.entries)
+    _write_table(path, rows, _PROFILE_COLUMNS)
 
 
 def load_profile(path: str) -> StabilityProfile:
-    """Read a profile written by save_profile."""
+    """Read a profile written by save_profile, skipping header lines. Every
+    fault is a LoadError naming the file, and the line if one is at fault."""
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line == "target\tquery\tmu\tsigma\tr":
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 columns, got {len(parts)}")
-            target, query, mu, sigma, r = parts
+    for lineno, fields in _read_lines(path, "\t", 5, "5 columns"):
+        if fields == _PROFILE_COLUMNS:
+            continue
+        target, query, mu, sigma, r = fields
+        try:
             entries.append(PairStatistics(target, query, float(mu), float(sigma), int(r)))
+        except ValueError as exc:
+            raise LoadError(f"{path}:{lineno}: {exc}") from None
     if not entries:
-        raise ValueError(f"{path}: no profile rows")
-    return StabilityProfile(entries[0].target, tuple(entries))
+        raise LoadError(f"{path}: no profile rows")
+    try:
+        return StabilityProfile(entries[0].target, tuple(entries))
+    except ValueError as exc:
+        raise LoadError(f"{path}: {exc}") from None

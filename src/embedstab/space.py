@@ -2,7 +2,8 @@
 
 The on-disk interchange format is the plain-text vector format: a header line
 ``"<v> <d>"`` followed by one ``"<word> <x1> ... <xd>"`` line per word. Word
-frequencies travel in an optional tab-separated sidecar file.
+frequencies travel in an optional tab-separated sidecar file.  Every text file
+but vectors is read by ``_read_lines``, and every table written by ``_write_table``.
 
 Values are read by numpy's C text reader, correctly rounded like ``float()``.
 Its number grammar is narrower than ``float()``'s: digit-group underscores
@@ -21,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -52,7 +53,7 @@ _TOP_K_BLOCK_ENTRIES = 1 << 20
 
 
 class LoadError(ValueError):
-    """Raised when a vector, frequency, corpus, or analogy file is malformed."""
+    """Raised when an input file is malformed; the message names the file (and line)."""
 
 
 @dataclass(frozen=True)
@@ -182,31 +183,34 @@ def load_text_vectors(
     vocabulary; every loaded word must have an entry.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        header = handle.readline()
-        parts = header.split()
-        if len(parts) != 2:
-            raise LoadError(f"{path}:1: header must be '<v> <d>', got {header!r}")
-        try:
-            v, d = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise LoadError(f"{path}:1: non-integer header fields {header!r}") from None
-        if v < 0 or d < 1:
-            raise LoadError(f"{path}:1: invalid sizes v={v}, d={d}")
-        words: list[str] = []
-        matrix = np.empty((v, d), dtype=np.float64)
-        for start in range(0, v, _LOAD_BLOCK_LINES):
-            want = min(_LOAD_BLOCK_LINES, v - start)
-            block = list(itertools.islice(handle, want))
-            if block:
-                words.extend(_parse_block(path, block, start + 2, d, matrix[start:]))
-            if len(block) < want:
-                raise LoadError(
-                    f"{path}:{start + len(block) + 2}: expected {v} rows, file ended early"
-                )
-        for lineno, line in enumerate(handle, start=v + 2):
-            if line.strip():
-                raise LoadError(f"{path}:{lineno}: more rows than the header announced")
+    try:
+        with path.open("r", encoding="utf-8") as handle:
+            header = handle.readline()
+            parts = header.split()
+            if len(parts) != 2:
+                raise LoadError(f"{path}:1: header must be '<v> <d>', got {header!r}")
+            try:
+                v, d = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise LoadError(f"{path}:1: non-integer header fields {header!r}") from None
+            if v < 0 or d < 1:
+                raise LoadError(f"{path}:1: invalid sizes v={v}, d={d}")
+            words: list[str] = []
+            matrix = np.empty((v, d), dtype=np.float64)
+            for start in range(0, v, _LOAD_BLOCK_LINES):
+                want = min(_LOAD_BLOCK_LINES, v - start)
+                block = list(itertools.islice(handle, want))
+                if block:
+                    words.extend(_parse_block(path, block, start + 2, d, matrix[start:]))
+                if len(block) < want:
+                    raise LoadError(
+                        f"{path}:{start + len(block) + 2}: expected {v} rows, file ended early"
+                    )
+            for lineno, line in enumerate(handle, start=v + 2):
+                if line.strip():
+                    raise LoadError(f"{path}:{lineno}: more rows than the header announced")
+    except UnicodeDecodeError:
+        raise _decode_error(path) from None
     if len(set(words)) != v:
         seen: set[str] = set()
         for lineno, word in enumerate(words, start=2):
@@ -278,50 +282,132 @@ def save_text_vectors(space: EmbeddingSpace, path: str | Path) -> None:
             handle.write(line % (word, *row.tolist()))
 
 
-def load_frequencies(path: str | Path) -> dict[str, int]:
-    """Read a "word<TAB>count" sidecar file."""
+def _decode_error(path: Path) -> LoadError:
+    """The LoadError for a file that is not UTF-8, naming its first bad line."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # bytes.splitlines breaks at "\n", "\r\n" and "\r", as text reading does.
+        lineno = len((data[: exc.start] + b".").splitlines())
+        return LoadError(f"{path}:{lineno}: not UTF-8 ({exc.reason}, byte 0x{data[exc.start]:02x})")
+    return LoadError(f"{path}: not UTF-8")
+
+
+def _read_lines(
+    path: str | Path, sep: str | None = "\t", width: int | None = None, expected: str = "",
+    comments: tuple[str, ...] = (), blank: bool = False,
+) -> Iterator[tuple[int, list[str]]]:
+    """(line number, ``line.split(sep)``) of each line of a UTF-8 text file.
+
+    Line ends are translated as by `Path.read_text`; lines split only at
+    "\\n", so ``sep="\\n"`` gives the whole line.  Blank lines are skipped
+    unless `blank` keeps them, and so are lines starting with one of
+    `comments`.  Other than `width` fields is a LoadError
+    ``path:lineno: expected <expected>, got <n>``.
+    """
     path = Path(path)
-    counts: dict[str, int] = {}
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2:
-                raise LoadError(f"{path}:{lineno}: expected 'word<TAB>count'")
-            word, raw = parts
-            try:
-                count = int(raw)
-            except ValueError:
-                raise LoadError(f"{path}:{lineno}: non-integer count {raw!r}") from None
-            if count < 1:
-                raise LoadError(f"{path}:{lineno}: count must be >= 1, got {count}")
-            if word in counts:
-                raise LoadError(f"{path}:{lineno}: duplicate word {word!r}")
-            counts[word] = count
-    return counts
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise _decode_error(path) from None
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    for lineno, line in enumerate(lines, start=1):
+        if not (blank or line.strip()) or comments and line.lstrip().startswith(comments):
+            continue
+        fields = line.split(sep)
+        if width is not None and len(fields) != width:
+            raise LoadError(f"{path}:{lineno}: expected {expected}, got {len(fields)}")
+        yield lineno, fields
+
+
+def _read_map(
+    path: str | Path, what: str, convert: Callable[[str], float], rule: str, low: float,
+    high: float | None = None,
+) -> dict:
+    """The map of a "word<TAB>value" file; each value is `convert`ed and must
+    lie in [low, high] (`rule` says so in words).  Every fault, a repeated
+    word too, is a LoadError naming its line."""
+    values = {}
+    for lineno, (word, raw) in _read_lines(path, "\t", 2, f"2 fields 'word<TAB>{what}'"):
+        try:
+            value = convert(raw)
+        except ValueError:
+            raise LoadError(f"{path}:{lineno}: bad {what} {raw!r}") from None
+        # Not `low <= value <= high`: an int compared with a float bound is
+        # slow, and sidecars of every loaded space pass through here.
+        if not low <= value or high is not None and not value <= high:
+            raise LoadError(f"{path}:{lineno}: {what} must be {rule}, got {value!r}")
+        if word in values:
+            raise LoadError(f"{path}:{lineno}: duplicate word {word!r}")
+        values[word] = value
+    return values
+
+
+def _fmt(value: object) -> str:
+    if value is None:
+        return "NA"
+    if value is True or value is False:  # isinstance(value, bool), without a call per cell
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _write_table(
+    path: str | Path, rows: Iterable[Sequence[object]], columns: Sequence[str] | None = None,
+    meta: Sequence[tuple[str, object]] = (),
+) -> None:
+    """Write ``# key: value`` lines for `meta`, the tab-joined `columns` if
+    given, then one tab-joined line per row.  Floats are written by repr, so
+    they read back exactly; None is ``NA``, booleans ``true``/``false``."""
+    lines = [f"# {key}: {_fmt(value)}" for key, value in meta]
+    if columns is not None:
+        lines.append("\t".join(columns))
+    lines.extend("\t".join(map(_fmt, row)) for row in rows)
+    lines.append("")  # ends every line, and an empty table is an empty file
+    Path(path).write_text("\n".join(lines), encoding="utf-8")
+
+
+def _read_table(path: str | Path) -> tuple[list[list[str]], list[str], list[list[str]]]:
+    """The ([key, value] meta, columns, rows) of a `_write_table` file as text.
+    Every line after the header is a row; a blank one is a row of empty cells."""
+    meta, columns, rows = [], None, []
+    for lineno, (line,) in _read_lines(path, "\n", blank=True):
+        if columns is None and line.startswith("# "):
+            key, sep, value = line[2:].partition(": ")
+            if not sep:
+                raise LoadError(f"{path}:{lineno}: expected '# key: value', got {line!r}")
+            meta.append([key, value])
+        elif columns is None:
+            columns = line.split("\t")
+        else:
+            cells = line.split("\t")
+            if len(cells) != len(columns):
+                raise LoadError(f"{path}:{lineno}: expected {len(columns)} cells, got {len(cells)}")
+            rows.append(cells)
+    if columns is None:
+        raise LoadError(f"{path}: no header row")
+    return meta, columns, rows
+
+
+def load_frequencies(path: str | Path) -> dict[str, int]:
+    """Read a "word<TAB>count" sidecar file (counts >= 1, each word once)."""
+    return _read_map(path, "count", int, ">= 1", 1)
 
 
 def save_frequencies(counts: Mapping[str, int], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for word, count in counts.items():
-            handle.write(f"{word}\t{count}\n")
+    """Write the "word<TAB>count" lines `load_frequencies` reads."""
+    _write_table(path, counts.items())
 
 
 def load_analogies(path: str | Path) -> AnalogyDataset:
-    """Read "a b c d" lines; "#" comments and ": section" headers are skipped."""
-    questions: list[tuple[str, str, str, str]] = []
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#") or stripped.startswith(":"):
-                continue
-            tokens = stripped.split()
-            if len(tokens) != 4:
-                raise LoadError(f"{path}:{lineno}: expected 4 tokens, got {len(tokens)}")
-            questions.append((tokens[0], tokens[1], tokens[2], tokens[3]))
-    return AnalogyDataset(tuple(questions))
+    """Read "a b c d" lines; blank lines, "#" comments and ": section"
+    headers are skipped."""
+    rows = _read_lines(path, None, 4, "4 tokens", comments=("#", ":"))
+    return AnalogyDataset(tuple((a, b, c, d) for _, (a, b, c, d) in rows))
 
 
 def normalize(space: EmbeddingSpace) -> EmbeddingSpace:

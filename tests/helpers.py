@@ -211,6 +211,32 @@ def load_text_vectors_oracle(path: str | Path) -> tuple[list[str], np.ndarray]:
     return words, matrix
 
 
+def save_profile_oracle(profile: gaussian.StabilityProfile, path: str | Path) -> None:
+    """A profile TSV written line by line with f-strings (floats by repr)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("target\tquery\tmu\tsigma\tr\n")
+        for e in profile.entries:
+            fh.write(f"{e.target}\t{e.query}\t{e.mu!r}\t{e.sigma!r}\t{e.r}\n")
+
+
+def save_frequencies_oracle(counts: dict[str, int], path: str | Path) -> None:
+    """A "word<TAB>count" sidecar written line by line with f-strings."""
+    with Path(path).open("w", encoding="utf-8") as handle:
+        for word, count in counts.items():
+            handle.write(f"{word}\t{count}\n")
+
+
+def answer_files_oracle(
+    labels: dict[str, bool], deltas: dict[str, float], targets: Sequence[str], out_dir: Path
+) -> None:
+    """SemEval-style answers-binary.tsv and answers-graded.tsv for a
+    non-empty target list, sorted by word, floats by repr."""
+    binary_lines = [f"{w}\t{int(labels[w])}" for w in sorted(targets)]
+    (out_dir / "answers-binary.tsv").write_text("\n".join(binary_lines) + "\n", encoding="utf-8")
+    graded_lines = [f"{w}\t{deltas[w]!r}" for w in sorted(targets)]
+    (out_dir / "answers-graded.tsv").write_text("\n".join(graded_lines) + "\n", encoding="utf-8")
+
+
 def semantic_change_oracle(
     word: str,
     space_t1: EmbeddingSpace,

@@ -11,6 +11,7 @@ from embedstab import (
     Corpus,
     EmbeddingSpace,
     GoldData,
+    LoadError,
     Vocabulary,
     build_change_report,
     classify_targets,
@@ -377,6 +378,32 @@ class TestGoldLoaders:
         path.write_text("cell\t2\n")
         with pytest.raises(ValueError, match="0|1"):
             load_gold_binary(str(path))
+
+    def test_repeated_word_is_an_error(self, tmp_path):
+        # A later line used to override the earlier one silently.
+        path = tmp_path / "gold.tsv"
+        for loader, text in ((load_gold_binary, "bank\t1\nbank\t0\n"),
+                             (load_gold_graded, "bank\t0.5\nbank\t0.25\n")):
+            path.write_text(text)
+            with pytest.raises(LoadError) as caught:
+                loader(str(path))
+            assert str(caught.value) == f"{path}:2: duplicate word 'bank'"
+
+    def test_labels_are_exactly_0_or_1(self, tmp_path):
+        path = tmp_path / "gold.tsv"
+        for label in ("2", " 1", "01", "true"):
+            path.write_text(f"cell\t1\nplane\t{label}\n")
+            with pytest.raises(LoadError) as caught:
+                load_gold_binary(str(path))
+            assert str(caught.value) == f"{path}:2: bad label {label!r}"
+
+    def test_whitespace_only_lines_are_skipped(self, tmp_path):
+        binary = tmp_path / "binary.tsv"
+        binary.write_text("cell\t1\n  \t \n\nplane\t0\n")
+        assert load_gold_binary(str(binary)) == {"cell": 1, "plane": 0}
+        graded = tmp_path / "graded.tsv"
+        graded.write_text("  \ncell\t0.83\n\t\n")
+        assert load_gold_graded(str(graded)) == {"cell": 0.83}
 
     def test_graded_round_trip(self, tmp_path):
         path = tmp_path / "graded.tsv"

@@ -16,6 +16,7 @@ from embedstab import (
     RunSet,
     Vocabulary,
     aligned_average_tree,
+    build_change_report,
     intrinsic_instability,
     load_corpus,
     load_profile,
@@ -29,7 +30,7 @@ from embedstab import (
 )
 from embedstab.cli import ExperimentConfig, main, run_experiment
 
-from helpers import random_normalized_space, two_topic_corpus
+from helpers import answer_files_oracle, random_normalized_space, two_topic_corpus
 
 
 def run_cli(*args):
@@ -739,6 +740,35 @@ class TestChangeCommand:
         assert values["spearman_rho"] == "NA"
         assert int(values["binary_targets"]) == 2
 
+    def test_answer_files_match_the_f_string_writer(self, tmp_path):
+        p1, p2, changed, control = write_epoch_pair(tmp_path)
+        targets = [changed, control, "w0011", "w0002"]
+        (tmp_path / "targets.txt").write_text("\n".join(targets) + "\n")
+        out_dir = tmp_path / "change"
+        assert run_cli(
+            "change", "--t1", p1, "--t2", p2, "--targets", tmp_path / "targets.txt",
+            "--out", out_dir,
+        ) == 0
+        t1, t2 = (normalize(load_text_vectors(p)) for p in (p1, p2))
+        report = build_change_report(t1, t2, targets=targets, min_count=1)
+        want = tmp_path / "oracle"
+        want.mkdir()
+        answer_files_oracle(report.labels, report.deltas, targets, want)
+        for name in ("answers-binary.tsv", "answers-graded.tsv"):
+            assert (out_dir / name).read_bytes() == (want / name).read_bytes()
+
+    def test_repeated_gold_word_is_a_data_error(self, tmp_path, capsys):
+        p1, p2, changed, control = write_epoch_pair(tmp_path)
+        targets = tmp_path / "targets.txt"
+        targets.write_text(f"{changed}\n{control}\n")
+        gold = tmp_path / "gold.tsv"
+        gold.write_text(f"{changed}\t1\n \n{control}\t0\n{changed}\t0\n")
+        assert run_cli(
+            "change", "--t1", p1, "--t2", p2, "--targets", targets,
+            "--gold-binary", gold, "--out", tmp_path / "change",
+        ) == 3
+        assert f"{gold}:4: duplicate word '{changed}'" in capsys.readouterr().err
+
     def test_missing_target_is_a_data_error(self, tmp_path, capsys):
         p1, p2, _, _ = write_epoch_pair(tmp_path)
         targets = tmp_path / "targets.txt"
@@ -853,6 +883,29 @@ class TestReportCommand:
             "report", "--in", empty, "--format", "json",
             "--out", tmp_path / "z.json",
         ) == 3
+
+
+class TestNonUtf8Inputs:
+    """A Latin-1 byte in any input is a data error naming its file and line."""
+
+    @pytest.mark.parametrize("kind", ["targets", "vec", "freq"])
+    def test_overlap_names_the_file_and_line(self, kind, tmp_path, run_dir, targets_file, capsys):
+        inputs = []
+        for src in sorted(run_dir.glob("*.vec"))[:2]:
+            for suffix in ("", ".freq"):
+                (tmp_path / f"{src.name}{suffix}").write_bytes(Path(f"{src}{suffix}").read_bytes())
+            inputs.append(tmp_path / src.name)
+        targets = tmp_path / "targets.txt"
+        targets.write_bytes(targets_file.read_bytes())
+        bad = {"targets": targets, "vec": inputs[1], "freq": Path(f"{inputs[0]}.freq")}[kind]
+        lines = bad.read_bytes().split(b"\n")
+        lines[2] = b"caf\xe9" + lines[2][len(lines[2].split()[0]):]  # Latin-1 "café"
+        bad.write_bytes(b"\n".join(lines))
+        assert run_cli(
+            "overlap", "--inputs", *inputs, "--targets", targets, "--n", 2,
+            "--out", tmp_path / "overlap.tsv",
+        ) == 3
+        assert f"data error: {bad}:3: not UTF-8" in capsys.readouterr().err
 
 
 class TestInputCounts:

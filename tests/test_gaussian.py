@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 import embedstab.gaussian as gaussian
 
 from embedstab import (
+    LoadError,
     PairStatistics,
     RunSet,
     StabilityProfile,
@@ -562,6 +563,25 @@ class TestProfileIO:
         save_profile(profile, path)
         loaded = load_profile(path)
         assert loaded == profile  # dataclass equality: floats must round-trip
+
+    def test_faults_name_file_and_line(self, tmp_path):
+        path = tmp_path / "profile.tsv"
+        header = "target\tquery\tmu\tsigma\tr\n"
+        for body, message in (
+            ("t\ta\tx\t0.1\t3\n", f"{path}:2: could not convert string to float: 'x'"),
+            ("t\ta\t0.5\t-0.1\t3\n", f"{path}:2: sigma must be finite and >= 0, got -0.1"),
+            ("t\ta\t0.5\t0.1\t3\nt\tb\t0.5\t0.1\t2.5\n", f"{path}:3: invalid literal for int()"),
+            ("t\ta\t1.5\t0.1\t3\n", f"{path}:2: mean cosine 1.5 outside [-1, 1]"),
+            ("t\ta\t0.5\t0.1\t0\n", f"{path}:2: sample count must be >= 1, got 0"),
+            ("t\ta\t0.5\t0.1\t3\nt\ta\t0.4\t0.1\t3\n", f"{path}: duplicate query 'a'"),
+            ("t\ta\t0.5\t0.1\t3\nu\tb\t0.4\t0.1\t3\n",
+             f"{path}: entry target 'u' != profile target 't'"),
+            ("t\tt\t0.5\t0.1\t3\n", f"{path}: target may not appear among its own queries"),
+        ):
+            path.write_text(header + body)
+            with pytest.raises(LoadError) as caught:
+                load_profile(str(path))
+            assert str(caught.value).startswith(message)
 
     def test_malformed_rows(self, tmp_path):
         path = tmp_path / "bad.tsv"
