@@ -13,13 +13,30 @@ leading or trailing points and exponents read as ``float()`` reads them;
 as non-finite, naming their line. Blank lines are allowed only after the
 announced rows.
 
+Parsed vector files are cached by content. `load_text_vectors` reads a file's
+bytes once; the sha256 of those bytes and ``_CACHE_VERSION`` name a cache entry
+holding the parsed matrix (``.npy``) and word list, checked by a CRC-32 and by
+shape on every hit. A miss parses the same bytes and files the entry; a
+malformed file is never filed. Entries are bit-identical to what the parser
+returns, so a hit and a parse give the same space. The directory is
+``$EMBEDSTAB_CACHE``, else ``$XDG_CACHE_HOME/embedstab``, else
+``~/.cache/embedstab``; ``EMBEDSTAB_CACHE=off`` turns the cache off. Its size
+is bounded by ``_CACHE_MAX_BYTES``, least recently used entries going first.
+Cache faults are never errors: an entry that cannot be read is parsed again,
+and a directory that cannot be written means no caching.
+
 One kernel, ``_top_k``, ranks neighbors for `nearest_neighbors`,
 `analogy_score` and the overlap metrics.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import itertools
+import os
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -48,6 +65,16 @@ __all__ = [
 _NORM_ATOL = 1e-9
 # Rows parsed per np.loadtxt call when loading text vectors; sets peak memory.
 _LOAD_BLOCK_LINES = 128
+# Part of every vector cache key: change it when the parser or the entry
+# layout changes, so that no entry written for another loader is read.
+_CACHE_VERSION = b"embedstab vector cache 1\n"
+# Bytes of entries the vector cache keeps; a store past it evicts the least
+# recently used entries (by mtime, which a hit refreshes).
+_CACHE_MAX_BYTES = 1 << 30
+_CACHE_SUFFIX = ".vecc"
+# An entry ends in the word list's byte length (8 bytes) and the CRC-32 of
+# everything before them (4 bytes), both little-endian.
+_CACHE_TRAILER = 12
 # Similarities held at once by the top-k kernel (8 MB); sets its peak memory.
 _TOP_K_BLOCK_ENTRIES = 1 << 20
 
@@ -180,11 +207,37 @@ def load_text_vectors(
     """Load a text vector file; word order is preserved, normalized is False.
 
     With ``frequency_path`` given, counts from the sidecar are attached to the
-    vocabulary; every loaded word must have an entry.
+    vocabulary; every loaded word must have an entry.  The file's bytes are
+    read once and looked up in the vector cache (see the module docstring).
     """
     path = Path(path)
+    data = path.read_bytes()
+    entry = _cache_entry(data)
+    cached = None if entry is None else _cache_read(entry)
+    if cached is None:
+        words, matrix = _parse_text_vectors(path, data)
+        if entry is not None:
+            _cache_store(entry, words, matrix)
+    else:
+        words, matrix = cached
+    frequency = None
+    if frequency_path is not None:
+        frequency = load_frequencies(frequency_path)
+        missing = [w for w in words if w not in frequency]
+        if missing:
+            raise LoadError(f"{frequency_path}: no count for {missing[0]!r}")
+        frequency = {w: frequency[w] for w in words}
+    return EmbeddingSpace(Vocabulary(tuple(words), frequency), matrix, normalized=False)
+
+
+def _parse_text_vectors(path: Path, data: bytes) -> tuple[list[str], np.ndarray]:
+    """The words and matrix of the vector file `path` whose bytes are `data`.
+
+    Lines end as in text-mode reading; the rows are parsed in blocks of
+    ``_LOAD_BLOCK_LINES``.  Every fault is a LoadError naming its line.
+    """
     try:
-        with path.open("r", encoding="utf-8") as handle:
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as handle:
             header = handle.readline()
             parts = header.split()
             if len(parts) != 2:
@@ -210,21 +263,110 @@ def load_text_vectors(
                 if line.strip():
                     raise LoadError(f"{path}:{lineno}: more rows than the header announced")
     except UnicodeDecodeError:
-        raise _decode_error(path) from None
+        raise _decode_error(path, data) from None
     if len(set(words)) != v:
         seen: set[str] = set()
         for lineno, word in enumerate(words, start=2):
             if word in seen:
                 raise LoadError(f"{path}:{lineno}: duplicate word {word!r}")
             seen.add(word)
-    frequency = None
-    if frequency_path is not None:
-        frequency = load_frequencies(frequency_path)
-        missing = [w for w in words if w not in frequency]
-        if missing:
-            raise LoadError(f"{frequency_path}: no count for {missing[0]!r}")
-        frequency = {w: frequency[w] for w in words}
-    return EmbeddingSpace(Vocabulary(tuple(words), frequency), matrix, normalized=False)
+    return words, matrix
+
+
+def _cache_entry(data: bytes) -> str | None:
+    """The path of the cache entry for a vector file whose bytes are `data`,
+    its directory made with mode 0o700 if missing; None when
+    ``EMBEDSTAB_CACHE`` is ``off`` or the directory cannot be made."""
+    directory = os.environ.get("EMBEDSTAB_CACHE") or os.path.join(
+        os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache"),
+        "embedstab",
+    )
+    if directory == "off":
+        return None
+    try:
+        os.makedirs(directory, mode=0o700, exist_ok=True)
+    except OSError:
+        return None
+    key = hashlib.sha256(_CACHE_VERSION)
+    key.update(data)
+    return os.path.join(directory, key.hexdigest() + _CACHE_SUFFIX)
+
+
+def _cache_read(entry: str) -> tuple[list[str], np.ndarray] | None:
+    """The words and matrix a cache entry holds, refreshing its mtime; None
+    if the entry is missing, fails its checksum or shape check, or cannot be
+    read."""
+    try:
+        with open(entry, "rb") as handle:
+            blob = handle.read()
+        body = len(blob) - _CACHE_TRAILER
+        if body < 0 or zlib.crc32(memoryview(blob)[:body]) != int.from_bytes(
+            blob[-4:], "little"
+        ):
+            return None
+        text = blob[body - int.from_bytes(blob[body:-4], "little") : body].decode("utf-8")
+        words = text.split("\n") if text else []
+        # The .npy leads the entry.  Its matrix is read in place, not copied
+        # out of the entry's bytes, and only a float64 matrix is read.
+        npy = io.BytesIO(blob)
+        if np.lib.format.read_magic(npy) != (1, 0):
+            return None
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(npy)
+        if dtype != np.float64 or fortran_order or len(shape) != 2 or shape[0] != len(words):
+            return None
+        matrix = np.frombuffer(blob, np.float64, shape[0] * shape[1], npy.tell()).reshape(shape)
+    except (OSError, ValueError):
+        return None
+    with contextlib.suppress(OSError):  # an entry another user owns is still read
+        os.utime(entry)
+    return words, matrix
+
+
+def _cache_store(entry: str, words: list[str], matrix: np.ndarray) -> None:
+    """File a parsed space as a cache entry, then evict past the size bound.
+
+    The entry is written under a temporary name and renamed into place, so
+    a reader sees a whole entry or none.  Words hold no whitespace, so "\n"
+    separates them.  Any OSError just leaves the entry out.
+    """
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(matrix))
+    text = "\n".join(words).encode("utf-8")
+    # The .npy (header, then the matrix's bytes) and the words, written in
+    # place rather than joined first: a miss should cost little more than a parse.
+    parts = [header.getvalue(), matrix, text]
+    checksum = 0
+    for part in parts:
+        checksum = zlib.crc32(part, checksum)
+    parts.append(len(text).to_bytes(8, "little") + checksum.to_bytes(4, "little"))
+    temporary = f"{entry}.{os.urandom(8).hex()}.tmp"
+    try:
+        with open(temporary, "xb") as handle:
+            for part in parts:
+                handle.write(part)
+        os.replace(temporary, entry)
+        _cache_evict(os.path.dirname(entry))
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(temporary)
+
+
+def _cache_evict(directory: str) -> None:
+    """Remove the least recently used entries until the cache holds at most
+    ``_CACHE_MAX_BYTES``.  Only entry files are counted or removed."""
+    entries = []
+    with os.scandir(directory) as scan:
+        for item in scan:
+            if item.name.endswith(_CACHE_SUFFIX):
+                stat = item.stat()
+                entries.append((stat.st_mtime_ns, item.path, stat.st_size))
+    total = sum(size for _, _, size in entries)
+    for _, path, size in sorted(entries):
+        if total <= _CACHE_MAX_BYTES:
+            break
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)
+        total -= size
 
 
 def _parse_values(rests: list[str]) -> np.ndarray:
@@ -282,9 +424,9 @@ def save_text_vectors(space: EmbeddingSpace, path: str | Path) -> None:
             handle.write(line % (word, *row.tolist()))
 
 
-def _decode_error(path: Path) -> LoadError:
-    """The LoadError for a file that is not UTF-8, naming its first bad line."""
-    data = path.read_bytes()
+def _decode_error(path: Path, data: bytes) -> LoadError:
+    """The LoadError for a file whose bytes `data` are not UTF-8, naming its
+    first bad line."""
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -310,7 +452,7 @@ def _read_lines(
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError:
-        raise _decode_error(path) from None
+        raise _decode_error(path, path.read_bytes()) from None
     lines = text.split("\n")
     if not lines[-1]:
         lines.pop()
@@ -366,7 +508,16 @@ def _write_table(
     lines = [f"# {key}: {_fmt(value)}" for key, value in meta]
     if columns is not None:
         lines.append("\t".join(columns))
-    lines.extend("\t".join(map(_fmt, row)) for row in rows)
+    # `_fmt` inlined for exact str, float and int cells: a call per cell
+    # doubles the time of a large table.
+    lines.extend(
+        "\t".join([
+            c if type(c) is str else repr(c) if type(c) is float else str(c) if type(c) is int
+            else _fmt(c)
+            for c in row
+        ])
+        for row in rows
+    )
     lines.append("")  # ends every line, and an empty table is an empty file
     Path(path).write_text("\n".join(lines), encoding="utf-8")
 

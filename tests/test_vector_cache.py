@@ -1,0 +1,359 @@
+"""The vector cache behind `load_text_vectors`, against its oracle: the text
+parser with ``EMBEDSTAB_CACHE=off``.  Hits are bit-identical to it, every
+cache fault falls back to parsing, malformed files are never cached, and
+CLI outputs hash the same with the cache off, cold and warm."""
+
+import hashlib
+import os
+import shutil
+import tempfile
+from contextlib import contextmanager
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from embedstab import (
+    EmbeddingSpace, LoadError, load_text_vectors, save_frequencies, save_text_vectors,
+)
+from embedstab import space as space_module
+from embedstab.cli import main
+
+from helpers import random_normalized_space, rotated_copy, words_for
+
+SUFFIX = space_module._CACHE_SUFFIX
+
+
+@contextmanager
+def cache_at(directory):
+    """EMBEDSTAB_CACHE set to `directory` ("off" for none) inside the block."""
+    with mock.patch.dict(os.environ, {"EMBEDSTAB_CACHE": str(directory)}):
+        yield
+
+
+@contextmanager
+def no_parse():
+    """Inside the block a load that parses fails the test: it must hit."""
+    with mock.patch.object(space_module, "_parse_text_vectors", side_effect=AssertionError("parsed")):
+        yield
+
+
+def oracle(path):
+    """(words, matrix bytes) of the text parser, the cache off."""
+    with cache_at("off"):
+        space = load_text_vectors(path)
+    return list(space.vocab.words), space.matrix.tobytes()
+
+
+def loaded(space):
+    return list(space.vocab.words), space.matrix.tobytes()
+
+
+def entries(directory):
+    return sorted(Path(directory).glob(f"*{SUFFIX}"))
+
+
+def write_vectors(path, words, matrix, spec="%.17g"):
+    lines = [f"{len(words)} {matrix.shape[1]}\n"]
+    lines += [" ".join([w] + [spec % x for x in row]) + "\n" for w, row in zip(words, matrix.tolist())]
+    Path(path).write_text("".join(lines), encoding="utf-8")
+
+
+# Words as text vector files hold them: no whitespace or control characters.
+WORD = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs", "Zs", "Zl", "Zp")), min_size=1, max_size=6
+).filter(lambda w: len(w.split()) == 1 and w.split()[0] == w)
+VALUE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e308, -1e308, 0.1 + 0.2, 1 / 3]),
+)
+
+
+class TestHitsMatchTheParser:
+    @settings(max_examples=40)
+    @given(
+        st.lists(WORD, min_size=0, max_size=9, unique=True),
+        st.integers(1, 4),
+        st.data(),
+    )
+    @example(["#", "über", "日本語", "w"], 3, None)
+    def test_a_warm_hit_is_bit_identical_to_the_parse(self, words, d, data):
+        if data is None:  # the explicit example: every edge value at once
+            values = np.array([[-0.0, 5e-324, 1e308], [0.1 + 0.2, -1e308, 1 / 3],
+                               [2.5e-310, -5e-324, 1.7976931348623157e308], [1.0, -0.0, 0.0]])
+        else:
+            values = np.array(
+                data.draw(st.lists(st.lists(VALUE, min_size=d, max_size=d),
+                                   min_size=len(words), max_size=len(words))),
+                dtype=np.float64,
+            ).reshape(len(words), d)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "v.vec")
+            write_vectors(path, words, values)  # %.17g: every value round-trips
+            want = oracle(path)
+            with cache_at(Path(tmp, "cache")):
+                assert loaded(load_text_vectors(path)) == want  # cold: parsed, stored
+                assert len(entries(Path(tmp, "cache"))) == 1
+                with no_parse():
+                    assert loaded(load_text_vectors(path)) == want  # warm: a hit
+        assert want[0] == words
+        assert want[1] == values.tobytes()
+
+    def test_editing_one_byte_misses_and_reads_the_new_values(self, tmp_path):
+        path = tmp_path / "v.vec"
+        path.write_text("2 2\na 1.5 2\nb 3 4\n", encoding="utf-8")
+        with cache_at(tmp_path / "cache"):
+            load_text_vectors(path)
+            path.write_text("2 2\na 1.5 2\nb 3 5\n", encoding="utf-8")
+            space = load_text_vectors(path)
+        assert space.matrix.tolist() == [[1.5, 2.0], [3.0, 5.0]]
+        assert loaded(space) == oracle(path)
+        assert len(entries(tmp_path / "cache")) == 2
+
+    def test_a_file_changed_while_loading_is_filed_under_the_bytes_parsed(self, tmp_path):
+        path = tmp_path / "v.vec"
+        old, new = "1 2\na 1 2\n", "1 2\na 3 4\n"
+        path.write_text(old, encoding="utf-8")
+        parse = space_module._parse_text_vectors
+
+        def edit_then_parse(*args):
+            path.write_text(new, encoding="utf-8")  # after the bytes were read and hashed
+            return parse(*args)
+
+        with cache_at(tmp_path / "cache"):
+            with mock.patch.object(space_module, "_parse_text_vectors", edit_then_parse):
+                assert load_text_vectors(path).matrix.tolist() == [[1.0, 2.0]]
+            assert load_text_vectors(path).matrix.tolist() == [[3.0, 4.0]]
+            path.write_text(old, encoding="utf-8")
+            with no_parse():
+                assert load_text_vectors(path).matrix.tolist() == [[1.0, 2.0]]
+
+    def test_sidecars_are_read_on_every_load(self, tmp_path):
+        path = tmp_path / "v.vec"
+        save_text_vectors(random_normalized_space(3, 2, seed=0), path)
+        freq = tmp_path / "v.vec.freq"
+        with cache_at(tmp_path / "cache"):
+            for counts in ({"w0000": 1, "w0001": 2, "w0002": 3}, {"w0000": 7, "w0001": 8, "w0002": 9}):
+                save_frequencies(counts, freq)
+                assert load_text_vectors(path, freq).vocab.frequency == counts
+
+
+class TestFaultsFallBackToParsing:
+    @staticmethod
+    def setup_entry(tmp_path):
+        path = tmp_path / "v.vec"
+        save_text_vectors(random_normalized_space(40, 3, seed=1), path)
+        cache = tmp_path / "cache"
+        with cache_at(cache):
+            load_text_vectors(path)
+        (entry,) = entries(cache)
+        return path, cache, entry
+
+    @pytest.mark.parametrize("fault", ["truncated", "flipped", "empty", "shape"])
+    def test_a_bad_entry_is_parsed_again_and_rewritten(self, tmp_path, fault):
+        path, cache, entry = self.setup_entry(tmp_path)
+        blob = entry.read_bytes()
+        if fault == "truncated":
+            entry.write_bytes(blob[: len(blob) // 2])
+        elif fault == "flipped":
+            entry.write_bytes(blob[:200] + bytes([blob[200] ^ 1]) + blob[201:])
+        elif fault == "empty":
+            entry.write_bytes(b"")
+        else:  # a whole entry, checksum and all, with one word too few
+            words, matrix = oracle(path)
+            space_module._cache_store(
+                str(entry), words[:-1], np.frombuffer(matrix).reshape(len(words), 3)
+            )
+            assert entry.read_bytes() != blob
+        want = oracle(path)
+        with cache_at(cache):
+            assert loaded(load_text_vectors(path)) == want
+            assert entry.read_bytes() == blob  # the parse rewrote the entry
+            with no_parse():
+                assert loaded(load_text_vectors(path)) == want
+
+    def test_a_malformed_file_is_never_cached(self, tmp_path):
+        path = tmp_path / "bad.vec"
+        path.write_text("3 2\na 1 2\nb 1 x\nc 1 2\n", encoding="utf-8")
+        cache = tmp_path / "cache"
+        with cache_at(cache), pytest.raises(LoadError) as caught:
+            load_text_vectors(path)
+        assert str(caught.value) == f"{path}:3: non-numeric value"
+        assert list(cache.iterdir()) == []
+        with cache_at("off"), pytest.raises(LoadError) as off:
+            load_text_vectors(path)
+        assert str(off.value) == str(caught.value)
+
+    def test_a_directory_that_cannot_be_made_means_no_caching(self, tmp_path):
+        path = tmp_path / "v.vec"
+        save_text_vectors(random_normalized_space(5, 2, seed=2), path)
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        for directory in (blocker, blocker / "cache"):
+            with cache_at(directory):
+                assert loaded(load_text_vectors(path)) == oracle(path)
+        assert blocker.read_text() == "not a directory"
+
+    def test_an_unwritable_directory_still_loads(self, tmp_path, monkeypatch):
+        # Permission bits do not stop every user (root), so the write fails here.
+        path = tmp_path / "v.vec"
+        save_text_vectors(random_normalized_space(5, 2, seed=3), path)
+        cache = tmp_path / "cache"
+
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied", dst)
+
+        monkeypatch.setattr(space_module.os, "replace", refuse)
+        with cache_at(cache):
+            for _ in range(2):
+                assert loaded(load_text_vectors(path)) == oracle(path)
+        assert list(cache.iterdir()) == []  # no entry and no temporary file left
+
+    def test_off_creates_nothing(self, tmp_path, monkeypatch):
+        path = tmp_path / "v.vec"
+        save_text_vectors(random_normalized_space(5, 2, seed=4), path)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        before = sorted(tmp_path.rglob("*"))
+        with cache_at("off"):
+            load_text_vectors(path)
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_default_directories(self, tmp_path, monkeypatch):
+        path = tmp_path / "v.vec"
+        save_text_vectors(random_normalized_space(5, 2, seed=5), path)
+        monkeypatch.delenv("EMBEDSTAB_CACHE")
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        load_text_vectors(path)
+        assert len(entries(tmp_path / "xdg" / "embedstab")) == 1
+        assert (tmp_path / "xdg" / "embedstab").stat().st_mode & 0o777 == 0o700
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        load_text_vectors(path)
+        assert len(entries(tmp_path / "home" / ".cache" / "embedstab")) == 1
+
+
+class TestEviction:
+    def test_least_recently_used_entries_go_first(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        paths = []
+        for seed in range(3):
+            path = tmp_path / f"v{seed}.vec"
+            save_text_vectors(random_normalized_space(50, 4, seed=seed), path)
+            paths.append(path)
+        with cache_at(cache):
+            load_text_vectors(paths[0])
+            load_text_vectors(paths[1])
+            by_path = {}
+            for path in paths[:2]:
+                digest = hashlib.sha256(space_module._CACHE_VERSION + path.read_bytes()).hexdigest()
+                by_path[path] = cache / f"{digest}{SUFFIX}"
+            size = by_path[paths[0]].stat().st_size
+            # Both entries last used long ago, the first one first ...
+            os.utime(by_path[paths[0]], (1_000_000, 1_000_000))
+            os.utime(by_path[paths[1]], (2_000_000, 2_000_000))
+            # ... then a hit makes the first the most recently used.
+            with no_parse():
+                load_text_vectors(paths[0])
+            foreign = cache / "notes.txt"
+            foreign.write_bytes(b"x" * (10 * size))
+            monkeypatch.setattr(space_module, "_CACHE_MAX_BYTES", 2 * size + size // 2)
+            load_text_vectors(paths[2])
+        assert not by_path[paths[1]].exists()
+        assert by_path[paths[0]].exists()
+        assert len(entries(cache)) == 2
+        assert foreign.exists()  # only entries are counted or removed
+
+    def test_an_entry_larger_than_the_bound_is_not_kept(self, tmp_path, monkeypatch):
+        path = tmp_path / "v.vec"
+        save_text_vectors(random_normalized_space(20, 3, seed=6), path)
+        monkeypatch.setattr(space_module, "_CACHE_MAX_BYTES", 100)
+        with cache_at(tmp_path / "cache"):
+            assert loaded(load_text_vectors(path)) == oracle(path)
+        assert entries(tmp_path / "cache") == []
+
+
+def cli_inputs(root):
+    """Small analysis inputs: 3 shuffled and 2 bootstrapped runs with
+    sidecars, targets, and two epochs for `change`."""
+    v, d = 60, 6
+    counts = {w: 100 - i for i, w in enumerate(words_for(v))}
+    base = random_normalized_space(v, d, seed=10, frequency=counts)
+    for mode, runs in (("shuffled", 3), ("bootstrapped", 2)):
+        (root / mode).mkdir(parents=True)
+        for i in range(runs):
+            path = root / mode / f"run_{i:03d}.vec"
+            noisy = base.matrix + 0.05 * np.random.default_rng(100 * runs + i).normal(size=(v, d))
+            space = rotated_copy(EmbeddingSpace(base.vocab, noisy), seed=i)
+            save_text_vectors(space, path)
+            save_frequencies(counts, f"{path}.freq")
+    (root / "targets.txt").write_text("w0001\nw0007\nw0020\n", encoding="utf-8")
+    return sorted((root / "shuffled").glob("*.vec"))
+
+
+def cli_commands(root, inputs, out):
+    targets = root / "targets.txt"
+    return [
+        ("instability", "--shuffled", root / "shuffled", "--bootstrapped", root / "bootstrapped",
+         "--runs", "all", "--proxy-size", 40, "--words", targets,
+         "--wordwise-out", out / "wordwise.tsv", "--out", out / "instability.tsv"),
+        ("pip", "--inputs", *inputs, "--proxy-size", 40, "--out", out / "pip.tsv"),
+        ("overlap", "--inputs", *inputs, "--targets", targets, "--n", 3, "--out", out / "overlap.tsv"),
+        ("average", "--inputs", *inputs, "--out", out / "average.vec"),
+        ("change", "--t1", inputs[0], "--t2", inputs[1], "--targets", targets,
+         "--out", out / "change"),
+        ("predict", "--inputs", *inputs, "--targets", targets, "--candidates", 3,
+         "--profiles", out / "profiles", "--out", out / "predict.tsv"),
+    ]
+
+
+def run_all(root, inputs, out):
+    """sha256 of every file the commands write, by path under `out`."""
+    out.mkdir()
+    for command in cli_commands(root, inputs, out):
+        assert main([str(a) for a in command]) == 0, command[0]
+    hashes = {
+        str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.rglob("*")) if p.is_file()
+    }
+    shutil.rmtree(out)
+    return hashes
+
+
+class TestCommandOutputs:
+    def test_outputs_are_byte_identical_with_the_cache_off_cold_and_warm(self, tmp_path, capsys):
+        inputs = cli_inputs(tmp_path / "in")
+        out, cache = tmp_path / "out", tmp_path / "cache"
+        with cache_at("off"):
+            off = run_all(tmp_path / "in", inputs, out)
+        with cache_at(cache):
+            cold = run_all(tmp_path / "in", inputs, out)
+            assert len(entries(cache)) == 5  # each run file parsed once
+            with no_parse():
+                warm = run_all(tmp_path / "in", inputs, out)
+        assert sorted(off) == [
+            "average.vec", "average.vec.freq", "average.vec.manifest.json",
+            "change/answers-binary.tsv", "change/answers-graded.tsv", "change/report.tsv",
+            "instability.tsv", "overlap.tsv", "pip.tsv", "predict.tsv",
+            "profiles/profile_000_w0001.tsv", "profiles/profile_001_w0007.tsv",
+            "profiles/profile_002_w0020.tsv", "wordwise.tsv",
+        ]
+        assert cold == off
+        assert warm == off
+
+        # A run file whose clean bytes are cached, now corrupt: the same error.
+        lines = inputs[1].read_text(encoding="utf-8").split("\n")
+        lines[4] = lines[4].split()[0] + " 1 2"
+        inputs[1].write_text("\n".join(lines), encoding="utf-8")
+        command = [str(a) for a in cli_commands(tmp_path / "in", inputs, out)[1]]
+        errors = []
+        for directory in (cache, "off"):
+            with cache_at(directory):
+                assert main(command) == 3
+            errors.append(capsys.readouterr().err)
+        want = f"embedstab: data error: {inputs[1]}:5: expected 6 values for 'w0003', got 2\n"
+        assert errors == [want, want]
+        assert len(entries(cache)) == 5
