@@ -49,6 +49,8 @@ from .space import (
     RunSet,
     _read_lines,
     _read_table,
+    _recorded_digest,
+    _recording_inputs,
     _write_table,
     analogy_score,
     load_analogies,
@@ -80,6 +82,11 @@ class UsageError(Exception):
 
 
 def _sha256(path: str | Path) -> str:
+    """The sha256 of a file: of the bytes this command parsed, if it read the
+    file, else of the bytes it holds now (as for outputs)."""
+    recorded = _recorded_digest(path)
+    if recorded is not None:
+        return recorded
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
@@ -323,10 +330,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     corpus = _read_corpus(args.corpus, args.lowercase, args.dedup)
+    settings = _corpus_config(args.corpus, args.mode, args.lowercase, args.dedup)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_corpus(sample(corpus, SamplingMode(args.mode, args.seed)), out)
-    settings = _corpus_config(args.corpus, args.mode, args.lowercase, args.dedup)
     _write_manifest(
         f"{out}.manifest.json", "sample", {**settings, "seed": args.seed}, output=_file_entry(out)
     )
@@ -484,15 +491,15 @@ def _cmd_average(args: argparse.Namespace) -> int:
         pairing=args.pairing,
         seed=args.seed,
     )
-    save_text_vectors(averaged, args.out)
-    if averaged.vocab.frequency is not None:
-        save_frequencies(averaged.vocab.frequency, f"{args.out}.freq")
     settings = {
         "inputs": [_vec_entry(p) for p in args.inputs],
         "renormalize": not args.no_renorm,
         "pairing": args.pairing,
         "seed": args.seed,
     }
+    save_text_vectors(averaged, args.out)
+    if averaged.vocab.frequency is not None:
+        save_frequencies(averaged.vocab.frequency, f"{args.out}.freq")
     _write_manifest(
         f"{args.out}.manifest.json", "average", settings, output=_file_entry(args.out)
     )
@@ -552,12 +559,12 @@ def _cmd_change(args: argparse.Namespace) -> int:
     _write_table(out_dir / "answers-graded.tsv", [(w, report.deltas[w]) for w in answers])
 
     if args.gold_binary or args.gold_graded:
-        gold_files = [("gold binary", args.gold_binary), ("gold graded", args.gold_graded)]
-        eval_meta = base_meta + _input_meta([(label, p) for label, p in gold_files if p])
         gold = GoldData(
             binary=load_gold_binary(args.gold_binary) if args.gold_binary else {},
             graded=load_gold_graded(args.gold_graded) if args.gold_graded else {},
         )
+        gold_files = [("gold binary", args.gold_binary), ("gold graded", args.gold_graded)]
+        eval_meta = base_meta + _input_meta([(label, p) for label, p in gold_files if p])
         accuracy, rho = evaluate(report, gold)
         eval_rows = [
             ("accuracy", accuracy),
@@ -974,20 +981,21 @@ def _apply_config_file(
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        args = _apply_config_file(args, parser, argv)
-        return args.func(args)
-    except UsageError as exc:
-        print(f"embedstab: usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (np.linalg.LinAlgError, ArithmeticError) as exc:
-        print(f"embedstab: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (LoadError, OSError, ValueError, KeyError) as exc:
-        print(f"embedstab: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    with _recording_inputs():  # reports name the bytes this command read
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        try:
+            args = _apply_config_file(args, parser, argv)
+            return args.func(args)
+        except UsageError as exc:
+            print(f"embedstab: usage error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except (np.linalg.LinAlgError, ArithmeticError) as exc:
+            print(f"embedstab: numerical failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
+        except (LoadError, OSError, ValueError, KeyError) as exc:
+            print(f"embedstab: data error: {exc}", file=sys.stderr)
+            return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -2,8 +2,13 @@
 
 The on-disk interchange format is the plain-text vector format: a header line
 ``"<v> <d>"`` followed by one ``"<word> <x1> ... <xd>"`` line per word. Word
-frequencies travel in an optional tab-separated sidecar file.  Every text file
-but vectors is read by ``_read_lines``, and every table written by ``_write_table``.
+frequencies travel in an optional tab-separated sidecar file.
+
+Every input file is read once per load by ``_read_input``, which returns its
+bytes and their sha256 and, while a CLI command runs, records that digest for
+the report's ``# input`` lines.  Every text file but vectors is split into
+lines by ``_read_lines``, and every table written by ``_write_table``.  A
+well-formed sidecar is parsed in one pass, any other by ``_read_map``.
 
 Values are read by numpy's C text reader, correctly rounded like ``float()``.
 Its number grammar is narrower than ``float()``'s: digit-group underscores
@@ -13,12 +18,12 @@ leading or trailing points and exponents read as ``float()`` reads them;
 as non-finite, naming their line. Blank lines are allowed only after the
 announced rows.
 
-Parsed vector files are cached by content. `load_text_vectors` reads a file's
-bytes once; the sha256 of those bytes and ``_CACHE_VERSION`` name a cache entry
-holding the parsed matrix (``.npy``) and word list, checked by a CRC-32 and by
-shape on every hit. A miss parses the same bytes and files the entry; a
-malformed file is never filed. Entries are bit-identical to what the parser
-returns, so a hit and a parse give the same space. The directory is
+Parsed vector files are cached by content: the sha256 of ``_CACHE_VERSION``
+followed by the file's hex sha256 names a cache entry holding the parsed
+matrix (``.npy``) and word list, checked by a CRC-32 and by shape on every
+hit. A miss parses the same bytes and files the entry; a malformed file is
+never filed. Entries are bit-identical to what the parser returns, so a hit
+and a parse give the same space. The directory is
 ``$EMBEDSTAB_CACHE``, else ``$XDG_CACHE_HOME/embedstab``, else
 ``~/.cache/embedstab``; ``EMBEDSTAB_CACHE=off`` turns the cache off. Its size
 is bounded by ``_CACHE_MAX_BYTES``, least recently used entries going first.
@@ -77,6 +82,9 @@ _CACHE_SUFFIX = ".vecc"
 _CACHE_TRAILER = 12
 # Similarities held at once by the top-k kernel (8 MB); sets its peak memory.
 _TOP_K_BLOCK_ENTRIES = 1 << 20
+# The sha256 of each input file read inside `_recording_inputs`, by absolute
+# path; None outside it, so no digest outlives the command that read the file.
+_input_digests: dict[str, str] | None = None
 
 
 class LoadError(ValueError):
@@ -92,15 +100,15 @@ class Vocabulary:
     index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        index: dict[str, int] = {}
-        for pos, word in enumerate(self.words):
-            if word in index:
-                raise ValueError(f"duplicate word {word!r}")
-            index[word] = pos
+        index = dict(zip(self.words, range(len(self.words))))
+        if len(index) != len(self.words):
+            seen: set[str] = set()
+            word = next(w for w in self.words if w in seen or seen.add(w))
+            raise ValueError(f"duplicate word {word!r}")
         object.__setattr__(self, "index", index)
-        if self.frequency is not None:
-            for word in self.words:
-                count = self.frequency.get(word)
+        counts = [] if self.frequency is None else list(map(self.frequency.get, self.words))
+        if None in counts or min(counts, default=1) < 1:  # walk to name the first fault
+            for word, count in zip(self.words, counts):
                 if count is None:
                     raise ValueError(f"no frequency entry for {word!r}")
                 if count < 1:
@@ -147,7 +155,8 @@ class EmbeddingSpace:
         if not np.all(np.isfinite(matrix)):
             raise ValueError("matrix contains non-finite entries")
         if self.normalized:
-            norms = np.linalg.norm(matrix, axis=1)
+            # Row sums of squares in one pass, with no v x d temporary.
+            norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
             if norms.size and np.max(np.abs(norms - 1.0)) > _NORM_ATOL:
                 raise ValueError("normalized flag set but rows are not unit length")
         matrix.setflags(write=False)
@@ -211,8 +220,8 @@ def load_text_vectors(
     read once and looked up in the vector cache (see the module docstring).
     """
     path = Path(path)
-    data = path.read_bytes()
-    entry = _cache_entry(data)
+    data, digest = _read_input(path)
+    entry = _cache_entry(digest)
     cached = None if entry is None else _cache_read(entry)
     if cached is None:
         words, matrix = _parse_text_vectors(path, data)
@@ -222,11 +231,11 @@ def load_text_vectors(
         words, matrix = cached
     frequency = None
     if frequency_path is not None:
-        frequency = load_frequencies(frequency_path)
-        missing = [w for w in words if w not in frequency]
-        if missing:
-            raise LoadError(f"{frequency_path}: no count for {missing[0]!r}")
-        frequency = {w: frequency[w] for w in words}
+        counts = load_frequencies(frequency_path)
+        try:
+            frequency = dict(zip(words, map(counts.__getitem__, words)))
+        except KeyError as exc:
+            raise LoadError(f"{frequency_path}: no count for {exc.args[0]!r}") from None
     return EmbeddingSpace(Vocabulary(tuple(words), frequency), matrix, normalized=False)
 
 
@@ -273,10 +282,10 @@ def _parse_text_vectors(path: Path, data: bytes) -> tuple[list[str], np.ndarray]
     return words, matrix
 
 
-def _cache_entry(data: bytes) -> str | None:
-    """The path of the cache entry for a vector file whose bytes are `data`,
-    its directory made with mode 0o700 if missing; None when
-    ``EMBEDSTAB_CACHE`` is ``off`` or the directory cannot be made."""
+def _cache_entry(digest: str) -> str | None:
+    """The path of the cache entry for a vector file whose bytes have the
+    sha256 `digest` (hex), its directory made with mode 0o700 if missing;
+    None when ``EMBEDSTAB_CACHE`` is ``off`` or the directory cannot be made."""
     directory = os.environ.get("EMBEDSTAB_CACHE") or os.path.join(
         os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache"),
         "embedstab",
@@ -287,9 +296,8 @@ def _cache_entry(data: bytes) -> str | None:
         os.makedirs(directory, mode=0o700, exist_ok=True)
     except OSError:
         return None
-    key = hashlib.sha256(_CACHE_VERSION)
-    key.update(data)
-    return os.path.join(directory, key.hexdigest() + _CACHE_SUFFIX)
+    key = hashlib.sha256(_CACHE_VERSION + digest.encode("ascii")).hexdigest()
+    return os.path.join(directory, key + _CACHE_SUFFIX)
 
 
 def _cache_read(entry: str) -> tuple[list[str], np.ndarray] | None:
@@ -415,7 +423,7 @@ def _parse_block(
 def save_text_vectors(space: EmbeddingSpace, path: str | Path) -> None:
     """Write the exact format `load_text_vectors` accepts (10 significant
     digits, or 17 if 10 would round the largest floats up to infinity)."""
-    path = Path(path)
+    path = _writing(path)
     spec = "%.10g" if np.all(np.abs(space.matrix) < 1.797693134e308) else "%.17g"
     line = " ".join(["%s"] + [spec] * space.dim) + "\n"
     with path.open("w", encoding="utf-8") as handle:
@@ -436,11 +444,47 @@ def _decode_error(path: Path, data: bytes) -> LoadError:
     return LoadError(f"{path}: not UTF-8")
 
 
+@contextlib.contextmanager
+def _recording_inputs() -> Iterator[None]:
+    """Record the digest of every input file read inside the block."""
+    global _input_digests
+    outer, _input_digests = _input_digests, {}
+    try:
+        yield
+    finally:
+        _input_digests = outer
+
+
+def _read_input(path: str | Path) -> tuple[bytes, str]:
+    """The bytes of an input file and their sha256 (hex), recorded by path
+    inside `_recording_inputs`.  Every input file is read here."""
+    data = Path(path).read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
+    if _input_digests is not None:
+        _input_digests[os.path.abspath(path)] = digest
+    return data, digest
+
+
+def _recorded_digest(path: str | Path) -> str | None:
+    """The digest of the bytes `_read_input` last read from `path` inside
+    `_recording_inputs`, unless a writer has replaced the file since."""
+    return None if _input_digests is None else _input_digests.get(os.path.abspath(path))
+
+
+def _writing(path: str | Path) -> Path:
+    """`path` as a Path for a writer about to replace the file, whose recorded
+    digest then no longer names its bytes."""
+    if _input_digests is not None:
+        _input_digests.pop(os.path.abspath(path), None)
+    return Path(path)
+
+
 def _read_lines(
     path: str | Path, sep: str | None = "\t", width: int | None = None, expected: str = "",
-    comments: tuple[str, ...] = (), blank: bool = False,
+    comments: tuple[str, ...] = (), blank: bool = False, data: bytes | None = None,
 ) -> Iterator[tuple[int, list[str]]]:
-    """(line number, ``line.split(sep)``) of each line of a UTF-8 text file.
+    """(line number, ``line.split(sep)``) of each line of a UTF-8 text file,
+    whose bytes are `data` if the caller has read them already.
 
     Line ends are translated as by `Path.read_text`; lines split only at
     "\\n", so ``sep="\\n"`` gives the whole line.  Blank lines are skipped
@@ -449,10 +493,14 @@ def _read_lines(
     ``path:lineno: expected <expected>, got <n>``.
     """
     path = Path(path)
+    if data is None:
+        data, _ = _read_input(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError:
-        raise _decode_error(path, path.read_bytes()) from None
+        raise _decode_error(path, data) from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines = text.split("\n")
     if not lines[-1]:
         lines.pop()
@@ -467,13 +515,15 @@ def _read_lines(
 
 def _read_map(
     path: str | Path, what: str, convert: Callable[[str], float], rule: str, low: float,
-    high: float | None = None,
+    high: float | None = None, data: bytes | None = None,
 ) -> dict:
-    """The map of a "word<TAB>value" file; each value is `convert`ed and must
-    lie in [low, high] (`rule` says so in words).  Every fault, a repeated
-    word too, is a LoadError naming its line."""
+    """The map of a "word<TAB>value" file (whose bytes are `data`, if read
+    already); each value is `convert`ed and must lie in [low, high] (`rule`
+    says so in words).  Every fault, a repeated word too, is a LoadError
+    naming its line."""
     values = {}
-    for lineno, (word, raw) in _read_lines(path, "\t", 2, f"2 fields 'word<TAB>{what}'"):
+    rows = _read_lines(path, "\t", 2, f"2 fields 'word<TAB>{what}'", data=data)
+    for lineno, (word, raw) in rows:
         try:
             value = convert(raw)
         except ValueError:
@@ -519,7 +569,7 @@ def _write_table(
         for row in rows
     )
     lines.append("")  # ends every line, and an empty table is an empty file
-    Path(path).write_text("\n".join(lines), encoding="utf-8")
+    _writing(path).write_text("\n".join(lines), encoding="utf-8")
 
 
 def _read_table(path: str | Path) -> tuple[list[list[str]], list[str], list[list[str]]]:
@@ -546,7 +596,30 @@ def _read_table(path: str | Path) -> tuple[list[list[str]], list[str], list[list
 
 def load_frequencies(path: str | Path) -> dict[str, int]:
     """Read a "word<TAB>count" sidecar file (counts >= 1, each word once)."""
-    return _read_map(path, "count", int, ">= 1", 1)
+    data, _ = _read_input(path)
+    counts = _parse_counts(data)
+    return _read_map(path, "count", int, ">= 1", 1, data=data) if counts is None else counts
+
+
+def _parse_counts(data: bytes) -> dict[str, int] | None:
+    """`_read_map`'s count map of a sidecar's bytes, in one pass with no
+    Python call per line; None on whatever `_read_map` must skip or name:
+    non-UTF-8 bytes, a "\\r", a blank line, other than 2 fields, a bad or
+    < 1 count, a repeated word."""
+    try:
+        text = data.decode("utf-8")
+        body = text[:-1] if text.endswith("\n") else text
+        fields = body.replace("\n", "\t").split("\t") if body else []
+        words, raw = fields[0::2], fields[1::2]
+        counts = dict(zip(words, map(int, raw)))
+    except ValueError:  # a UnicodeDecodeError too
+        return None
+    # The fields join back into the text only if every line is one word, a
+    # tab and a count; a repeated word leaves fewer counts than words.
+    joined = "\n".join(map("\t".join, zip(words, raw)))
+    if "\r" in text or joined != body or len(counts) != len(words):
+        return None
+    return counts if min(counts.values(), default=1) >= 1 else None
 
 
 def save_frequencies(counts: Mapping[str, int], path: str | Path) -> None:
@@ -587,7 +660,12 @@ def _unit_rows(space: EmbeddingSpace, rows: np.ndarray | None = None) -> np.ndar
 
 def _positions(vocab: Vocabulary, words: Sequence[str]) -> np.ndarray:
     """Row positions of `words` in `vocab`; an unknown word is a KeyError."""
-    return np.array([vocab.position(w) for w in words], dtype=np.intp)
+    if isinstance(words, tuple) and words == vocab.words:
+        return np.arange(len(words), dtype=np.intp)
+    try:
+        return np.fromiter(map(vocab.index.__getitem__, words), dtype=np.intp, count=len(words))
+    except KeyError as exc:
+        raise KeyError(f"word {exc.args[0]!r} not in vocabulary") from None
 
 
 def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -686,12 +764,13 @@ def joint_vocabulary(spaces: Sequence[EmbeddingSpace]) -> Vocabulary:
     """Intersection of all vocabularies, ordered by the first space's order."""
     if not spaces:
         raise ValueError("need at least one space")
-    common = set(spaces[0].vocab.words)
-    for space in spaces[1:]:
-        common &= set(space.vocab.words)
-    if not common:
+    words = tuple(spaces[0].vocab.words)
+    if any(space.vocab.words != words for space in spaces[1:]):
+        common = set(words).intersection(*(space.vocab.words for space in spaces[1:]))
+        words = tuple(w for w in words if w in common)
+    if not words:
         raise ValueError("spaces share no common words")
-    return Vocabulary(tuple(w for w in spaces[0].vocab.words if w in common))
+    return Vocabulary(words)
 
 
 def restrict(space: EmbeddingSpace, words: Sequence[str]) -> EmbeddingSpace:

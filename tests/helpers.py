@@ -15,6 +15,8 @@ from embedstab import (
     RunSet,
     Vocabulary,
     normalize,
+    save_frequencies,
+    save_text_vectors,
 )
 from embedstab import gaussian
 from embedstab.align import _solve_rotation
@@ -471,3 +473,37 @@ def rank_probabilities_oracle(
     p1_all[active] = np.where(first, np.clip(p1, 0.0, 1.0), 0.0)
     p2_all[active] = np.minimum(1.0, p1_all[active] + np.where(second, above, 0.0))
     return p1_all, p2_all
+
+
+def cli_inputs(root):
+    """Small analysis inputs: 3 shuffled and 2 bootstrapped runs with
+    sidecars, targets, and two epochs for `change`."""
+    v, d = 60, 6
+    counts = {w: 100 - i for i, w in enumerate(words_for(v))}
+    base = random_normalized_space(v, d, seed=10, frequency=counts)
+    for mode, runs in (("shuffled", 3), ("bootstrapped", 2)):
+        (root / mode).mkdir(parents=True)
+        for i in range(runs):
+            path = root / mode / f"run_{i:03d}.vec"
+            noisy = base.matrix + 0.05 * np.random.default_rng(100 * runs + i).normal(size=(v, d))
+            space = rotated_copy(EmbeddingSpace(base.vocab, noisy), seed=i)
+            save_text_vectors(space, path)
+            save_frequencies(counts, f"{path}.freq")
+    (root / "targets.txt").write_text("w0001\nw0007\nw0020\n", encoding="utf-8")
+    return sorted((root / "shuffled").glob("*.vec"))
+
+
+def cli_commands(root, inputs, out):
+    targets = root / "targets.txt"
+    return [
+        ("instability", "--shuffled", root / "shuffled", "--bootstrapped", root / "bootstrapped",
+         "--runs", "all", "--proxy-size", 40, "--words", targets,
+         "--wordwise-out", out / "wordwise.tsv", "--out", out / "instability.tsv"),
+        ("pip", "--inputs", *inputs, "--proxy-size", 40, "--out", out / "pip.tsv"),
+        ("overlap", "--inputs", *inputs, "--targets", targets, "--n", 3, "--out", out / "overlap.tsv"),
+        ("average", "--inputs", *inputs, "--out", out / "average.vec"),
+        ("change", "--t1", inputs[0], "--t2", inputs[1], "--targets", targets,
+         "--out", out / "change"),
+        ("predict", "--inputs", *inputs, "--targets", targets, "--candidates", 3,
+         "--profiles", out / "profiles", "--out", out / "predict.tsv"),
+    ]

@@ -42,8 +42,9 @@ def test_the_check_sees_an_unused_import(tmp_path):
 
 
 def text_reads(path: Path) -> list[int]:
-    """Lines where a module reads a file as text: any `.read_text(...)`, and
-    `open(...)` or `<path>.open(...)` in a reading mode without "b"."""
+    """Lines where a module reads a file as text: any `.read_text(...)` or
+    `.decode(...)` (bytes read, then made text), and `open(...)` or
+    `<path>.open(...)` in a reading mode without "b"."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     lines = []
     for node in ast.walk(tree):
@@ -51,7 +52,7 @@ def text_reads(path: Path) -> list[int]:
             continue
         func = node.func
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name == "read_text":
+        if name in ("read_text", "decode"):
             lines.append(node.lineno)
         elif name == "open":
             # The mode is open()'s second argument and Path.open()'s first.
@@ -82,8 +83,10 @@ def test_the_check_sees_a_text_read(tmp_path):
         "    with open(p, 'rb') as fh, Path(p).open('w') as gh, open(p, mode='ab') as hh:\n"
         "        Path(p).write_text(text)\n"
         "    return Path(p).read_bytes()\n"
+        "def g(p):\n"
+        "    return Path(p).read_bytes().decode('utf-8')\n"
     )
-    assert text_reads(module) == [3, 4, 4, 6, 6, 6]
+    assert text_reads(module) == [3, 4, 4, 6, 6, 6, 12]
 
 
 def test_importing_the_package_and_cli_leaves_scipy_stats_out():

@@ -1,0 +1,282 @@
+"""Each input is read, hashed and mapped once.  The one-pass sidecar parser,
+the vocabulary index, row positions and the joint vocabulary agree with their
+loop oracles, faults and messages included.  Each CLI command reads every
+input path once, its reports and manifests name the digests of the bytes it
+parsed, and the record of those digests ends with the command."""
+
+import collections
+import hashlib
+import json
+import os
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, strategies as st
+
+from embedstab import (
+    EmbeddingSpace, LoadError, Vocabulary, joint_vocabulary, load_frequencies, save_frequencies,
+)
+from embedstab import space as space_module
+from embedstab.cli import main
+from embedstab.space import _parse_counts, _positions, _read_map
+
+from helpers import cli_commands, cli_inputs
+
+
+def sha256_of(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def outcome(function, *args):
+    """What `function` returns, or the message of the LoadError, ValueError
+    or KeyError it raises."""
+    try:
+        return function(*args)
+    except (LoadError, ValueError, KeyError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def walk_sidecar(path):
+    """The line walker's count map of a sidecar: the oracle."""
+    return _read_map(path, "count", int, ">= 1", 1)
+
+
+# Sidecar text built to hit every fault and every case the walker treats
+# specially: few distinct words (repeats), whitespace in words, blank and
+# whitespace-only lines, bad counts, a missing or extra tab, all line ends.
+SIDE_WORD = st.text(st.sampled_from("ab é\x0b"), max_size=2)
+COUNT = st.one_of(
+    st.integers(1, 10**6).map(str),
+    st.sampled_from(["0", "-1", "x", "1_0", " 5", "", "+3", "٣", "2.0"]),
+)
+LINE = st.one_of(
+    st.builds(lambda word, count: f"{word}\t{count}", SIDE_WORD, COUNT),
+    st.sampled_from(["", " ", "a", "a\t1\t2"]),
+)
+END = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", ""])
+# Words as vocabularies hold them: no whitespace or control characters.
+WORD = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs", "Zs", "Zl", "Zp")), min_size=1, max_size=6
+)
+
+
+class TestOnePassSidecars:
+    @given(st.lists(st.tuples(LINE, END), max_size=8), st.one_of(st.none(), st.integers(0, 40)))
+    @example([("a\t1", "\r\n"), ("b\t2", "\r\n")], None)  # CRLF
+    @example([("a\t1", "\r"), ("b\t2", "\n")], None)  # a lone CR
+    @example([("a\t1", "\n"), ("", "\n"), ("b\t2", "\n")], None)  # a blank line
+    @example([("a\t1", "\n"), (" ", "\n")], None)  # a whitespace-only line
+    @example([("a\t1", "\n"), ("a\t2", "\n")], None)  # a repeated word
+    @example([("a\t0", "\n")], None)
+    @example([("a\t-1", "\n")], None)
+    @example([("a\tx", "\n")], None)
+    @example([("a\t1_0", "\n")], None)  # int() reads it, so both give 10
+    @example([("a\t 5", "\n")], None)  # int() reads it, so both give 5
+    @example([("a", "\n"), ("b\t1\t2", "\n")], None)  # a missing tab, then an extra one
+    @example([], None)  # an empty file
+    @example([("a\t1", "\n"), ("b\t2", "\n")], 4)  # non-UTF-8 bytes
+    def test_same_map_or_same_error_as_the_line_walker(self, lines, bad_byte_at):
+        data = "".join(line + end for line, end in lines).encode("utf-8")
+        if bad_byte_at is not None:
+            at = min(bad_byte_at, len(data))
+            data = data[:at] + b"\xff" + data[at:]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "v.vec.freq")
+            path.write_bytes(data)
+            want = outcome(walk_sidecar, path)
+            assert outcome(load_frequencies, path) == want
+        fast = _parse_counts(data)
+        # The one-pass parser answers only where the walker gives a map.
+        assert fast is None or fast == want
+
+    @given(st.dictionaries(WORD, st.integers(1, 10**18), max_size=12))
+    @example({"bank": 1, "naïve": 7, "漢字": 10**18})
+    def test_a_well_formed_sidecar_takes_the_one_pass_parser(self, counts):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "v.vec.freq")
+            save_frequencies(counts, path)
+            assert _parse_counts(path.read_bytes()) == counts
+            assert walk_sidecar(path) == counts
+
+
+def vocabulary_oracle(words, frequency):
+    """The index the per-word loop built, or its ValueError."""
+    index = {}
+    for pos, word in enumerate(words):
+        if word in index:
+            raise ValueError(f"duplicate word {word!r}")
+        index[word] = pos
+    if frequency is not None:
+        for word in words:
+            count = frequency.get(word)
+            if count is None:
+                raise ValueError(f"no frequency entry for {word!r}")
+            if count < 1:
+                raise ValueError(f"frequency of {word!r} must be >= 1, got {count}")
+    return index
+
+
+def positions_oracle(vocab, words):
+    return [vocab.position(w) for w in words]
+
+
+def joint_oracle(spaces):
+    common = set.intersection(*(set(space.vocab.words) for space in spaces))
+    words = tuple(w for w in spaces[0].vocab.words if w in common)
+    if not words:
+        raise ValueError("spaces share no common words")
+    return words
+
+
+def space_of(words):
+    return EmbeddingSpace(Vocabulary(tuple(words)), np.ones((len(words), 2)))
+
+
+LETTERS = "abcdefg"
+
+
+class TestWordMaps:
+    @given(
+        st.lists(st.sampled_from(LETTERS), max_size=6),
+        st.one_of(st.none(), st.dictionaries(st.sampled_from(LETTERS), st.integers(-1, 3))),
+    )
+    @example(["a", "b", "a"], None)
+    @example(["a", "b"], {"a": 1})
+    @example(["a", "b"], {"a": 1, "b": 0})
+    @example(["a", "b", "b"], {"a": 0})  # the duplicate is named first
+    def test_vocabulary_matches_the_per_word_loop(self, words, frequency):
+        want = outcome(vocabulary_oracle, words, frequency)
+        got = outcome(lambda: Vocabulary(tuple(words), frequency).index)
+        assert got == want
+
+    @given(
+        st.lists(st.sampled_from(LETTERS), unique=True, max_size=6),
+        st.lists(st.sampled_from(LETTERS), max_size=6),
+    )
+    @example(["a", "b"], ["b", "z", "a"])
+    def test_positions_match_the_lookup_loop(self, vocab_words, words):
+        vocab = Vocabulary(tuple(vocab_words))
+        # Other words, the vocabulary's words as an equal tuple, and its own tuple.
+        for query in (words, tuple(vocab_words), vocab.words):
+            want = outcome(positions_oracle, vocab, query)
+            got = outcome(lambda: _positions(vocab, query).tolist())
+            assert got == want
+        assert _positions(vocab, vocab.words).dtype == np.intp
+
+    @given(st.lists(st.sampled_from(LETTERS), unique=True, max_size=7), st.data())
+    def test_joint_vocabulary_matches_the_set_intersection(self, first, data):
+        others = []
+        for kind in data.draw(st.lists(st.sampled_from(["equal", "permuted", "subset"]), max_size=3)):
+            if kind == "equal":
+                others.append(first)
+            elif kind == "permuted":
+                others.append(data.draw(st.permutations(first)))
+            else:
+                others.append(data.draw(st.lists(st.sampled_from(first or ["z"]), unique=True)))
+        spaces = [space_of(words) for words in [first, *others]]
+        want = outcome(joint_oracle, spaces)
+        assert outcome(lambda: joint_vocabulary(spaces).words) == want
+
+
+def input_digests(report):
+    """The sha256 digests a report's `# input ...: sha256:<hex>` lines name."""
+    lines = Path(report).read_text(encoding="utf-8").splitlines()
+    return [line.rpartition("sha256:")[2] for line in lines if line.startswith("# input ")]
+
+
+@pytest.fixture
+def counted_reads(monkeypatch):
+    """Counts of `_read_input` calls, by absolute path."""
+    reads = collections.Counter()
+    read = space_module._read_input
+
+    def counting(path):
+        reads[os.path.abspath(path)] += 1
+        return read(path)
+
+    monkeypatch.setattr(space_module, "_read_input", counting)
+    return reads
+
+
+class TestEachInputIsReadOnce:
+    def test_one_read_per_input_and_digests_of_the_bytes_read(self, tmp_path, counted_reads):
+        root, out = tmp_path / "in", tmp_path / "out"
+        inputs = cli_inputs(root)
+        gold_binary, gold_graded = root / "gold_binary.tsv", root / "gold_graded.tsv"
+        gold_binary.write_text("w0001\t1\nw0007\t0\nw0020\t1\n", encoding="utf-8")
+        gold_graded.write_text("w0001\t0.9\nw0007\t0.1\nw0020\t0.5\n", encoding="utf-8")
+        out.mkdir()
+        commands = cli_commands(root, inputs, out)
+        commands = [
+            (*command, "--gold-binary", gold_binary, "--gold-graded", gold_graded)
+            if command[0] == "change" else command
+            for command in commands
+        ]
+        written = set()
+        for command in commands:
+            counted_reads.clear()
+            assert main([str(a) for a in command]) == 0, command[0]
+            assert space_module._input_digests is None
+            assert counted_reads and set(counted_reads.values()) == {1}, (command[0], counted_reads)
+            read = {sha256_of(path) for path in counted_reads}
+            inputs_read = {sha256_of(p) for p in counted_reads if p.endswith((".vec", ".freq"))}
+            new = sorted(p for p in out.rglob("*") if p.is_file() and p not in written)
+            written.update(new)
+            listed = [d for p in new if p.suffix == ".tsv" for d in input_digests(p)]
+            for manifest in (p for p in new if p.name.endswith(".manifest.json")):
+                entries = json.loads(manifest.read_text(encoding="utf-8"))["config"]["inputs"]
+                listed += [e[key] for e in entries for key in ("sha256", "frequency_sha256")]
+            assert listed and set(listed) <= read, command[0]
+            assert inputs_read <= set(listed), command[0]
+        assert {p.name for p in written} >= {"evaluation.tsv", "average.vec.manifest.json"}
+
+    def test_the_record_ends_with_every_exit(self, tmp_path):
+        root = tmp_path / "in"
+        inputs = [str(p) for p in cli_inputs(root)]
+        bad = tmp_path / "bad.vec"
+        bad.write_text("1 2\nw0000 1 x\n", encoding="utf-8")
+        out = str(tmp_path / "pip.tsv")
+        assert main(["pip", "--inputs", inputs[0], str(bad), "--out", out]) == 3
+        assert space_module._input_digests is None
+        usage = ["pip", "--inputs", *inputs, "--words", str(root / "targets.txt"), "--out", out]
+        assert main(usage) == 2
+        assert space_module._input_digests is None
+        with pytest.raises(SystemExit):
+            main(["pip", "--no-such-flag"])
+        assert space_module._input_digests is None
+
+    def test_a_report_names_the_bytes_parsed_not_the_file_after(self, tmp_path, monkeypatch):
+        inputs = cli_inputs(tmp_path / "in")
+        parsed = inputs[0].read_bytes()
+        read = space_module._read_input
+
+        def read_then_edit(path):
+            result = read(path)
+            if Path(path) == inputs[0]:
+                inputs[0].write_bytes(parsed + b"\n")  # edited after the read
+            return result
+
+        monkeypatch.setattr(space_module, "_read_input", read_then_edit)
+        out = tmp_path / "pip.tsv"
+        assert main(["pip", "--inputs", *map(str, inputs), "--proxy-size", "40", "--out", str(out)]) == 0
+        assert input_digests(out)[0] == hashlib.sha256(parsed).hexdigest() != sha256_of(inputs[0])
+
+    def test_writing_over_an_input_names_the_bytes_read_and_the_bytes_written(self, tmp_path):
+        inputs = cli_inputs(tmp_path / "in")
+        target, freq = inputs[0], Path(f"{inputs[0]}.freq")
+        vec_before, freq_before = sha256_of(target), sha256_of(freq)
+        assert main(["average", "--inputs", *map(str, inputs), "--out", str(target)]) == 0
+        manifest = json.loads(Path(f"{target}.manifest.json").read_text(encoding="utf-8"))
+        entry = manifest["config"]["inputs"][0]
+        assert (entry["sha256"], entry["frequency_sha256"]) == (vec_before, freq_before)
+        assert manifest["output"]["sha256"] == sha256_of(target) != vec_before
+
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("".join(f"line {i} of the corpus\n" for i in range(20)), encoding="utf-8")
+        before = sha256_of(corpus)
+        assert main(["sample", "--corpus", str(corpus), "--mode", "shuffled", "--out", str(corpus)]) == 0
+        manifest = json.loads(Path(f"{corpus}.manifest.json").read_text(encoding="utf-8"))
+        assert manifest["config"]["corpus_sha256"] == before
+        assert manifest["output"]["sha256"] == sha256_of(corpus) != before

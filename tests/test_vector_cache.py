@@ -16,12 +16,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from embedstab import (
-    EmbeddingSpace, LoadError, load_text_vectors, save_frequencies, save_text_vectors,
+    LoadError, load_text_vectors, save_frequencies, save_text_vectors,
 )
 from embedstab import space as space_module
 from embedstab.cli import main
 
-from helpers import random_normalized_space, rotated_copy, words_for
+from helpers import cli_commands, cli_inputs, random_normalized_space
 
 SUFFIX = space_module._CACHE_SUFFIX
 
@@ -249,8 +249,9 @@ class TestEviction:
             load_text_vectors(paths[1])
             by_path = {}
             for path in paths[:2]:
-                digest = hashlib.sha256(space_module._CACHE_VERSION + path.read_bytes()).hexdigest()
-                by_path[path] = cache / f"{digest}{SUFFIX}"
+                digest = hashlib.sha256(path.read_bytes()).hexdigest().encode("ascii")
+                key = hashlib.sha256(space_module._CACHE_VERSION + digest).hexdigest()
+                by_path[path] = cache / f"{key}{SUFFIX}"
             size = by_path[paths[0]].stat().st_size
             # Both entries last used long ago, the first one first ...
             os.utime(by_path[paths[0]], (1_000_000, 1_000_000))
@@ -274,40 +275,6 @@ class TestEviction:
         with cache_at(tmp_path / "cache"):
             assert loaded(load_text_vectors(path)) == oracle(path)
         assert entries(tmp_path / "cache") == []
-
-
-def cli_inputs(root):
-    """Small analysis inputs: 3 shuffled and 2 bootstrapped runs with
-    sidecars, targets, and two epochs for `change`."""
-    v, d = 60, 6
-    counts = {w: 100 - i for i, w in enumerate(words_for(v))}
-    base = random_normalized_space(v, d, seed=10, frequency=counts)
-    for mode, runs in (("shuffled", 3), ("bootstrapped", 2)):
-        (root / mode).mkdir(parents=True)
-        for i in range(runs):
-            path = root / mode / f"run_{i:03d}.vec"
-            noisy = base.matrix + 0.05 * np.random.default_rng(100 * runs + i).normal(size=(v, d))
-            space = rotated_copy(EmbeddingSpace(base.vocab, noisy), seed=i)
-            save_text_vectors(space, path)
-            save_frequencies(counts, f"{path}.freq")
-    (root / "targets.txt").write_text("w0001\nw0007\nw0020\n", encoding="utf-8")
-    return sorted((root / "shuffled").glob("*.vec"))
-
-
-def cli_commands(root, inputs, out):
-    targets = root / "targets.txt"
-    return [
-        ("instability", "--shuffled", root / "shuffled", "--bootstrapped", root / "bootstrapped",
-         "--runs", "all", "--proxy-size", 40, "--words", targets,
-         "--wordwise-out", out / "wordwise.tsv", "--out", out / "instability.tsv"),
-        ("pip", "--inputs", *inputs, "--proxy-size", 40, "--out", out / "pip.tsv"),
-        ("overlap", "--inputs", *inputs, "--targets", targets, "--n", 3, "--out", out / "overlap.tsv"),
-        ("average", "--inputs", *inputs, "--out", out / "average.vec"),
-        ("change", "--t1", inputs[0], "--t2", inputs[1], "--targets", targets,
-         "--out", out / "change"),
-        ("predict", "--inputs", *inputs, "--targets", targets, "--candidates", 3,
-         "--profiles", out / "profiles", "--out", out / "predict.tsv"),
-    ]
 
 
 def run_all(root, inputs, out):
