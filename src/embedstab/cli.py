@@ -759,7 +759,7 @@ def _add_trainer_flags(parser: argparse.ArgumentParser, prefix: str = "") -> Non
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="embedstab",
         description=(
@@ -770,150 +770,150 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"embedstab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def new(name: str, help_text: str) -> argparse.ArgumentParser:
+    def new(name: str, help_text: str) -> argparse.ArgumentParser | None:
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument(
             "--config",
             default=None,
             help="flat key=value config file; explicit flags override its values",
         )
-        return p
+        return p if argv is None or name in argv else None  # the help lists every command
 
-    p = new("train", "Train one or more embedding spaces from a corpus.")
-    p.add_argument("--corpus", required=True, help="one document per line")
-    _add_trainer_flags(p)
-    _add_corpus_flags(p)
-    p.add_argument("--seed", type=_nonneg_int, default=0, help="global seed; run i uses seed+i")
-    p.add_argument("--mode", choices=SAMPLING_MODES, default="fixed", help="document sampling mode")
-    p.add_argument("--runs", type=_positive_int, default=1, help="number of runs (needs --out-dir)")
-    p.add_argument("--out", default=None, help="output .vec file (single run)")
-    p.add_argument("--out-dir", default=None, help="output directory for run_###.vec files")
-    p.set_defaults(func=_cmd_train)
+    if p := new("train", "Train one or more embedding spaces from a corpus."):
+        p.add_argument("--corpus", required=True, help="one document per line")
+        _add_trainer_flags(p)
+        _add_corpus_flags(p)
+        p.add_argument("--seed", type=_nonneg_int, default=0, help="global seed; run i uses seed+i")
+        p.add_argument("--mode", choices=SAMPLING_MODES, default="fixed", help="document sampling mode")
+        p.add_argument("--runs", type=_positive_int, default=1, help="number of runs (needs --out-dir)")
+        p.add_argument("--out", default=None, help="output .vec file (single run)")
+        p.add_argument("--out-dir", default=None, help="output directory for run_###.vec files")
+        p.set_defaults(func=_cmd_train)
 
-    p = new("sample", "Materialize one sampled corpus (dedup + sampling mode).")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--mode", choices=SAMPLING_MODES, required=True)
-    p.add_argument("--seed", type=_nonneg_int, default=0)
-    _add_corpus_flags(p)
-    p.add_argument("--out", required=True, help="output corpus file")
-    p.set_defaults(func=_cmd_sample)
+    if p := new("sample", "Materialize one sampled corpus (dedup + sampling mode)."):
+        p.add_argument("--corpus", required=True)
+        p.add_argument("--mode", choices=SAMPLING_MODES, required=True)
+        p.add_argument("--seed", type=_nonneg_int, default=0)
+        _add_corpus_flags(p)
+        p.add_argument("--out", required=True, help="output corpus file")
+        p.set_defaults(func=_cmd_sample)
 
-    p = new("instability", "Intrinsic (and extrinsic) instability from run directories.")
-    p.add_argument("--shuffled", required=True, help="directory of shuffled-mode .vec runs")
-    p.add_argument("--bootstrapped", default=None, help="directory of bootstrapped-mode .vec runs")
-    p.add_argument(
-        "--runs",
-        type=_runs_count,
-        default=2,
-        help=(
-            "vec files used per directory (sorted order), or 'all'. Two runs on "
-            "independently shuffled corpora already give an unbiased intrinsic "
-            "estimate (one pair), so the default is 2."
-        ),
-    )
-    p.add_argument("--proxy-size", type=_positive_int, default=DEFAULT_PROXY_SIZE)
-    p.add_argument("--seed", type=_nonneg_int, default=0, help="proxy sampling seed")
-    p.add_argument("--words", default=None, help="word list for word-level instability")
-    p.add_argument("--wordwise-out", default=None, help="word-level report path")
-    p.add_argument("--out", required=True, help="report TSV path")
-    p.set_defaults(func=_cmd_instability)
+    if p := new("instability", "Intrinsic (and extrinsic) instability from run directories."):
+        p.add_argument("--shuffled", required=True, help="directory of shuffled-mode .vec runs")
+        p.add_argument("--bootstrapped", default=None, help="directory of bootstrapped-mode .vec runs")
+        p.add_argument(
+            "--runs",
+            type=_runs_count,
+            default=2,
+            help=(
+                "vec files used per directory (sorted order), or 'all'. Two runs on "
+                "independently shuffled corpora already give an unbiased intrinsic "
+                "estimate (one pair), so the default is 2."
+            ),
+        )
+        p.add_argument("--proxy-size", type=_positive_int, default=DEFAULT_PROXY_SIZE)
+        p.add_argument("--seed", type=_nonneg_int, default=0, help="proxy sampling seed")
+        p.add_argument("--words", default=None, help="word list for word-level instability")
+        p.add_argument("--wordwise-out", default=None, help="word-level report path")
+        p.add_argument("--out", required=True, help="report TSV path")
+        p.set_defaults(func=_cmd_instability)
 
-    p = new("overlap", "Mean nearest-neighbor overlap (p@n, j@n) across run pairs.")
-    p.add_argument("--inputs", nargs="+", required=True, help=".vec files")
-    p.add_argument("--targets", required=True, help="one target word per line")
-    p.add_argument("--n", type=_positive_int, default=10, help="neighbor list length")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_overlap)
+    if p := new("overlap", "Mean nearest-neighbor overlap (p@n, j@n) across run pairs."):
+        p.add_argument("--inputs", nargs="+", required=True, help=".vec files")
+        p.add_argument("--targets", required=True, help="one target word per line")
+        p.add_argument("--n", type=_positive_int, default=10, help="neighbor list length")
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=_cmd_overlap)
 
-    p = new("predict", "Predict top-1/top-2 overlap from Gaussian profiles vs. measurement.")
-    p.add_argument("--inputs", nargs="+", required=True, help=".vec files")
-    p.add_argument("--targets", required=True, help="one target word per line")
-    p.add_argument(
-        "--candidates",
-        type=_positive_int,
-        default=10,
-        help="profile queries = union of each run's top-candidates neighbors",
-    )
-    p.add_argument("--profiles", default=None, help="directory for per-target profile TSVs")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_predict)
+    if p := new("predict", "Predict top-1/top-2 overlap from Gaussian profiles vs. measurement."):
+        p.add_argument("--inputs", nargs="+", required=True, help=".vec files")
+        p.add_argument("--targets", required=True, help="one target word per line")
+        p.add_argument(
+            "--candidates",
+            type=_positive_int,
+            default=10,
+            help="profile queries = union of each run's top-candidates neighbors",
+        )
+        p.add_argument("--profiles", default=None, help="directory for per-target profile TSVs")
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=_cmd_predict)
 
-    p = new("pip", "Pairwise (reduced) PIP distances between runs.")
-    p.add_argument("--inputs", nargs="+", required=True, help=".vec files")
-    p.add_argument("--proxy-size", type=_positive_int, default=DEFAULT_PROXY_SIZE)
-    p.add_argument("--seed", type=_nonneg_int, default=0, help="proxy sampling seed")
-    p.add_argument("--words", default=None, help="word list for word-level PIP")
-    p.add_argument("--wordwise-out", default=None, help="word-level report path")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_pip)
+    if p := new("pip", "Pairwise (reduced) PIP distances between runs."):
+        p.add_argument("--inputs", nargs="+", required=True, help=".vec files")
+        p.add_argument("--proxy-size", type=_positive_int, default=DEFAULT_PROXY_SIZE)
+        p.add_argument("--seed", type=_nonneg_int, default=0, help="proxy sampling seed")
+        p.add_argument("--words", default=None, help="word list for word-level PIP")
+        p.add_argument("--wordwise-out", default=None, help="word-level report path")
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=_cmd_pip)
 
-    p = new("average", "Tree-average aligned spaces into one space.")
-    p.add_argument("--inputs", nargs="+", required=True, help=".vec files")
-    p.add_argument("--out", required=True, help="output .vec file")
-    p.add_argument(
-        "--no-renorm",
-        action="store_true",
-        help="skip row renormalization between averaging levels",
-    )
-    p.add_argument("--pairing", choices=("given", "seeded"), default="given")
-    p.add_argument("--seed", type=_nonneg_int, default=0, help="pairing shuffle seed")
-    p.set_defaults(func=_cmd_average)
+    if p := new("average", "Tree-average aligned spaces into one space."):
+        p.add_argument("--inputs", nargs="+", required=True, help=".vec files")
+        p.add_argument("--out", required=True, help="output .vec file")
+        p.add_argument(
+            "--no-renorm",
+            action="store_true",
+            help="skip row renormalization between averaging levels",
+        )
+        p.add_argument("--pairing", choices=("given", "seeded"), default="given")
+        p.add_argument("--seed", type=_nonneg_int, default=0, help="pairing shuffle seed")
+        p.set_defaults(func=_cmd_average)
 
-    p = new("analogy", "3CosAdd analogy accuracy of one space.")
-    p.add_argument("--input", required=True, help=".vec file")
-    p.add_argument("--analogies", required=True, help="analogy question file")
-    p.add_argument(
-        "--restrict",
-        type=_nonneg_int,
-        default=0,
-        help="evaluate over the N most frequent words (0 = whole vocabulary)",
-    )
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_analogy)
+    if p := new("analogy", "3CosAdd analogy accuracy of one space."):
+        p.add_argument("--input", required=True, help=".vec file")
+        p.add_argument("--analogies", required=True, help="analogy question file")
+        p.add_argument(
+            "--restrict",
+            type=_nonneg_int,
+            default=0,
+            help="evaluate over the N most frequent words (0 = whole vocabulary)",
+        )
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=_cmd_analogy)
 
-    p = new("change", "Semantic change between two epoch spaces.")
-    p.add_argument("--t1", required=True, help="earlier epoch .vec file")
-    p.add_argument("--t2", required=True, help="later epoch .vec file")
-    p.add_argument("--targets", required=True, help="one target word per line")
-    p.add_argument("--gold-binary", default=None, help="gold 'word<TAB>0|1' file")
-    p.add_argument("--gold-graded", default=None, help="gold 'word<TAB>score' file")
-    p.add_argument(
-        "--min-count",
-        type=_positive_int,
-        default=1,
-        help="threshold vocabulary floor (1 = every joint word scores)",
-    )
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_change)
+    if p := new("change", "Semantic change between two epoch spaces."):
+        p.add_argument("--t1", required=True, help="earlier epoch .vec file")
+        p.add_argument("--t2", required=True, help="later epoch .vec file")
+        p.add_argument("--targets", required=True, help="one target word per line")
+        p.add_argument("--gold-binary", default=None, help="gold 'word<TAB>0|1' file")
+        p.add_argument("--gold-graded", default=None, help="gold 'word<TAB>score' file")
+        p.add_argument(
+            "--min-count",
+            type=_positive_int,
+            default=1,
+            help="threshold vocabulary floor (1 = every joint word scores)",
+        )
+        p.add_argument("--out", required=True, help="output directory")
+        p.set_defaults(func=_cmd_change)
 
-    p = new("conformity", "Frequency-effect regression over adjacent epoch pairs.")
-    p.add_argument("--epochs", required=True, help="directory with one corpus file per epoch")
-    p.add_argument("--runs", type=_positive_int, default=8, help="trained runs per epoch")
-    p.add_argument(
-        "--avg",
-        type=_positive_int,
-        default=8,
-        help="runs tree-averaged per epoch space (groups = runs // avg)",
-    )
-    p.add_argument("--control", type=_positive_int, default=None, help="control condition batch count")
-    p.add_argument(
-        "--min-count",
-        type=_positive_int,
-        default=500,
-        help="a word scores only with at least this count in both epochs",
-    )
-    p.add_argument("--seed", type=_nonneg_int, default=0)
-    _add_trainer_flags(p, prefix="train_")
-    _add_corpus_flags(p)
-    p.add_argument("--observations-out", default=None, help="per-observation TSV path")
-    p.add_argument("--out", required=True, help="result TSV path")
-    p.set_defaults(func=_cmd_conformity)
+    if p := new("conformity", "Frequency-effect regression over adjacent epoch pairs."):
+        p.add_argument("--epochs", required=True, help="directory with one corpus file per epoch")
+        p.add_argument("--runs", type=_positive_int, default=8, help="trained runs per epoch")
+        p.add_argument(
+            "--avg",
+            type=_positive_int,
+            default=8,
+            help="runs tree-averaged per epoch space (groups = runs // avg)",
+        )
+        p.add_argument("--control", type=_positive_int, default=None, help="control condition batch count")
+        p.add_argument(
+            "--min-count",
+            type=_positive_int,
+            default=500,
+            help="a word scores only with at least this count in both epochs",
+        )
+        p.add_argument("--seed", type=_nonneg_int, default=0)
+        _add_trainer_flags(p, prefix="train_")
+        _add_corpus_flags(p)
+        p.add_argument("--observations-out", default=None, help="per-observation TSV path")
+        p.add_argument("--out", required=True, help="result TSV path")
+        p.set_defaults(func=_cmd_conformity)
 
-    p = new("report", "Re-emit a report TSV as JSON or TSV (lossless).")
-    p.add_argument("--in", dest="in_path", required=True, help="report TSV path")
-    p.add_argument("--format", choices=("tsv", "json"), required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_report)
+    if p := new("report", "Re-emit a report TSV as JSON or TSV (lossless)."):
+        p.add_argument("--in", dest="in_path", required=True, help="report TSV path")
+        p.add_argument("--format", choices=("tsv", "json"), required=True)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=_cmd_report)
 
     return parser
 
@@ -982,7 +982,7 @@ def _apply_config_file(
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     with _recording_inputs():  # reports name the bytes this command read
-        parser = build_parser()
+        parser = build_parser(argv)
         args = parser.parse_args(argv)
         try:
             args = _apply_config_file(args, parser, argv)

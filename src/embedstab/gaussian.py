@@ -17,6 +17,7 @@ breakpoints, so there is no integration tolerance to set;
 table of size n only if its chance of exceeding one of the n highest means
 reaches it.  A table is computed once per profile, pruning threshold and
 size and kept on the profile; p#1 and p#2 both read the size-2 table.
+The kernels import their `scipy.special` functions on first use.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erfc as _erfc, ndtr as _ndtr, roots_legendre
 
 from .space import (
     LoadError, RunSet, _positions, _read_lines, _unit_rows, _write_table, joint_vocabulary,
@@ -195,10 +195,11 @@ def _prob_greater_vs(
     out = np.where(mu > mu0, 1.0, np.where(mu < mu0, 0.0, 0.5))
     positive = variance > 0.0
     if np.any(positive):
+        from scipy.special import erfc
         arg = (mu[positive] - mu0[positive]) / np.sqrt(2.0 * variance[positive])
         # erfc keeps the far tails accurate (erf saturates past |x| ~ 6), and
         # the sign branch makes P(a > b) + P(b > a) = 1 exact.
-        tail = 0.5 * _erfc(np.abs(arg))
+        tail = 0.5 * erfc(np.abs(arg))
         out[positive] = np.where(arg >= 0.0, 1.0 - tail, tail)
     return out
 
@@ -209,9 +210,10 @@ def _cdf_matrix(x: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     Zero-sigma entries step at their mean and count as below on an exact
     tie; `_rank_kernel` shares the ranks of tied point masses.
     """
+    from scipy.special import ndtr
     point = sigma == 0.0
     z = (x[None, :] - mu[:, None]) / np.where(point, 1.0, sigma)[:, None]
-    cdf = _ndtr(z)
+    cdf = ndtr(z)
     cdf[point] = z[point] >= 0.0
     return cdf
 
@@ -270,6 +272,7 @@ def _quadrature_nodes(
     straddles the step of a zero-sigma entry.  A zero-sigma entry is a
     point mass and owns one node at its mean, of weight 1.
     """
+    from scipy.special import roots_legendre
     point = np.flatnonzero(sigma == 0.0)
     edges = np.unique((mu[:, None] + sigma[:, None] * _BREAKPOINT_SCALES).ravel())
     half = 0.5 * np.diff(edges)[:, None]

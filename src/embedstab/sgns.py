@@ -16,11 +16,11 @@ random choices come from one PCG64 stream consumed in a fixed order: the
 initialization, then per block the subsampling, the window widths, the
 noise words and the clash redraws.
 
-The step is written in NumPy plus one `scipy.sparse` product per block.
-It uses no BLAS call: a dense matrix product may split its sums across
-BLAS threads and round them differently, while the sparse product adds the
-terms one by one on a single thread.  So the trained bits do not depend on
-the BLAS thread count.
+The step is written in NumPy plus one `scipy.sparse` product per block,
+imported on first use.  It uses no BLAS call: a dense matrix product may
+split its sums across BLAS threads and round them differently, while the
+sparse product adds the terms one by one on a single thread.  So the
+trained bits do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from collections import Counter
 
 import numpy as np
-from scipy import sparse
 
 from .corpus import Corpus
 from .space import EmbeddingSpace, Vocabulary
@@ -190,6 +189,7 @@ def _block_update(
     terms one by one in their given order, with no sort or merge of the
     terms that share a row pair.
     """
+    from scipy.sparse import coo_array
     m, k = negatives.shape
     v, p = len(input_vectors), len(centers)
     # Input word w is stacked row w and output word w is row v + w, so one
@@ -209,7 +209,7 @@ def _block_update(
     coef[:p] -= 1.0
     coef *= np.concatenate((lr[centers], np.repeat(lr * np.bincount(centers, minlength=m), k)))
     n = len(rows)
-    step = sparse.coo_array(
+    step = coo_array(
         (np.concatenate((coef, coef)), (np.concatenate((a, b)), np.concatenate((b, a)))),
         shape=(n, n),
     ) @ stacked

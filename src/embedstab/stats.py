@@ -2,10 +2,10 @@
 
 Spearman is implemented here, with the t-approximation p-value on n - 2
 degrees of freedom, because the `change` command ranks with it and must not
-pay for importing `scipy.stats`.  Shapiro-Wilk is `scipy.stats.shapiro`
+pay for importing `scipy.stats`.  Both tests import scipy on first use:
+Spearman `scipy.special.stdtr`, and Shapiro-Wilk `scipy.stats.shapiro`
 (Royston's AS R94 weights and normalizing transforms, valid for
-3 <= n <= 5000), imported inside `shapiro_wilk` for the same reason: that
-import takes longer than the rest of the package.
+3 <= n <= 5000), whose import takes longer than the rest of the package.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.special import stdtr
 
 __all__ = ["average_ranks", "spearman", "shapiro_wilk"]
 
@@ -58,6 +57,7 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
     rho = float(np.clip(float(dx @ dy) / denom, -1.0, 1.0))
     if abs(rho) == 1.0:
         return rho, 0.0
+    from scipy.special import stdtr
     t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
     p = 2.0 * float(stdtr(n - 2, -abs(t)))
     return rho, min(p, 1.0)

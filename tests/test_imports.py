@@ -1,5 +1,6 @@
-"""Package hygiene: no unused imports, no slow import at load, and no text
-file read outside `space.py`, whose line reader sets the rules for all."""
+"""Package hygiene: no unused imports, no scipy loaded but by the commands
+that compute with it, and no text file read outside `space.py`, whose line
+reader sets the rules for all."""
 
 import ast
 import os
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from helpers import cli_commands, cli_inputs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 MODULES = sorted(p for p in (SRC / "embedstab").glob("*.py") if p.name != "__init__.py")
@@ -89,16 +92,55 @@ def test_the_check_sees_a_text_read(tmp_path):
     assert text_reads(module) == [3, 4, 4, 6, 6, 6, 12]
 
 
-def test_importing_the_package_and_cli_leaves_scipy_stats_out():
-    # scipy.stats takes longer to import than the whole package; only
-    # `shapiro_wilk` needs it, and imports it when called.
-    probe = "import sys, embedstab, embedstab.cli; print('scipy.stats' in sys.modules)"
+def scipy_after(code: str, *argv: object) -> tuple[str, list[str]]:
+    """Run `code` in a fresh interpreter with `argv`; return what it prints
+    before the scipy modules then loaded, and those modules."""
+    probe = code + "\nprint(*sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
     result = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", "import sys\n" + probe, *map(str, argv)],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
         check=True,
         timeout=120,
     )
-    assert result.stdout.split() == ["False"]
+    *printed, modules = result.stdout.split("\n")[:-1]
+    return "\n".join(printed), modules.split()
+
+
+def test_importing_the_package_and_cli_leaves_scipy_out():
+    # scipy.special and scipy.sparse take about as long to import as the
+    # rest of the package, and scipy.stats longer; the functions that need
+    # them import them when called.
+    assert scipy_after("import embedstab, embedstab.cli") == ("", [])
+
+
+@pytest.fixture(scope="module")
+def command_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    inputs = cli_inputs(root / "in")
+    out = root / "out"
+    out.mkdir()
+    (root / "corpus.txt").write_text("".join(f"the cat sat on the mat {i}\n" for i in range(40)))
+    (root / "table.tsv").write_text("# tool: embedstab\nword\tvalue\nw0001\t0.5\n")
+    commands = {argv[0]: argv for argv in cli_commands(root / "in", inputs, out)}
+    commands["report"] = ("report", "--in", root / "table.tsv", "--format", "json",
+                          "--out", out / "table.json")
+    commands["train"] = ("train", "--corpus", root / "corpus.txt", "--dim", 4, "--epochs", 1,
+                         "--runs", 1, "--out", out / "trained.vec")
+    return commands
+
+
+RUN_MAIN = "from embedstab.cli import main\nprint(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("command", ["instability", "pip", "overlap", "average", "change", "report"])
+def test_a_command_without_scipy_work_loads_no_scipy(command_inputs, command):
+    assert scipy_after(RUN_MAIN, *command_inputs[command]) == ("0", [])
+
+
+@pytest.mark.parametrize("command, needed", [("predict", "scipy.special"), ("train", "scipy.sparse")])
+def test_a_command_loads_the_scipy_it_runs_but_not_scipy_stats(command_inputs, command, needed):
+    exit_code, modules = scipy_after(RUN_MAIN, *command_inputs[command])
+    assert exit_code == "0"
+    assert needed in modules and "scipy.stats" not in modules
