@@ -759,7 +759,7 @@ def _add_trainer_flags(parser: argparse.ArgumentParser, prefix: str = "") -> Non
     )
 
 
-def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="embedstab",
         description=(
@@ -772,12 +772,11 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
 
     def new(name: str, help_text: str) -> argparse.ArgumentParser | None:
         p = sub.add_parser(name, help=help_text, description=help_text)
-        p.add_argument(
-            "--config",
-            default=None,
-            help="flat key=value config file; explicit flags override its values",
-        )
-        return p if argv is None or name in argv else None  # the help lists every command
+        if name not in argv:
+            return None  # listed in the help, but only argv's command is filled
+        p.add_argument("--config", default=None,
+                       help="flat key=value config file; explicit flags override its values")
+        return p
 
     if p := new("train", "Train one or more embedding spaces from a corpus."):
         p.add_argument("--corpus", required=True, help="one document per line")

@@ -3,6 +3,7 @@ that compute with it, and no text file read outside `space.py`, whose line
 reader sets the rules for all."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -92,11 +93,15 @@ def test_the_check_sees_a_text_read(tmp_path):
     assert text_reads(module) == [3, 4, 4, 6, 6, 6, 12]
 
 
-def scipy_after(code: str, *argv: object) -> tuple[str, list[str]]:
-    """Run `code` in a fresh interpreter with `argv`; return what it prints
-    before the scipy modules then loaded, and those modules."""
-    probe = code + "\nprint(*sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
-    result = subprocess.run(
+def scipy_after(code: str, *argv: object) -> tuple[object, list[str]]:
+    """Run `code` in a fresh interpreter with `argv`; return the value it
+    leaves in `result` and the scipy modules then loaded. The probe prints
+    both as JSON on its last stdout line, so what `code` prints is ignored."""
+    probe = code + (
+        "\nimport json"
+        "\nprint(json.dumps([result, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')]))"
+    )
+    completed = subprocess.run(
         [sys.executable, "-c", "import sys\n" + probe, *map(str, argv)],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
@@ -104,15 +109,15 @@ def scipy_after(code: str, *argv: object) -> tuple[str, list[str]]:
         check=True,
         timeout=120,
     )
-    *printed, modules = result.stdout.split("\n")[:-1]
-    return "\n".join(printed), modules.split()
+    result, modules = json.loads(completed.stdout.splitlines()[-1])
+    return result, modules
 
 
 def test_importing_the_package_and_cli_leaves_scipy_out():
     # scipy.special and scipy.sparse take about as long to import as the
     # rest of the package, and scipy.stats longer; the functions that need
     # them import them when called.
-    assert scipy_after("import embedstab, embedstab.cli") == ("", [])
+    assert scipy_after("import embedstab, embedstab.cli\nresult = None") == (None, [])
 
 
 @pytest.fixture(scope="module")
@@ -131,16 +136,16 @@ def command_inputs(tmp_path_factory):
     return commands
 
 
-RUN_MAIN = "from embedstab.cli import main\nprint(main(sys.argv[1:]))"
+RUN_MAIN = "from embedstab.cli import main\nresult = main(sys.argv[1:])"
 
 
 @pytest.mark.parametrize("command", ["instability", "pip", "overlap", "average", "change", "report"])
 def test_a_command_without_scipy_work_loads_no_scipy(command_inputs, command):
-    assert scipy_after(RUN_MAIN, *command_inputs[command]) == ("0", [])
+    assert scipy_after(RUN_MAIN, *command_inputs[command]) == (0, [])
 
 
 @pytest.mark.parametrize("command, needed", [("predict", "scipy.special"), ("train", "scipy.sparse")])
 def test_a_command_loads_the_scipy_it_runs_but_not_scipy_stats(command_inputs, command, needed):
     exit_code, modules = scipy_after(RUN_MAIN, *command_inputs[command])
-    assert exit_code == "0"
+    assert exit_code == 0
     assert needed in modules and "scipy.stats" not in modules
