@@ -3,14 +3,16 @@
 Subcommands: train, sample, instability, overlap, predict, pip, average,
 analogy, change, conformity, report.  Every emitted report embeds the tool
 version, the seeds in play, and SHA-256 hashes of its inputs, and is
-byte-reproducible from (inputs, config, seed).  Exit codes: 0 success,
-2 usage error, 3 data error, 4 numerical failure.
+byte-reproducible from (inputs, config, seed).  Every digest a report or
+manifest prints is looked up in the record of the files its command read and
+wrote (see `space`); a `--config` file is read before that record opens, as
+flags, not data.  Exit codes: 0 success, 2 usage error, 3 data error,
+4 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import itertools
 import json
 import re
@@ -52,6 +54,7 @@ from .space import (
     _recorded_digest,
     _recording_inputs,
     _write_table,
+    _write_text,
     analogy_score,
     load_analogies,
     load_text_vectors,
@@ -82,55 +85,36 @@ class UsageError(Exception):
 
 
 def _sha256(path: str | Path) -> str:
-    """The sha256 of a file: of the bytes this command parsed, if it read the
-    file, else of the bytes it holds now (as for outputs)."""
-    recorded = _recorded_digest(path)
-    if recorded is not None:
-        return recorded
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
+    """The sha256 of the bytes this command last read from or wrote to `path`."""
+    digest = _recorded_digest(path)
+    if digest is None:
+        raise RuntimeError(f"{path}: no digest recorded")
+    return digest
 
 
-def _base_meta(command: str, inputs: Sequence[tuple[str, str | Path]]) -> list[tuple[str, object]]:
-    return [("tool", f"embedstab {__version__}"), ("command", command), *_input_meta(inputs)]
+def _base_meta(command: str, labelled: Sequence[tuple[str, str | Path]]) -> list[tuple[str, object]]:
+    """The tool, the command, an `# input` line per labelled file, and after
+    each one `<label> frequencies` for its recorded, unlabelled `.freq` sidecar."""
+    meta: list[tuple[str, object]] = [("tool", f"embedstab {__version__}"), ("command", command)]
+    own = {str(path) for _, path in labelled}
+    for label, path in labelled:
+        meta.append((f"input {label}", f"sha256:{_sha256(path)}"))
+        if f"{path}.freq" not in own and (freq := _recorded_digest(f"{path}.freq")) is not None:
+            meta.append((f"input {label} frequencies", f"sha256:{freq}"))
+    return meta
 
 
-def _input_meta(inputs: Sequence[tuple[str, str | Path]]) -> list[tuple[str, object]]:
-    return [(f"input {label}", f"sha256:{_sha256(path)}") for label, path in inputs]
-
-
-def _sidecar(path: str | Path) -> Path | None:
-    """The `<path>.freq` frequency sidecar, if it exists; loading `path` reads it."""
-    freq_path = Path(f"{path}.freq")
-    return freq_path if freq_path.exists() else None
-
-
-def _vec_inputs(label: str, path: str | Path) -> list[tuple[str, str | Path]]:
-    """Report inputs of a vector file: its own, then `<label> frequencies`
-    for the sidecar that loading it reads, if any."""
-    freq_path = _sidecar(path)
-    return [(label, path)] + ([] if freq_path is None else [(f"{label} frequencies", freq_path)])
-
-
-def _space_inputs(paths: Sequence[str]) -> list[tuple[str, str | Path]]:
+def _space_inputs(paths: Sequence[str]) -> list[tuple[str, str]]:
     """Report inputs `space 0`, `space 1`, ... in argument order."""
-    return [item for i, p in enumerate(paths) for item in _vec_inputs(f"space {i}", p)]
+    return [(f"space {i}", p) for i, p in enumerate(paths)]
 
 
 def _file_entry(path: str | Path, name: str | None = None) -> dict[str, str]:
-    """A manifest's record of one file: its name (`path` by default) and sha256."""
-    return {"file": str(path) if name is None else name, "sha256": _sha256(path)}
-
-
-def _vec_entry(path: str | Path, name: str | None = None) -> dict[str, str]:
-    """A manifest's record of a vector file and of its frequency sidecar, if any."""
-    entry = _file_entry(path, name)
-    freq_path = _sidecar(path)
-    if freq_path is not None:
-        entry.update(frequency_file=f"{entry['file']}.freq", frequency_sha256=_sha256(freq_path))
+    """A manifest's record of a file, by its name (`path` by default), and of
+    its `.freq` sidecar if one was recorded."""
+    entry = {"file": str(path) if name is None else name, "sha256": _sha256(path)}
+    if (freq := _recorded_digest(f"{path}.freq")) is not None:
+        entry.update(frequency_file=f"{entry['file']}.freq", frequency_sha256=freq)
     return entry
 
 
@@ -160,9 +144,11 @@ def _corpus_config(path: str, mode: str, lowercase: bool, dedup: bool) -> dict[s
 
 
 def _load_space(path: str | Path, require_frequencies: bool = False) -> EmbeddingSpace:
-    freq_path = _sidecar(path)
-    if freq_path is None and require_frequencies:
-        raise LoadError(f"{path}: frequency sidecar {Path(f'{path}.freq')} not found")
+    freq_path: Path | None = Path(f"{path}.freq")
+    if not freq_path.exists():
+        if require_frequencies:
+            raise LoadError(f"{path}: frequency sidecar {freq_path} not found")
+        freq_path = None
     return load_text_vectors(path, freq_path)
 
 
@@ -201,9 +187,7 @@ def _read_words(path: str) -> list[str]:
 
 
 def _write_json(path: str | Path, payload: object) -> None:
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_text(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
 def _safe_name(word: str) -> str:
@@ -268,7 +252,7 @@ def _train_and_save(config: ExperimentConfig, out: str | None = None) -> Path:
         space = _train_run(corpus, config.mode, seed, config.trainer, f"run {index}")
         save_text_vectors(space, path)
         save_frequencies(space.vocab.frequency, f"{path}.freq")
-        entries.append({"index": index, "seed": seed, **_vec_entry(path, name)})
+        entries.append({"index": index, "seed": seed, **_file_entry(path, name)})
     # Every trainer setting but the seed, which each run entry records.
     trainer = {k: v for k, v in asdict(config.trainer).items() if k != "seed"}
     settings = {
@@ -288,7 +272,8 @@ def run_experiment(config: ExperimentConfig) -> Path:
     configuration with content hashes; returns the manifest path.  A failing
     run aborts with its index in the error message.
     """
-    return _train_and_save(config)
+    with _recording_inputs():  # the manifest's digests come from this record
+        return _train_and_save(config)
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +349,9 @@ def _cmd_instability(args: argparse.Namespace) -> int:
     else:
         report, word_parts = _extrinsic_and_words(shuffled, boot, proxy, words)
 
-    inputs = [item for p in shuffled_files for item in _vec_inputs(f"shuffled {p.name}", p)]
-    inputs += [item for p in boot_files for item in _vec_inputs(f"bootstrapped {p.name}", p)]
+    inputs = [(f"shuffled {p.name}", p) for p in shuffled_files]
+    inputs += [(f"bootstrapped {p.name}", p) for p in boot_files]
+    inputs += [("words", args.words)] if words else []
     proxy_meta = _base_meta("instability", inputs)
     proxy_meta += [("proxy_size", report.proxy_size), ("proxy_seed", report.proxy_seed)]
     meta = proxy_meta + [
@@ -405,7 +391,7 @@ def _cmd_overlap(args: argparse.Namespace) -> int:
     runs = RunSet(spaces, mode="fixed")
     targets = _read_words(args.targets)
     summaries = mean_overlap(runs, targets, args.n)
-    meta = _base_meta("overlap", _space_inputs(args.inputs))
+    meta = _base_meta("overlap", _space_inputs(args.inputs) + [("targets", args.targets)])
     meta.append(("n", args.n))
     rows = [(s.target, s.n, s.mean_p, s.mean_j, s.pair_count) for s in summaries]
     _write_table(args.out, rows, ("target", "n", "mean_p_at_n", "mean_j_at_n", "pairs"), meta)
@@ -444,7 +430,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
                 *(by_target[target] for by_target in measured),
             )
         )
-    meta = _base_meta("predict", _space_inputs(args.inputs))
+    meta = _base_meta("predict", _space_inputs(args.inputs) + [("targets", args.targets)])
     meta.append(("candidates", args.candidates))
     _write_table(
         args.out,
@@ -468,7 +454,8 @@ def _cmd_pip(args: argparse.Namespace) -> int:
     _wordwise_flags(args)
     words = _read_words(args.words) if args.words is not None else []
     proxy = sample_proxy(spaces, size=args.proxy_size, seed=args.seed)
-    meta = _base_meta("pip", _space_inputs(args.inputs))
+    word_list = [("words", args.words)] if words else []
+    meta = _base_meta("pip", _space_inputs(args.inputs) + word_list)
     meta += [("proxy_size", len(proxy)), ("proxy_seed", proxy.seed)]
     values, wordwise = _pairwise(RunSet(spaces, mode="fixed"), proxy, words)
     pairs = list(itertools.combinations(range(len(spaces)), 2))
@@ -492,7 +479,7 @@ def _cmd_average(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     settings = {
-        "inputs": [_vec_entry(p) for p in args.inputs],
+        "inputs": [_file_entry(p) for p in args.inputs],
         "renormalize": not args.no_renorm,
         "pairing": args.pairing,
         "seed": args.seed,
@@ -513,9 +500,7 @@ def _cmd_analogy(args: argparse.Namespace) -> int:
     if args.restrict > 0:
         restrict_to = space.vocab.words[: args.restrict]
     accuracy, coverage = analogy_score(space, dataset, restrict_to)
-    meta = _base_meta(
-        "analogy", _vec_inputs("space", args.input) + [("analogies", args.analogies)]
-    )
+    meta = _base_meta("analogy", [("space", args.input), ("analogies", args.analogies)])
     meta.append(("restrict", args.restrict))
     rows = [
         ("accuracy", accuracy),
@@ -537,9 +522,8 @@ def _cmd_change(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    inputs = _vec_inputs("t1", args.t1) + _vec_inputs("t2", args.t2)
-    base_meta = _base_meta("change", inputs + [("targets", args.targets)])
-    meta = base_meta + [
+    inputs = [("t1", args.t1), ("t2", args.t2), ("targets", args.targets)]
+    meta = _base_meta("change", inputs) + [
         ("min_count", args.min_count),
         ("tau", report.tau),
         ("delta_mean", report.mean),
@@ -564,7 +548,7 @@ def _cmd_change(args: argparse.Namespace) -> int:
             graded=load_gold_graded(args.gold_graded) if args.gold_graded else {},
         )
         gold_files = [("gold binary", args.gold_binary), ("gold graded", args.gold_graded)]
-        eval_meta = base_meta + _input_meta([(label, p) for label, p in gold_files if p])
+        eval_meta = _base_meta("change", inputs + [(label, p) for label, p in gold_files if p])
         accuracy, rho = evaluate(report, gold)
         eval_rows = [
             ("accuracy", accuracy),
@@ -980,21 +964,21 @@ def _apply_config_file(
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    with _recording_inputs():  # reports name the bytes this command read
-        parser = build_parser(argv)
-        args = parser.parse_args(argv)
-        try:
-            args = _apply_config_file(args, parser, argv)
+    parser = build_parser(argv)
+    args = parser.parse_args(argv)
+    try:
+        args = _apply_config_file(args, parser, argv)
+        with _recording_inputs():  # reports name the bytes this command read and wrote
             return args.func(args)
-        except UsageError as exc:
-            print(f"embedstab: usage error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except (np.linalg.LinAlgError, ArithmeticError) as exc:
-            print(f"embedstab: numerical failure: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
-        except (LoadError, OSError, ValueError, KeyError) as exc:
-            print(f"embedstab: data error: {exc}", file=sys.stderr)
-            return EXIT_DATA
+    except UsageError as exc:
+        print(f"embedstab: usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (np.linalg.LinAlgError, ArithmeticError) as exc:
+        print(f"embedstab: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except (LoadError, OSError, ValueError, KeyError) as exc:
+        print(f"embedstab: data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .space import _read_lines, _writing
+from .space import _read_lines, _write_text
 
 __all__ = [
     "Corpus",
@@ -104,6 +104,4 @@ def load_corpus(path: str | Path, lowercase: bool = False) -> Corpus:
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    with _writing(path).open("w", encoding="utf-8") as handle:
-        for doc in corpus.documents:
-            handle.write(" ".join(doc) + "\n")
+    _write_text(path, (" ".join(doc) + "\n" for doc in corpus.documents))

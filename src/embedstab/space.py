@@ -4,11 +4,12 @@ The on-disk interchange format is the plain-text vector format: a header line
 ``"<v> <d>"`` followed by one ``"<word> <x1> ... <xd>"`` line per word. Word
 frequencies travel in an optional tab-separated sidecar file.
 
-Every input file is read once per load by ``_read_input``, which returns its
-bytes and their sha256 and, while a CLI command runs, records that digest for
-the report's ``# input`` lines.  Every text file but vectors is split into
-lines by ``_read_lines``, and every table written by ``_write_table``.  A
-well-formed sidecar is parsed in one pass, any other by ``_read_map``.
+Every input file is read once per load by ``_read_input`` and every output
+file written by ``_write_text``; while a CLI command runs, both record the
+sha256 of the bytes by path, the only digests its reports and manifests
+print.  Every text file but vectors is split into lines by ``_read_lines``,
+every table is formatted by ``_write_table``, and a well-formed sidecar is
+parsed in one pass, any other by ``_read_map``.
 
 Values are read by numpy's C text reader, correctly rounded like ``float()``.
 Its number grammar is narrower than ``float()``'s: digit-group underscores
@@ -82,8 +83,8 @@ _CACHE_SUFFIX = ".vecc"
 _CACHE_TRAILER = 12
 # Similarities held at once by the top-k kernel (8 MB); sets its peak memory.
 _TOP_K_BLOCK_ENTRIES = 1 << 20
-# The sha256 of each input file read inside `_recording_inputs`, by absolute
-# path; None outside it, so no digest outlives the command that read the file.
+# The sha256 of each file read or written inside `_recording_inputs`, by
+# absolute path; None outside it, so no digest outlives the command.
 _input_digests: dict[str, str] | None = None
 
 
@@ -423,13 +424,10 @@ def _parse_block(
 def save_text_vectors(space: EmbeddingSpace, path: str | Path) -> None:
     """Write the exact format `load_text_vectors` accepts (10 significant
     digits, or 17 if 10 would round the largest floats up to infinity)."""
-    path = _writing(path)
     spec = "%.10g" if np.all(np.abs(space.matrix) < 1.797693134e308) else "%.17g"
     line = " ".join(["%s"] + [spec] * space.dim) + "\n"
-    with path.open("w", encoding="utf-8") as handle:
-        handle.write(f"{len(space)} {space.dim}\n")
-        for word, row in zip(space.vocab.words, space.matrix):
-            handle.write(line % (word, *row.tolist()))
+    rows = (line % (word, *row.tolist()) for word, row in zip(space.vocab.words, space.matrix))
+    _write_text(path, itertools.chain([f"{len(space)} {space.dim}\n"], rows))
 
 
 def _decode_error(path: Path, data: bytes) -> LoadError:
@@ -446,7 +444,7 @@ def _decode_error(path: Path, data: bytes) -> LoadError:
 
 @contextlib.contextmanager
 def _recording_inputs() -> Iterator[None]:
-    """Record the digest of every input file read inside the block."""
+    """Record the digest of every file read or written inside the block."""
     global _input_digests
     outer, _input_digests = _input_digests, {}
     try:
@@ -466,17 +464,22 @@ def _read_input(path: str | Path) -> tuple[bytes, str]:
 
 
 def _recorded_digest(path: str | Path) -> str | None:
-    """The digest of the bytes `_read_input` last read from `path` inside
-    `_recording_inputs`, unless a writer has replaced the file since."""
+    """The digest of the bytes last read from or written to `path` inside
+    `_recording_inputs`, if any."""
     return None if _input_digests is None else _input_digests.get(os.path.abspath(path))
 
 
-def _writing(path: str | Path) -> Path:
-    """`path` as a Path for a writer about to replace the file, whose recorded
-    digest then no longer names its bytes."""
+def _write_text(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write the chunks to `path` as UTF-8, recording the sha256 of the bytes
+    written inside `_recording_inputs`.  Every output file is written here."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as handle:
+        for chunk in chunks:
+            data = chunk.encode("utf-8")
+            digest.update(data)
+            handle.write(data)
     if _input_digests is not None:
-        _input_digests.pop(os.path.abspath(path), None)
-    return Path(path)
+        _input_digests[os.path.abspath(path)] = digest.hexdigest()
 
 
 def _read_lines(
@@ -569,7 +572,7 @@ def _write_table(
         for row in rows
     )
     lines.append("")  # ends every line, and an empty table is an empty file
-    _writing(path).write_text("\n".join(lines), encoding="utf-8")
+    _write_text(path, ["\n".join(lines)])
 
 
 def _read_table(path: str | Path) -> tuple[list[list[str]], list[str], list[list[str]]]:

@@ -166,6 +166,24 @@ class TestTrain:
         with pytest.raises(ValueError, match="run 0 failed"):
             run_experiment(config)
 
+    def test_run_experiment_outside_main_names_its_files(self, tmp_path, corpus_file):
+        # The public entry point opens its own record of the files it reads
+        # and writes, so its manifest names their bytes as `train` does.
+        config = ExperimentConfig(
+            corpus=str(corpus_file), runs=2, out_dir=str(tmp_path / "runs"),
+            trainer=__import__("embedstab").SgnsConfig(dim=4, window=2, negatives=2, epochs=1),
+        )
+        manifest_path = run_experiment(config)
+        assert manifest_path == tmp_path / "runs" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["config"]["corpus_sha256"] == sha256_of(corpus_file)
+        assert [entry["file"] for entry in manifest["runs"]] == ["run_000.vec", "run_001.vec"]
+        for entry in manifest["runs"]:
+            path = tmp_path / "runs" / entry["file"]
+            assert entry["sha256"] == sha256_of(path)
+            assert entry["frequency_file"] == f"{entry['file']}.freq"
+            assert entry["frequency_sha256"] == sha256_of(f"{path}.freq")
+
     def test_config_validation(self, corpus_file):
         with pytest.raises(ValueError, match="runs must be >= 1"):
             ExperimentConfig(corpus=str(corpus_file), runs=0)
@@ -960,14 +978,20 @@ class TestReportProvenance:
             for pair in ((f"space {i}", sha256_of(f)),
                          (f"space {i} frequencies", sha256_of(f"{f}.freq")))
         ]
-        for command, extra in (
-            ("overlap", ("--targets", targets_file)),
-            ("predict", ("--targets", targets_file)),
-            ("pip", ()),
+        # A word list that decides the rows is listed after the spaces.
+        targets = [("targets", sha256_of(targets_file))]
+        words = [("words", sha256_of(targets_file))]
+        wordwise = tmp_path / "pip_words.tsv"
+        for command, extra, listed in (
+            ("overlap", ("--targets", targets_file), targets),
+            ("predict", ("--targets", targets_file), targets),
+            ("pip", (), []),
+            ("pip", ("--words", targets_file, "--wordwise-out", wordwise), words),
         ):
             out = tmp_path / f"{command}.tsv"
             assert run_cli(command, "--inputs", *files, *extra, "--out", out) == 0
-            assert input_hashes(out) == want, command
+            assert input_hashes(out) == want + listed, command
+        assert input_hashes(wordwise) == want + words
 
     def test_instability(self, tmp_path, run_dir):
         out = tmp_path / "inst.tsv"
@@ -1069,6 +1093,25 @@ class TestReportProvenance:
         files = sorted(epochs_dir.iterdir())
         assert input_hashes(out) == [(f"epoch {f.name}", sha256_of(f)) for f in files]
 
+    def test_a_labelled_file_is_never_listed_as_a_sidecar(self, tmp_path, epochs_dir):
+        # `conformity` reads every file of --epochs as a corpus, one named
+        # like a sidecar too: it keeps its own label.
+        epochs = tmp_path / "epochs"
+        epochs.mkdir()
+        for f in epochs_dir.iterdir():
+            (epochs / f.name).write_bytes(f.read_bytes())
+        (epochs / "epoch0.txt.freq").write_bytes((epochs / "epoch1.txt").read_bytes())
+        out = tmp_path / "conformity.tsv"
+        assert run_cli(
+            "conformity", "--epochs", epochs, "--runs", 1, "--avg", 1,
+            "--min-count", 1, "--train-dim", 4, "--train-window", 2,
+            "--train-neg", 2, "--train-epochs", 1, "--train-sample", 1.0,
+            "--train-min-count", 1, "--out", out,
+        ) == 0
+        files = sorted(epochs.iterdir())
+        assert [f.name for f in files] == ["epoch0.txt", "epoch0.txt.freq", "epoch1.txt"]
+        assert input_hashes(out) == [(f"epoch {f.name}", sha256_of(f)) for f in files]
+
     def test_train_manifests(self, tmp_path, corpus_file, run_dir):
         out = tmp_path / "single.vec"
         assert run_cli(
@@ -1108,4 +1151,7 @@ class TestReportProvenance:
              "frequency_sha256": sha256_of(f"{f}.freq")}
             for f in files
         ]
-        assert manifest["output"] == file_record(averaged)
+        assert manifest["output"] == {
+            **file_record(averaged), "frequency_file": f"{averaged}.freq",
+            "frequency_sha256": sha256_of(f"{averaged}.freq"),
+        }

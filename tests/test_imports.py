@@ -1,6 +1,7 @@
 """Package hygiene: no unused imports, no scipy loaded but by the commands
-that compute with it, and no text file read outside `space.py`, whose line
-reader sets the rules for all."""
+that compute with it, and no file read or written outside `space.py`, whose
+line reader sets the rules for all and whose reader and writer record the
+digest of every file a command reads or writes."""
 
 import ast
 import json
@@ -45,36 +46,30 @@ def test_the_check_sees_an_unused_import(tmp_path):
     assert unused_imports(module) == ["math", "scipy"]
 
 
-def text_reads(path: Path) -> list[int]:
-    """Lines where a module reads a file as text: any `.read_text(...)` or
-    `.decode(...)` (bytes read, then made text), and `open(...)` or
-    `<path>.open(...)` in a reading mode without "b"."""
+# Calls that read or write a file, or make read bytes text.
+FILE_IO = ("open", "read_text", "read_bytes", "write_text", "write_bytes", "decode")
+
+
+def file_io(path: Path) -> list[int]:
+    """Lines where a module reads or writes a file: any `open(...)` or
+    `<path>.open(...)` in any mode, `.read_text`, `.read_bytes`,
+    `.write_text`, `.write_bytes`, and `.decode` (bytes read, then made text)."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     lines = []
     for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name in ("read_text", "decode"):
-            lines.append(node.lineno)
-        elif name == "open":
-            # The mode is open()'s second argument and Path.open()'s first.
-            args = node.args[1:] if isinstance(func, ast.Name) else node.args
-            modes = [k.value for k in node.keywords if k.arg == "mode"] + args[:1]
-            mode = modes[0] if modes else ast.Constant("r")
-            if not isinstance(mode, ast.Constant) or (
-                "b" not in mode.value and ("r" in mode.value or "+" in mode.value)
-            ):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in FILE_IO:
                 lines.append(node.lineno)
     return sorted(lines)
 
 
-def test_only_space_reads_text_files():
-    assert [p.name for p in MODULES if text_reads(p)] == ["space.py"]
+def test_only_space_does_file_io():
+    assert [p.name for p in MODULES if file_io(p)] == ["space.py"]
 
 
-def test_the_check_sees_a_text_read(tmp_path):
+def test_the_check_sees_every_file_io_call(tmp_path):
     module = tmp_path / "m.py"
     module.write_text(
         "from pathlib import Path\n"
@@ -89,8 +84,11 @@ def test_the_check_sees_a_text_read(tmp_path):
         "    return Path(p).read_bytes()\n"
         "def g(p):\n"
         "    return Path(p).read_bytes().decode('utf-8')\n"
+        "def h(p, text):\n"
+        "    Path(p).write_bytes(text.encode('utf-8'))\n"
+        "    return len(text)\n"
     )
-    assert text_reads(module) == [3, 4, 4, 6, 6, 6, 12]
+    assert file_io(module) == [3, 4, 4, 6, 6, 6, 8, 8, 8, 9, 10, 12, 12, 14]
 
 
 def scipy_after(code: str, *argv: object) -> tuple[object, list[str]]:

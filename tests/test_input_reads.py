@@ -2,7 +2,8 @@
 the vocabulary index, row positions and the joint vocabulary agree with their
 loop oracles, faults and messages included.  Each CLI command reads every
 input path once, its reports and manifests name the digests of the bytes it
-parsed, and the record of those digests ends with the command."""
+parsed for every file it read, and the record of those digests ends with the
+command."""
 
 import collections
 import hashlib
@@ -200,36 +201,94 @@ def counted_reads(monkeypatch):
     return reads
 
 
+def manifest_digests(path):
+    """The digests a manifest names for files read (its inputs and corpus)
+    and for files written (its runs and output), sidecars included."""
+    manifest = json.loads(Path(path).read_text(encoding="utf-8"))
+    config = manifest["config"]
+
+    def of(entries):
+        return [e[key] for e in entries for key in ("sha256", "frequency_sha256") if key in e]
+
+    read = of(config.get("inputs", [])) + ([config["corpus_sha256"]] if "corpus_sha256" in config else [])
+    return read, of(manifest.get("runs", []) + [manifest.get("output", {})])
+
+
+TINY_TRAINER = ("--dim", 4, "--window", 2, "--neg", 2, "--epochs", 1, "--sample", 1.0, "--min-count", 1)
+
+
+def every_command(root, inputs, out):
+    """A run of each of the eleven commands over the `cli_inputs` files, by
+    label, in an order where `report` finds a report to copy."""
+    targets = root / "targets.txt"
+    corpus, questions, epochs = root / "corpus.txt", root / "questions.txt", root / "epochs"
+    corpus.write_text("".join(f"w{i % 7} w{i % 5} w{i % 3} w{i % 4}\n" for i in range(20)), encoding="utf-8")
+    questions.write_text("w0001 w0002 w0003 w0004\nw0005 w0006 w0007 w0009\n", encoding="utf-8")
+    epochs.mkdir()
+    for e in range(2):
+        (epochs / f"epoch{e}.txt").write_text(
+            "".join(f"t{(i + e) % 6} t{i % 4} t{i % 5}\n" for i in range(30)), encoding="utf-8"
+        )
+    gold_binary, gold_graded = root / "gold_binary.tsv", root / "gold_graded.tsv"
+    gold_binary.write_text("w0001\t1\nw0007\t0\nw0020\t1\n", encoding="utf-8")
+    gold_graded.write_text("w0001\t0.9\nw0007\t0.1\nw0020\t0.5\n", encoding="utf-8")
+    commands = {c[0]: c for c in cli_commands(root, inputs, out)}
+    return {
+        "train": ("train", "--corpus", corpus, *TINY_TRAINER, "--runs", 2, "--out-dir", out / "train"),
+        "sample": ("sample", "--corpus", corpus, "--mode", "bootstrapped", "--out", out / "sampled.txt"),
+        "instability --words": commands["instability"],
+        "pip": commands["pip"],
+        "pip --words": ("pip", "--inputs", *inputs, "--proxy-size", 40, "--words", targets,
+                        "--wordwise-out", out / "pip_words.tsv", "--out", out / "pip_listed.tsv"),
+        "overlap": commands["overlap"],
+        "average": commands["average"],
+        "change": (*commands["change"], "--gold-binary", gold_binary, "--gold-graded", gold_graded),
+        "predict": commands["predict"],
+        "analogy": ("analogy", "--input", inputs[0], "--analogies", questions, "--out", out / "analogy.tsv"),
+        "conformity": ("conformity", "--epochs", epochs, "--runs", 1, "--avg", 1, "--min-count", 1,
+                       "--train-dim", 4, "--train-window", 2, "--train-neg", 2, "--train-epochs", 1,
+                       "--train-sample", 1.0, "--train-min-count", 1, "--out", out / "conformity.tsv"),
+        "report": ("report", "--in", out / "overlap.tsv", "--format", "tsv", "--out", out / "report.tsv"),
+    }
+
+
 class TestEachInputIsReadOnce:
     def test_one_read_per_input_and_digests_of_the_bytes_read(self, tmp_path, counted_reads):
+        # Each command reads each file once, and its reports and manifests
+        # name by digest exactly the files it read: every vector file,
+        # sidecar, corpus, word list and gold file.  Manifest digests of
+        # the runs and outputs written are those of the bytes on disk.
         root, out = tmp_path / "in", tmp_path / "out"
         inputs = cli_inputs(root)
-        gold_binary, gold_graded = root / "gold_binary.tsv", root / "gold_graded.tsv"
-        gold_binary.write_text("w0001\t1\nw0007\t0\nw0020\t1\n", encoding="utf-8")
-        gold_graded.write_text("w0001\t0.9\nw0007\t0.1\nw0020\t0.5\n", encoding="utf-8")
         out.mkdir()
-        commands = cli_commands(root, inputs, out)
-        commands = [
-            (*command, "--gold-binary", gold_binary, "--gold-graded", gold_graded)
-            if command[0] == "change" else command
-            for command in commands
-        ]
-        written = set()
-        for command in commands:
+        commands = every_command(root, inputs, out)
+        assert len({command[0] for command in commands.values()}) == 11
+        written, unlisted = set(), {}
+        for label, command in commands.items():
             counted_reads.clear()
-            assert main([str(a) for a in command]) == 0, command[0]
+            assert main([str(a) for a in command]) == 0, label
             assert space_module._input_digests is None
-            assert counted_reads and set(counted_reads.values()) == {1}, (command[0], counted_reads)
+            assert counted_reads and set(counted_reads.values()) == {1}, (label, counted_reads)
             read = {sha256_of(path) for path in counted_reads}
-            inputs_read = {sha256_of(p) for p in counted_reads if p.endswith((".vec", ".freq"))}
             new = sorted(p for p in out.rglob("*") if p.is_file() and p not in written)
             written.update(new)
+            if label == "report":
+                # TSV to TSV copies the source's header, so it lists no input.
+                assert [p.name for p in new] == ["report.tsv"]
+                assert new[0].read_bytes() == (out / "overlap.tsv").read_bytes()
+                continue
             listed = [d for p in new if p.suffix == ".tsv" for d in input_digests(p)]
-            for manifest in (p for p in new if p.name.endswith(".manifest.json")):
-                entries = json.loads(manifest.read_text(encoding="utf-8"))["config"]["inputs"]
-                listed += [e[key] for e in entries for key in ("sha256", "frequency_sha256")]
-            assert listed and set(listed) <= read, command[0]
-            assert inputs_read <= set(listed), command[0]
+            outputs = []
+            for manifest in (p for p in new if p.name.endswith("manifest.json")):
+                names_read, names_written = manifest_digests(manifest)
+                listed += names_read
+                outputs += names_written
+            assert listed and set(listed) <= read, label
+            assert set(outputs) <= {sha256_of(p) for p in new}, label
+            missing = sorted(Path(p).name for p in counted_reads if sha256_of(p) not in listed)
+            if missing:
+                unlisted[label] = missing
+        assert unlisted == {}
         assert {p.name for p in written} >= {"evaluation.tsv", "average.vec.manifest.json"}
 
     def test_the_record_ends_with_every_exit(self, tmp_path):
