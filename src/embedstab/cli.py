@@ -36,10 +36,12 @@ from .change import (
 )
 from .corpus import SAMPLING_MODES, Corpus, SamplingMode, dedup_lines, sample, save_corpus, tokenize
 from .gaussian import (
+    DEFAULT_PRUNING_THRESHOLD,
+    _fill_rank_tables,
+    _flattened,
     estimate_profile,
     expected_overlap,
     save_profile,
-    structure_factor,
 )
 from .instability import _extrinsic_and_words, _pairwise, intrinsic_instability
 from .overlap import _neighbor_lists, _summaries, mean_overlap
@@ -412,24 +414,24 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         {s.target: s.mean_p for s in _summaries(neighbor_lists, targets, n)}
         for n in sizes
     ]
-    rows = []
+    profiles = []
     for index, target in enumerate(targets):
         queries = sorted(
             set().union(*(lists[target][: args.candidates] for lists in neighbor_lists))
         )
-        profile = estimate_profile(runs, target, queries)
+        profiles.append(estimate_profile(runs, target, queries))
         if args.profiles is not None:
             name = f"profile_{index:03d}_{_safe_name(target)}.tsv"
-            save_profile(profile, str(Path(args.profiles) / name))
-        rows.append(
-            (
-                target,
-                len(queries),
-                *(expected_overlap(profile, n) for n in sizes),
-                structure_factor(profile, 1),
-                *(by_target[target] for by_target in measured),
-            )
-        )
+            save_profile(profiles[-1], str(Path(args.profiles) / name))
+    # A structure factor is the top-1 overlap of the flattened twin, and
+    # one kernel call fills the tables of every profile and twin.
+    twins = [_flattened(profile) for profile in profiles]
+    _fill_rank_tables(profiles + twins, DEFAULT_PRUNING_THRESHOLD, max(sizes))
+    rows = [
+        (p.target, len(p), *(expected_overlap(p, n) for n in sizes), expected_overlap(twin, 1),
+         *(by_target[p.target] for by_target in measured))
+        for p, twin in zip(profiles, twins)
+    ]
     meta = _base_meta("predict", _space_inputs(args.inputs) + [("targets", args.targets)])
     meta.append(("candidates", args.candidates))
     _write_table(

@@ -7,17 +7,20 @@ the probability that a query lands within the top n of the target's
 neighbor list in a fresh run, for any n >= 1, and from it the expected
 top-n overlap between two fresh runs.
 
-One kernel gives p#1 ... p#n for every query of a profile at once:
-panel Gauss-Legendre nodes between the breakpoints mu + k sigma of all
-entries, one matrix of competitor CDFs, and per entry and node the
-distribution of how many other entries lie above, as a truncated product
-of one polynomial per competitor.  The grid is fixed by the entries'
-breakpoints, so there is no integration tolerance to set;
+One kernel gives p#1 ... p#n for every query of a stack of profiles in
+one pass: panel Gauss-Legendre nodes between the breakpoints mu + k sigma
+of each profile's entries, one array of competitor CDFs, and per entry and
+node the distribution of how many other entries lie above, as a truncated
+product of one polynomial per competitor.  The grid is fixed by the
+entries' breakpoints, so there is no integration tolerance to set;
 `pruning_threshold` is the only accuracy knob: an entry takes part in a
 table of size n only if its chance of exceeding one of the n highest means
-reaches it.  A table is computed once per profile, pruning threshold and
-size and kept on the profile; p#1 and p#2 both read the size-2 table.
-The kernels import their `scipy.special` functions on first use.
+reaches it.  Pruning and panel edges run over all profiles at once;
+profiles of one grid shape are stacked without padding, and every sum over
+nodes covers one profile's own nodes in the blocks it would have alone, so
+a table is bit-identical whichever profiles share its pass.  Tables are
+kept on the profile per pruning threshold and size; p#1 and p#2 both read
+the size-2 table.  The kernels import `scipy.special` on first use.
 """
 
 from __future__ import annotations
@@ -205,27 +208,36 @@ def _prob_greater_vs(
 
 
 def _cdf_matrix(x: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """(entries, nodes) matrix of P(entry < x).
+    """(..., entries, nodes) array of P(entry < x) for entries (..., entries)
+    and nodes (..., nodes).
 
     Zero-sigma entries step at their mean and count as below on an exact
-    tie; `_rank_kernel` shares the ranks of tied point masses.
+    tie; `_stacked_ranks` shares the ranks of tied point masses.
     """
     from scipy.special import ndtr
     point = sigma == 0.0
-    z = (x[None, :] - mu[:, None]) / np.where(point, 1.0, sigma)[:, None]
+    z = (x[..., None, :] - mu[..., None]) / np.where(point, 1.0, sigma)[..., None]
     cdf = ndtr(z)
     cdf[point] = z[point] >= 0.0
     return cdf
 
 
-def _keep_mask(mu: np.ndarray, sigma: np.ndarray, threshold: float, n: int) -> np.ndarray:
-    """Entries with a non-negligible chance of reaching the top n.
+def _keep_mask(
+    mu: np.ndarray, sigma: np.ndarray, counts: np.ndarray, threshold: float, n: int
+) -> np.ndarray:
+    """Entries with a non-negligible chance of reaching their profile's top n.
 
-    An entry whose probability of exceeding each of the n highest means
+    The profiles lie back to back, `counts` entries each.  An entry whose
+    probability of exceeding each of the n highest means of its profile
     falls below `threshold` can neither reach the top-n list nor shift the
     survivors' integrals (its CDF factor is 1 there), so it is dropped.
     """
-    ref = np.argsort(-mu, kind="stable")[:n]
+    profile = np.repeat(np.arange(counts.size), counts)
+    # By profile, then by descending mean with ties in entry order; a
+    # profile of fewer than n entries repeats its last one.
+    order = np.lexsort((-mu, profile))
+    first = np.cumsum(counts) - counts
+    ref = order[first[:, None] + np.minimum(np.arange(n), counts[:, None] - 1)][profile]
     beats = _prob_greater_vs(mu[:, None], sigma[:, None], mu[ref], sigma[ref])
     return (beats >= threshold).any(axis=1)
 
@@ -239,8 +251,8 @@ def _poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _others_above(cdf: np.ndarray, n: int) -> np.ndarray:
-    """(n, entries, nodes) array: P(exactly c entries other than i lie above
-    the node) for c < n.
+    """(n, ..., entries, nodes) array: P(exactly c entries other than i lie
+    above the node) for c < n.
 
     Entry j contributes the polynomial F_j + (1 - F_j) z, and entry i's
     distribution is the product over j != i, truncated at z^(n-1).  The
@@ -252,78 +264,107 @@ def _others_above(cdf: np.ndarray, n: int) -> np.ndarray:
     poly[0], poly[1:2] = cdf, 1.0 - cdf
     prefix, suffix = poly, poly.copy()
     step = 1
-    while step < cdf.shape[0]:
-        prefix[:, step:] = _poly_mul(prefix[:, :-step], prefix[:, step:])
-        suffix[:, :-step] = _poly_mul(suffix[:, :-step], suffix[:, step:])
+    while step < cdf.shape[-2]:
+        prefix[..., step:, :] = _poly_mul(prefix[..., :-step, :], prefix[..., step:, :])
+        suffix[..., :-step, :] = _poly_mul(suffix[..., :-step, :], suffix[..., step:, :])
         step *= 2
     before, after = np.zeros_like(poly), np.zeros_like(poly)
-    before[0, 0] = after[0, -1] = 1.0
-    before[:, 1:], after[:, :-1] = prefix[:, :-1], suffix[:, 1:]
+    before[0, ..., 0, :] = after[0, ..., -1, :] = 1.0
+    before[..., 1:, :], after[..., :-1, :] = prefix[..., :-1, :], suffix[..., 1:, :]
     return _poly_mul(before, after)
 
 
-def _quadrature_nodes(
-    mu: np.ndarray, sigma: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes, weights and owning entry (-1 for shared nodes) of the grid.
+def _rank_kernel(
+    mus: Sequence[np.ndarray], sigmas: Sequence[np.ndarray], pruning_threshold: float, n: int
+) -> list[np.ndarray]:
+    """(n, entries) table per profile (mu, sigma) whose row m - 1 holds p#m
+    of every entry; entries outside `_keep_mask` take no part and score 0.
 
-    Shared nodes are Gauss-Legendre panels between the sorted breakpoints
-    mu + k sigma of all entries, which include every mean, so no panel
-    straddles the step of a zero-sigma entry.  A zero-sigma entry is a
-    point mass and owns one node at its mean, of weight 1.
+    Masks and panel edges (np.unique's values, per profile) come from one
+    pass over all profiles.  Profiles of one grid shape (kept entries,
+    nodes, point-mass entries) are then stacked, as many as fit
+    `_BLOCK_ELEMENTS` with all their nodes; a larger profile runs alone,
+    its nodes in blocks.  So every sum over nodes adds the same terms in
+    the same order as for the profile on its own, and each table is
+    bit-identical however the profiles are batched.
     """
     from scipy.special import roots_legendre
-    point = np.flatnonzero(sigma == 0.0)
-    edges = np.unique((mu[:, None] + sigma[:, None] * _BREAKPOINT_SCALES).ravel())
-    half = 0.5 * np.diff(edges)[:, None]
-    nodes, weights = roots_legendre(_NODES_PER_PANEL)
-    shared = (edges[:-1, None] + half * (1.0 + nodes)).ravel()
-    x = np.concatenate((mu[point], shared))
-    w = np.concatenate((np.ones(point.size), (half * weights).ravel()))
-    owner = np.concatenate((point, np.full(shared.size, -1)))
-    return x, w, owner
-
-
-def _rank_kernel(
-    mu: np.ndarray, sigma: np.ndarray, pruning_threshold: float, n: int
-) -> np.ndarray:
-    """(n, entries) table whose row m - 1 holds p#m of every entry.
-
-    P(rank m) of entry i integrates its density against P(exactly m - 1
-    other kept entries lie above); p#m sums ranks 1 to m.  Entries outside
-    `_keep_mask` take no part and score 0.  Point masses tied at one mean
-    share their ranks uniformly: at its own node, each of t + 1 tied masses
-    with c others strictly above takes each rank c + 1 ... c + t + 1 with
-    chance 1 / (t + 1).  Nodes are taken in blocks, so memory is
-    O(n x entries x block).
-    """
+    counts = np.array([m.size for m in mus])
+    mu, sigma = np.concatenate(mus), np.concatenate(sigmas)
+    active = np.flatnonzero(_keep_mask(mu, sigma, counts, pruning_threshold, n))
+    profile = np.repeat(np.arange(counts.size), counts)[active]
+    edges = (mu[active, None] + sigma[active, None] * _BREAKPOINT_SCALES).ravel()
+    owner = np.repeat(profile, _BREAKPOINT_SCALES.size)  # already in order
+    edges = edges[np.lexsort((edges, owner))]
+    distinct = np.ones(edges.size, dtype=bool)
+    distinct[1:] = (edges[1:] != edges[:-1]) | (owner[1:] != owner[:-1])
+    edges, panels = edges[distinct], np.bincount(owner[distinct], minlength=counts.size)
+    kept = np.bincount(profile, minlength=counts.size)
+    point_masses = np.bincount(profile[sigma[active] == 0.0], minlength=counts.size)
+    first, edge_first = np.cumsum(kept) - kept, np.cumsum(panels) - panels
+    shapes: dict[tuple, list[int]] = {}
+    for s in np.flatnonzero(kept):
+        point = sigma[active[first[s] : first[s] + kept[s]]] == 0.0
+        shapes.setdefault((panels[s], point.tobytes()), []).append(s)
+    legendre = roots_legendre(_NODES_PER_PANEL)
     table = np.zeros((n, mu.size))
-    active = np.flatnonzero(_keep_mask(mu, sigma, pruning_threshold, n))
-    mu, sigma = mu[active], sigma[active]
+    for members in shapes.values():
+        s = members[0]
+        size = n * kept[s] * (point_masses[s] + (panels[s] - 1) * _NODES_PER_PANEL)
+        stack = max(1, _BLOCK_ELEMENTS // max(1, size))
+        for part in (members[i : i + stack] for i in range(0, len(members), stack)):
+            rows = active[first[part][:, None] + np.arange(kept[s])]
+            grid = edges[edge_first[part][:, None] + np.arange(panels[s])]
+            table[:, rows] = _stacked_ranks(mu[rows], sigma[rows], grid, legendre, n)
+    return [t.copy() for t in np.split(table, np.cumsum(counts)[:-1], axis=1)]
+
+
+def _stacked_ranks(
+    mu: np.ndarray, sigma: np.ndarray, edges: np.ndarray, legendre: tuple, n: int
+) -> np.ndarray:
+    """(n, profiles, entries) p#1 ... p#n of the kept entries (profiles,
+    entries) of profiles of one grid shape, from their sorted distinct
+    breakpoints `edges` (profiles, edges).
+
+    The shared nodes are Gauss-Legendre panels between the edges, which
+    include every mean, so no panel straddles the step of a zero-sigma
+    entry; a zero-sigma entry is a point mass and owns one node at its
+    mean, of weight 1.  P(rank m) of entry i integrates its density
+    against P(exactly m - 1 other kept entries lie above); p#m sums ranks
+    1 to m.  Point masses tied at one mean share their ranks uniformly: at
+    its own node, each of t + 1 tied masses with c others strictly above
+    takes each rank c + 1 ... c + t + 1 with chance 1 / (t + 1).  Nodes
+    are taken in blocks, so memory is O(n x profiles x entries x block).
+    """
     spread = sigma > 0.0
-    scale = np.where(spread, sigma, 1.0)[:, None]
-    x, w, owner = _quadrature_nodes(mu, sigma)
-    ties = np.zeros(active.size)  # other point masses at each one's mean
-    _, group, size = np.unique(mu[~spread], return_inverse=True, return_counts=True)
-    ties[~spread] = size[group] - 1
-    lag = np.subtract.outer(np.arange(n), np.arange(n))[:, :, None]
-    rank = np.zeros((n, active.size))
-    block = max(1, _BLOCK_ELEMENTS // max(1, n * active.size))
-    for start in range(0, x.size, block):
-        xb, wb, ob = (a[start : start + block] for a in (x, w, owner))
-        t = (xb - mu[:, None]) / scale
-        density = np.exp(-0.5 * t * t) * (wb * _INV_SQRT_2PI) / scale
-        weight = np.where(spread[:, None] & (ob < 0), density, 0.0)
+    point = np.flatnonzero(~spread[0])
+    nodes, weights = legendre
+    half = 0.5 * np.diff(edges)[..., None]
+    shared = (edges[:, :-1, None] + half * (1.0 + nodes)).reshape(len(mu), -1)
+    x = np.concatenate((mu[:, point], shared), axis=1)
+    w = np.ones(x.shape)
+    w[:, point.size :] = (half * weights).reshape(shared.shape)
+    owner = np.concatenate((point, np.full(shared.shape[1], -1)))
+    scale = np.where(spread, sigma, 1.0)[..., None]
+    ties = np.zeros(mu.shape)  # other point masses at each one's mean
+    ties[:, point] = (mu[:, point, None] == mu[:, None, point]).sum(axis=-1) - 1
+    lag = np.subtract.outer(np.arange(n), np.arange(n))[:, :, None, None]
+    rank = np.zeros((n, *mu.shape))
+    block = max(1, _BLOCK_ELEMENTS // (n * mu.size))
+    for start in range(0, x.shape[1], block):
+        xb, wb, ob = (a[..., start : start + block] for a in (x, w, owner))
+        t = (xb[:, None] - mu[..., None]) / scale
+        density = np.exp(-0.5 * t * t) * (wb[:, None] * _INV_SQRT_2PI) / scale
+        weight = np.where(spread[..., None] & (ob < 0), density, 0.0)
         owned = np.flatnonzero(ob >= 0)
         mass = ob[owned]
-        weight[mass, owned] = 1.0
+        weight[:, mass, owned] = 1.0
         above = _others_above(_cdf_matrix(xb, mu, sigma), n)
-        tied = ties[mass]
+        tied = ties[:, mass]
         window = ((lag >= 0) & (lag <= tied)) / (tied + 1.0)
-        above[:, mass, owned] = np.einsum("cjm,jm->cm", window, above[:, mass, owned])
-        rank += np.einsum("ij,cij->ci", weight, above)
-    table[:, active] = np.clip(np.cumsum(rank, axis=0), 0.0, 1.0)
-    return table
+        above[..., mass, owned] = np.einsum("cjgm,jgm->cgm", window, above[..., mass, owned])
+        rank += np.einsum("gij,cgij->cgi", weight, above)
+    return np.clip(np.cumsum(rank, axis=0), 0.0, 1.0)
 
 
 def _profile_arrays(profile: StabilityProfile) -> tuple[np.ndarray, np.ndarray]:
@@ -332,22 +373,31 @@ def _profile_arrays(profile: StabilityProfile) -> tuple[np.ndarray, np.ndarray]:
     return mu, sigma
 
 
-def _rank_probabilities(
-    profile: StabilityProfile, pruning_threshold: float, n: int = 2
-) -> np.ndarray:
-    """(max(n, 2), entries) table of p#1 ... p#max(n, 2), computed once per
-    profile, threshold and size.
+def _fill_rank_tables(
+    profiles: Sequence[StabilityProfile], pruning_threshold: float, n: int
+) -> None:
+    """Store each profile's missing (max(n, 2), entries) table of p#1 ...
+    p#max(n, 2) on it, all from one kernel call.
 
     p#1 and p#2 always come from the size-2 table, so p#1 <= p#2 holds
     exactly; tables of other sizes have other grids and may differ by ulps.
     """
     key = (pruning_threshold, max(n, 2))
-    table = profile._ranks.get(key)
-    if table is None:
-        table = _rank_kernel(*_profile_arrays(profile), *key)
-        table.setflags(write=False)
-        profile._ranks[key] = table
-    return table
+    missing = [profile for profile in profiles if key not in profile._ranks]
+    if missing:
+        mus, sigmas = zip(*map(_profile_arrays, missing))
+        for profile, table in zip(missing, _rank_kernel(mus, sigmas, *key)):
+            table.setflags(write=False)
+            profile._ranks[key] = table
+
+
+def _rank_probabilities(
+    profile: StabilityProfile, pruning_threshold: float, n: int = 2
+) -> np.ndarray:
+    """The profile's table of p#1 ... p#max(n, 2), computed once per
+    profile, threshold and size (see `_fill_rank_tables`)."""
+    _fill_rank_tables([profile], pruning_threshold, n)
+    return profile._ranks[(pruning_threshold, max(n, 2))]
 
 
 def predict_p_hash1(
@@ -417,18 +467,19 @@ def structure_factor(
     how much of the expected overlap is explained by the arrangement of the
     mean similarities alone, with the pair-level noise homogenized.
     """
+    return expected_overlap(_flattened(profile, gamma), n, pruning_threshold=pruning_threshold)
+
+
+def _flattened(profile: StabilityProfile, gamma: float | None = None) -> StabilityProfile:
+    """The profile with every sigma replaced by `gamma`, by default their mean."""
     if gamma is None:
         gamma = float(np.mean([e.sigma for e in profile.entries]))
     if gamma < 0.0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    flattened = StabilityProfile(
+    return StabilityProfile(
         profile.target,
-        tuple(
-            PairStatistics(e.target, e.query, e.mu, gamma, e.r)
-            for e in profile.entries
-        ),
+        tuple(PairStatistics(e.target, e.query, e.mu, gamma, e.r) for e in profile.entries),
     )
-    return expected_overlap(flattened, n, pruning_threshold=pruning_threshold)
 
 
 _PROFILE_COLUMNS = ["target", "query", "mu", "sigma", "r"]

@@ -111,7 +111,9 @@ def _pip_kernel(
         rotation = 1.5 * rotation - 0.5 * (rotation @ rotation.T) @ rotation
         b, words_b = b @ rotation, words_b @ rotation
     d = a.shape[1]
-    halves = np.hstack((a - b, a + b))
+    halves = np.empty((len(a), 2 * d), dtype=np.result_type(a, b))
+    np.subtract(a, b, out=halves[:, :d])
+    np.add(a, b, out=halves[:, d:])
     gram = halves.T @ halves
     dtd, dts, sts = gram[:d, :d], gram[:d, d:], gram[d:, d:]
     squared = 0.5 * float(np.einsum("ij,ij->", sts, dtd) + np.einsum("ij,ji->", dts, dts))

@@ -422,6 +422,68 @@ def _leave_one_out(
     return none_first, before_none * after_none, one_second
 
 
+def keep_mask(mu: np.ndarray, sigma: np.ndarray, threshold: float, n: int) -> np.ndarray:
+    """Entries whose chance of exceeding one of the n highest means reaches
+    `threshold`, for one profile."""
+    ref = np.argsort(-mu, kind="stable")[:n]
+    beats = gaussian._prob_greater_vs(mu[:, None], sigma[:, None], mu[ref], sigma[ref])
+    return (beats >= threshold).any(axis=1)
+
+
+def quadrature_nodes(
+    mu: np.ndarray, sigma: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes, weights and owning entry (-1 for shared nodes) of one
+    profile's grid: Gauss-Legendre panels between its distinct breakpoints
+    (`np.unique`), then one node of weight 1 per point mass."""
+    from scipy.special import roots_legendre
+    point = np.flatnonzero(sigma == 0.0)
+    edges = np.unique((mu[:, None] + sigma[:, None] * gaussian._BREAKPOINT_SCALES).ravel())
+    half = 0.5 * np.diff(edges)[:, None]
+    nodes, weights = roots_legendre(gaussian._NODES_PER_PANEL)
+    shared = (edges[:-1, None] + half * (1.0 + nodes)).ravel()
+    x = np.concatenate((mu[point], shared))
+    w = np.concatenate((np.ones(point.size), (half * weights).ravel()))
+    owner = np.concatenate((point, np.full(shared.size, -1)))
+    return x, w, owner
+
+
+def rank_kernel_oracle(
+    mu: np.ndarray, sigma: np.ndarray, pruning_threshold: float, n: int
+) -> np.ndarray:
+    """(n, entries) table of p#1 ... p#n of one profile, on its own: the
+    rank kernel as it ran before profiles were stacked, one grid per
+    profile and its nodes in blocks of `_BLOCK_ELEMENTS // (n x entries)`.
+    The stacked kernel must match it bit for bit."""
+    table = np.zeros((n, mu.size))
+    active = np.flatnonzero(keep_mask(mu, sigma, pruning_threshold, n))
+    mu, sigma = mu[active], sigma[active]
+    spread = sigma > 0.0
+    scale = np.where(spread, sigma, 1.0)[:, None]
+    x, w, owner = quadrature_nodes(mu, sigma)
+    ties = np.zeros(active.size)  # other point masses at each one's mean
+    _, group, size = np.unique(mu[~spread], return_inverse=True, return_counts=True)
+    ties[~spread] = size[group] - 1
+    lag = np.subtract.outer(np.arange(n), np.arange(n))[:, :, None]
+    rank = np.zeros((n, active.size))
+    block = max(1, gaussian._BLOCK_ELEMENTS // max(1, n * active.size))
+    for start in range(0, x.size, block):
+        xb, wb, ob = (a[start : start + block] for a in (x, w, owner))
+        t = (xb - mu[:, None]) / scale
+        density = np.exp(-0.5 * t * t) * (wb * gaussian._INV_SQRT_2PI) / scale
+        weight = np.where(spread[:, None] & (ob < 0), density, 0.0)
+        owned = np.flatnonzero(ob >= 0)
+        mass = ob[owned]
+        weight[mass, owned] = 1.0
+        above = gaussian._others_above(gaussian._cdf_matrix(xb, mu, sigma), n)
+        tied = ties[mass]
+        window = ((lag >= 0) & (lag <= tied)) / (tied + 1.0)
+        above[:, mass, owned] = np.einsum("cjm,jm->cm", window, above[:, mass, owned])
+        rank += np.einsum("ij,cij->ci", weight, above)
+    table[:, active] = np.clip(np.cumsum(rank, axis=0), 0.0, 1.0)
+    return table
+
+
 def rank_probabilities_oracle(
     mu: np.ndarray, sigma: np.ndarray, pruning_threshold: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -448,7 +510,7 @@ def rank_probabilities_oracle(
     first, second = first[active], second[active]
     spread = sigma > 0.0
     scale = np.where(spread, sigma, 1.0)[:, None]
-    x, w, owner = gaussian._quadrature_nodes(mu, sigma)
+    x, w, owner = quadrature_nodes(mu, sigma)
     ties = np.zeros(active.size)
     _, group, size = np.unique(mu[~spread], return_inverse=True, return_counts=True)
     ties[~spread] = size[group] - 1

@@ -17,6 +17,8 @@ from embedstab import (
     Vocabulary,
     aligned_average_tree,
     build_change_report,
+    estimate_profile,
+    expected_overlap,
     intrinsic_instability,
     load_corpus,
     load_profile,
@@ -27,10 +29,15 @@ from embedstab import (
     sample_proxy,
     save_frequencies,
     save_text_vectors,
+    structure_factor,
 )
+from embedstab import gaussian
 from embedstab.cli import ExperimentConfig, main, run_experiment
 
-from helpers import answer_files_oracle, random_normalized_space, two_topic_corpus
+from helpers import (
+    answer_files_oracle, cli_inputs, keep_mask, quadrature_nodes, random_normalized_space,
+    two_topic_corpus, words_for,
+)
 
 
 def run_cli(*args):
@@ -500,6 +507,45 @@ class TestPredictCommand:
         assert len(saved) == len(targets)
         profile = load_profile(saved[0])
         assert profile.target == targets[0]
+
+    def test_rows_are_the_library_values_from_one_kernel_call_per_grid_shape(
+        self, tmp_path, monkeypatch
+    ):
+        inputs = cli_inputs(tmp_path)
+        targets = tmp_path / "targets_20.txt"
+        targets.write_text("\n".join(words_for(60)[::3]) + "\n")
+        calls = []
+        kernel = gaussian._rank_kernel
+
+        def counting(mus, sigmas, *key):
+            calls.append(len(mus))
+            return kernel(mus, sigmas, *key)
+
+        monkeypatch.setattr(gaussian, "_rank_kernel", counting)
+        assert run_cli(
+            "predict", "--inputs", *inputs, "--targets", targets, "--candidates", 3,
+            "--profiles", tmp_path / "profiles", "--out", tmp_path / "predict.tsv",
+        ) == 0
+        monkeypatch.undo()
+        _, rows = parse_report(tmp_path / "predict.tsv")
+        saved = sorted((tmp_path / "profiles").glob("profile_*.tsv"))
+        assert len(rows) == len(saved) == 20
+        runs = RunSet(tuple(normalize(load_text_vectors(p)) for p in inputs), mode="fixed")
+        shapes = set()
+        for row, path in zip(rows, saved):
+            profile = estimate_profile(runs, row["target"], load_profile(path).queries)
+            assert float(row["predicted_p1"]) == expected_overlap(profile, 1)
+            assert float(row["predicted_p2"]) == expected_overlap(profile, 2)
+            assert float(row["structure_factor"]) == structure_factor(profile, 1)
+            for table in (profile, gaussian._flattened(profile)):
+                mu, sigma = gaussian._profile_arrays(table)
+                kept = keep_mask(mu, sigma, gaussian.DEFAULT_PRUNING_THRESHOLD, 2)
+                x, _, owner = quadrature_nodes(mu[kept], sigma[kept])
+                shapes.add((kept.sum(), x.size, tuple(owner[owner >= 0])))
+        # Every profile and flattened twin once, in at most one call per
+        # grid shape, and there are fewer shapes than tables.
+        assert sum(calls) == 2 * len(rows)
+        assert len(calls) <= len(shapes) < 2 * len(rows)
 
 
 class TestInstabilityCommand:

@@ -28,7 +28,9 @@ from embedstab import (
     structure_factor,
 )
 
-from helpers import planted_cosine_space, rank_probabilities_oracle
+from helpers import (
+    planted_cosine_space, quadrature_nodes, rank_kernel_oracle, rank_probabilities_oracle,
+)
 
 
 def pair(query, mu, sigma, target="t", r=10):
@@ -463,9 +465,9 @@ class TestRankKernel:
         calls = []
         kernel = gaussian._rank_kernel
 
-        def counting(*args):
-            calls.append(args[2:])
-            return kernel(*args)
+        def counting(mus, sigmas, *key):
+            calls.append((len(mus), *key))
+            return kernel(mus, sigmas, *key)
 
         monkeypatch.setattr(gaussian, "_rank_kernel", counting)
         profile = profile_of(*(pair(f"q{k}", 0.5 - 0.05 * k, 0.04) for k in range(6)))
@@ -475,11 +477,84 @@ class TestRankKernel:
         expected_overlap(profile, 1)
         expected_overlap(profile, 2)
         default = gaussian.DEFAULT_PRUNING_THRESHOLD
-        assert calls == [(default, 2)]
+        assert calls == [(1, default, 2)]
         expected_overlap(profile, 3)
         expected_overlap(profile, 3)
         predict_p_hash1(profile, "q0", pruning_threshold=0.0)
-        assert calls == [(default, 2), (default, 3), (0.0, 2)]
+        assert calls == [(1, default, 2), (1, default, 3), (1, 0.0, 2)]
+        # One call for a stack, of only the profiles that lack the table.
+        other = profile_of(pair("a", 0.3, 0.02), pair("b", 0.2, 0.05))
+        twin = profile_of(*other.entries)
+        gaussian._fill_rank_tables([profile, other, twin], default, 3)
+        gaussian._fill_rank_tables([twin, profile], default, 3)
+        assert expected_overlap(other, 3) == expected_overlap(twin, 3)
+        assert calls[3:] == [(2, default, 3)]
+
+
+@st.composite
+def profile_stacks(draw):
+    """1 to 4 random profiles, some with their point masses spread out, each
+    with up to two copies shifted by a few hundredths (mostly of the same
+    grid shape, so the kernel stacks them), sometimes with a 40-entry one
+    large enough that the kernel takes its nodes in blocks."""
+    stack = []
+    for profile in draw(st.lists(random_profiles(), min_size=1, max_size=4)):
+        mu, sigma = gaussian._profile_arrays(profile)
+        if draw(st.booleans()):
+            sigma = np.where(sigma == 0.0, 0.01, sigma)
+        shifts = draw(st.lists(st.floats(-0.05, 0.05), max_size=2))
+        stack += [(mu, sigma)] + [(mu + shift, sigma) for shift in shifts]
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        big = (rng.uniform(0.4, 0.6, 40), rng.uniform(0.02, 0.1, 40))
+        stack.insert(draw(st.integers(0, len(stack))), big)
+    return stack
+
+
+class TestStackedRankKernel:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        profile_stacks(),
+        st.sampled_from([0.0, gaussian.DEFAULT_PRUNING_THRESHOLD]),
+        st.sampled_from([1, 2, 3, 5]),
+        st.randoms(use_true_random=False),
+    )
+    def test_each_table_is_the_one_profile_kernel_bit_for_bit(self, stack, threshold, n, rnd):
+        mus, sigmas = zip(*stack)
+        tables = gaussian._rank_kernel(mus, sigmas, threshold, n)
+        for (mu, sigma), table in zip(stack, tables):
+            assert np.array_equal(table, rank_kernel_oracle(mu, sigma, threshold, n))
+        # Neither the order of the stack nor its split changes a bit.
+        order = list(range(len(stack)))
+        rnd.shuffle(order)
+        cut = rnd.randint(0, len(stack))
+        again = [None] * len(stack)
+        for part in (order[:cut], order[cut:]):
+            if part:
+                got = gaussian._rank_kernel([mus[i] for i in part], [sigmas[i] for i in part],
+                                            threshold, n)
+                for i, table in zip(part, got):
+                    again[i] = table
+        assert [t.tobytes() for t in again] == [t.tobytes() for t in tables]
+
+    def test_a_large_profile_runs_in_node_blocks(self):
+        rng = np.random.default_rng(5)
+        mu, sigma = rng.uniform(0.4, 0.6, 40), rng.uniform(0.02, 0.1, 40)
+        x, _, _ = quadrature_nodes(mu, sigma)
+        assert 2 * mu.size * x.size > gaussian._BLOCK_ELEMENTS
+        small = gaussian._profile_arrays(profile_from([0.5, 0.4, 0.45], [0.05, 0.02, 0.0]))
+        tables = gaussian._rank_kernel([mu, small[0]], [sigma, small[1]], 0.0, 2)
+        assert np.array_equal(tables[0], rank_kernel_oracle(mu, sigma, 0.0, 2))
+        assert np.array_equal(tables[1], rank_kernel_oracle(*small, 0.0, 2))
+
+    def test_neighbouring_profiles_keep_a_shared_edge_each(self):
+        # The first profile's highest breakpoint, 0.375 + 8/64, is the
+        # second one's lowest, 0.625 - 8/64: each keeps its own copy.
+        first = (np.array([0.375, 0.37]), np.array([1 / 64, 0.01]))
+        second = (np.array([0.625, 0.63]), np.array([1 / 64, 0.01]))
+        tables = gaussian._rank_kernel(*zip(first, second), 0.0, 2)
+        assert np.array_equal(tables[0], rank_kernel_oracle(*first, 0.0, 2))
+        assert np.array_equal(tables[1], rank_kernel_oracle(*second, 0.0, 2))
 
 
 class TestExpectedOverlap:
