@@ -65,7 +65,7 @@ from .space import (
     save_text_vectors,
 )
 
-__all__ = ["ExperimentConfig", "run_experiment", "main"]
+__all__ = ["ExperimentConfig", "main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -233,7 +233,7 @@ def _train_run(
         raise ValueError(f"{label} failed: {exc}") from exc
 
 
-def _train_and_save(config: ExperimentConfig, out: str | None = None) -> Path:
+def _train_and_save(config: ExperimentConfig, out: str | None = None) -> None:
     """Train and save run i of `config` with seed seed + i, then its manifest.
 
     With `out` the one run goes to `out` (manifest `out`.manifest.json);
@@ -264,18 +264,6 @@ def _train_and_save(config: ExperimentConfig, out: str | None = None) -> Path:
         "global_seed": config.seed,
     }
     _write_manifest(manifest_path, "train", settings, runs=entries)
-    return manifest_path
-
-
-def run_experiment(config: ExperimentConfig) -> Path:
-    """Train `runs` spaces with per-run seeds global_seed + run index.
-
-    Writes run_###.vec plus .freq sidecars and a manifest.json echoing the
-    configuration with content hashes; returns the manifest path.  A failing
-    run aborts with its index in the error message.
-    """
-    with _recording_inputs():  # the manifest's digests come from this record
-        return _train_and_save(config)
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,11 @@ _BREAKPOINT_SCALES = np.array([-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0])
 _NODES_PER_PANEL = 8
 # Entries x nodes per block: bounds the kernel's working set to a few MB.
 _BLOCK_ELEMENTS = 1 << 15
+# Means are cosines, where floats lie up to 2**-53 apart: a sigma of at most
+# this may span too few floats for the nodes between its breakpoints to keep
+# their places (at sigma 1e-12, p#1 of a lone entry at 0.9 is 2e-6 short of
+# 1).  Such a sigma does not resolve, and its entry is a point mass.
+_UNRESOLVED_SIGMA = 2.0**-32
 
 
 @dataclass(frozen=True)
@@ -279,6 +284,7 @@ def _rank_kernel(
 ) -> list[np.ndarray]:
     """(n, entries) table per profile (mu, sigma) whose row m - 1 holds p#m
     of every entry; entries outside `_keep_mask` take no part and score 0.
+    A sigma too small to resolve counts as 0 throughout.
 
     Masks and panel edges (np.unique's values, per profile) come from one
     pass over all profiles.  Profiles of one grid shape (kept entries,
@@ -290,7 +296,7 @@ def _rank_kernel(
     """
     from scipy.special import roots_legendre
     counts = np.array([m.size for m in mus])
-    mu, sigma = np.concatenate(mus), np.concatenate(sigmas)
+    mu, sigma = np.concatenate(mus), _resolved(np.concatenate(sigmas))
     active = np.flatnonzero(_keep_mask(mu, sigma, counts, pruning_threshold, n))
     profile = np.repeat(np.arange(counts.size), counts)[active]
     edges = (mu[active, None] + sigma[active, None] * _BREAKPOINT_SCALES).ravel()
@@ -317,6 +323,11 @@ def _rank_kernel(
             grid = edges[edge_first[part][:, None] + np.arange(panels[s])]
             table[:, rows] = _stacked_ranks(mu[rows], sigma[rows], grid, legendre, n)
     return [t.copy() for t in np.split(table, np.cumsum(counts)[:-1], axis=1)]
+
+
+def _resolved(sigma: np.ndarray) -> np.ndarray:
+    """The sigmas, each too small to resolve set to 0."""
+    return np.where(sigma <= _UNRESOLVED_SIGMA, 0.0, sigma)
 
 
 def _stacked_ranks(

@@ -78,13 +78,17 @@ def sample_proxy(
 def _rows(
     space: EmbeddingSpace, proxy: ProxySample, words: Sequence[str], name: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The proxy rows and the word rows of one normalized space."""
+    """The proxy rows and the word rows of one normalized space; rows that
+    are the whole space in order are its matrix itself, not a copy."""
     if not space.normalized:
         raise ValueError(
             f"{name} is not normalized; PIP entries are cosines only for "
             "unit rows, so normalize explicitly first"
         )
-    return tuple(space.matrix[_positions(space.vocab, w)] for w in (proxy.words, words))
+    return tuple(
+        space.matrix if w == space.vocab.words else space.matrix[_positions(space.vocab, w)]
+        for w in (proxy.words, words)
+    )
 
 
 def _pip_kernel(

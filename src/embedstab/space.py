@@ -8,8 +8,7 @@ Every input file is read once per load by ``_read_input`` and every output
 file written by ``_write_text``; while a CLI command runs, both record the
 sha256 of the bytes by path, the only digests its reports and manifests
 print.  Every text file but vectors is split into lines by ``_read_lines``,
-every table is formatted by ``_write_table``, and a well-formed sidecar is
-parsed in one pass, any other by ``_read_map``.
+and every table is formatted by ``_write_table``.
 
 Values are read by numpy's C text reader, correctly rounded like ``float()``.
 Its number grammar is narrower than ``float()``'s: digit-group underscores
@@ -24,7 +23,11 @@ followed by the file's hex sha256 names a cache entry holding the parsed
 matrix (``.npy``) and word list, checked by a CRC-32 and by shape on every
 hit. A miss parses the same bytes and files the entry; a malformed file is
 never filed. Entries are bit-identical to what the parser returns, so a hit
-and a parse give the same space. The directory is
+and a parse give the same space. A sidecar loaded with its vector file is
+read and hashed on every load, and its counts, int64 in the vector file's
+word order, are filed in a record keyed by both digests: a warm load parses
+neither file. A sidecar that is malformed, lacks a word or holds a count
+past int64 is never filed. The directory is
 ``$EMBEDSTAB_CACHE``, else ``$XDG_CACHE_HOME/embedstab``, else
 ``~/.cache/embedstab``; ``EMBEDSTAB_CACHE=off`` turns the cache off. Its size
 is bounded by ``_CACHE_MAX_BYTES``, least recently used entries going first.
@@ -232,12 +235,27 @@ def load_text_vectors(
         words, matrix = cached
     frequency = None
     if frequency_path is not None:
-        counts = load_frequencies(frequency_path)
-        try:
-            frequency = dict(zip(words, map(counts.__getitem__, words)))
-        except KeyError as exc:
-            raise LoadError(f"{frequency_path}: no count for {exc.args[0]!r}") from None
+        frequency = dict(zip(words, _sidecar_counts(frequency_path, words, digest)))
     return EmbeddingSpace(Vocabulary(tuple(words), frequency), matrix, normalized=False)
+
+
+def _sidecar_counts(path: str | Path, words: list[str], digest: str) -> list[int]:
+    """The counts the sidecar `path` gives `words`, the words of the vector
+    file whose sha256 is `digest`: read and hashed, then looked up in the
+    cache, or parsed by `_read_map` and filed if every count fits int64."""
+    data, sidecar = _read_input(path)
+    record = _cache_entry(digest, sidecar)
+    counts = None if record is None else _counts_read(record, len(words))
+    if counts is None:
+        parsed = _read_map(path, "count", int, ">= 1", 1, data=data)
+        try:
+            counts = list(map(parsed.__getitem__, words))
+        except KeyError as exc:
+            raise LoadError(f"{path}: no count for {exc.args[0]!r}") from None
+        if record is not None and max(counts, default=1) < 1 << 63:
+            body = np.array(counts, dtype="<i8").tobytes()
+            _cache_write(record, [body, zlib.crc32(body).to_bytes(4, "little")])
+    return counts
 
 
 def _parse_text_vectors(path: Path, data: bytes) -> tuple[list[str], np.ndarray]:
@@ -283,10 +301,11 @@ def _parse_text_vectors(path: Path, data: bytes) -> tuple[list[str], np.ndarray]
     return words, matrix
 
 
-def _cache_entry(digest: str) -> str | None:
+def _cache_entry(digest: str, sidecar: str | None = None) -> str | None:
     """The path of the cache entry for a vector file whose bytes have the
-    sha256 `digest` (hex), its directory made with mode 0o700 if missing;
-    None when ``EMBEDSTAB_CACHE`` is ``off`` or the directory cannot be made."""
+    sha256 `digest` (hex), or of its counts record with a sidecar of sha256
+    `sidecar`, its directory made with mode 0o700 if missing; None when
+    ``EMBEDSTAB_CACHE`` is ``off`` or the directory cannot be made."""
     directory = os.environ.get("EMBEDSTAB_CACHE") or os.path.join(
         os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache"),
         "embedstab",
@@ -297,22 +316,37 @@ def _cache_entry(digest: str) -> str | None:
         os.makedirs(directory, mode=0o700, exist_ok=True)
     except OSError:
         return None
-    key = hashlib.sha256(_CACHE_VERSION + digest.encode("ascii")).hexdigest()
+    # No vector file's key hashes a name holding "counts " and two digests.
+    name = digest if sidecar is None else f"counts {digest} {sidecar}"
+    key = hashlib.sha256(_CACHE_VERSION + name.encode("ascii")).hexdigest()
     return os.path.join(directory, key + _CACHE_SUFFIX)
 
 
-def _cache_read(entry: str) -> tuple[list[str], np.ndarray] | None:
-    """The words and matrix a cache entry holds, refreshing its mtime; None
-    if the entry is missing, fails its checksum or shape check, or cannot be
-    read."""
+def _cache_blob(entry: str, trailer: int) -> bytes | None:
+    """The bytes of a cache entry whose CRC-32, in its last 4 bytes, is that
+    of the bytes before its `trailer`, refreshing its mtime; None if the
+    entry is missing, cannot be read or fails the check."""
     try:
         with open(entry, "rb") as handle:
             blob = handle.read()
-        body = len(blob) - _CACHE_TRAILER
-        if body < 0 or zlib.crc32(memoryview(blob)[:body]) != int.from_bytes(
-            blob[-4:], "little"
-        ):
-            return None
+    except OSError:
+        return None
+    body = len(blob) - trailer
+    if body < 0 or zlib.crc32(memoryview(blob)[:body]) != int.from_bytes(blob[-4:], "little"):
+        return None
+    with contextlib.suppress(OSError):  # an entry another user owns is still read
+        os.utime(entry)
+    return blob
+
+
+def _cache_read(entry: str) -> tuple[list[str], np.ndarray] | None:
+    """The words and matrix a cache entry holds; None if the entry is
+    missing, fails its checksum or shape check, or cannot be read."""
+    blob = _cache_blob(entry, _CACHE_TRAILER)
+    if blob is None:
+        return None
+    body = len(blob) - _CACHE_TRAILER
+    try:
         text = blob[body - int.from_bytes(blob[body:-4], "little") : body].decode("utf-8")
         words = text.split("\n") if text else []
         # The .npy leads the entry.  Its matrix is read in place, not copied
@@ -324,20 +358,23 @@ def _cache_read(entry: str) -> tuple[list[str], np.ndarray] | None:
         if dtype != np.float64 or fortran_order or len(shape) != 2 or shape[0] != len(words):
             return None
         matrix = np.frombuffer(blob, np.float64, shape[0] * shape[1], npy.tell()).reshape(shape)
-    except (OSError, ValueError):
+    except ValueError:
         return None
-    with contextlib.suppress(OSError):  # an entry another user owns is still read
-        os.utime(entry)
     return words, matrix
 
 
-def _cache_store(entry: str, words: list[str], matrix: np.ndarray) -> None:
-    """File a parsed space as a cache entry, then evict past the size bound.
+def _counts_read(record: str, size: int) -> list[int] | None:
+    """The `size` counts a counts record holds (int64, then their CRC-32);
+    None if the record is missing, fails its checksum or has another length."""
+    blob = _cache_blob(record, 4)
+    if blob is None or len(blob) != 8 * size + 4:
+        return None
+    return np.frombuffer(blob, "<i8", size).tolist()
 
-    The entry is written under a temporary name and renamed into place, so
-    a reader sees a whole entry or none.  Words hold no whitespace, so "\n"
-    separates them.  Any OSError just leaves the entry out.
-    """
+
+def _cache_store(entry: str, words: list[str], matrix: np.ndarray) -> None:
+    """File a parsed space as a cache entry.  Words hold no whitespace, so
+    "\n" separates them."""
     header = io.BytesIO()
     np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(matrix))
     text = "\n".join(words).encode("utf-8")
@@ -348,6 +385,14 @@ def _cache_store(entry: str, words: list[str], matrix: np.ndarray) -> None:
     for part in parts:
         checksum = zlib.crc32(part, checksum)
     parts.append(len(text).to_bytes(8, "little") + checksum.to_bytes(4, "little"))
+    _cache_write(entry, parts)
+
+
+def _cache_write(entry: str, parts: list) -> None:
+    """Write the parts as the cache entry `entry`, then evict past the size
+    bound.  The entry is written under a temporary name and renamed into
+    place, so a reader sees a whole entry or none.  Any OSError just leaves
+    the entry out."""
     temporary = f"{entry}.{os.urandom(8).hex()}.tmp"
     try:
         with open(temporary, "xb") as handle:
@@ -599,30 +644,7 @@ def _read_table(path: str | Path) -> tuple[list[list[str]], list[str], list[list
 
 def load_frequencies(path: str | Path) -> dict[str, int]:
     """Read a "word<TAB>count" sidecar file (counts >= 1, each word once)."""
-    data, _ = _read_input(path)
-    counts = _parse_counts(data)
-    return _read_map(path, "count", int, ">= 1", 1, data=data) if counts is None else counts
-
-
-def _parse_counts(data: bytes) -> dict[str, int] | None:
-    """`_read_map`'s count map of a sidecar's bytes, in one pass with no
-    Python call per line; None on whatever `_read_map` must skip or name:
-    non-UTF-8 bytes, a "\\r", a blank line, other than 2 fields, a bad or
-    < 1 count, a repeated word."""
-    try:
-        text = data.decode("utf-8")
-        body = text[:-1] if text.endswith("\n") else text
-        fields = body.replace("\n", "\t").split("\t") if body else []
-        words, raw = fields[0::2], fields[1::2]
-        counts = dict(zip(words, map(int, raw)))
-    except ValueError:  # a UnicodeDecodeError too
-        return None
-    # The fields join back into the text only if every line is one word, a
-    # tab and a count; a repeated word leaves fewer counts than words.
-    joined = "\n".join(map("\t".join, zip(words, raw)))
-    if "\r" in text or joined != body or len(counts) != len(words):
-        return None
-    return counts if min(counts.values(), default=1) >= 1 else None
+    return _read_map(path, "count", int, ">= 1", 1)
 
 
 def save_frequencies(counts: Mapping[str, int], path: str | Path) -> None:

@@ -454,8 +454,10 @@ def rank_kernel_oracle(
     """(n, entries) table of p#1 ... p#n of one profile, on its own: the
     rank kernel as it ran before profiles were stacked, one grid per
     profile and its nodes in blocks of `_BLOCK_ELEMENTS // (n x entries)`.
-    The stacked kernel must match it bit for bit."""
+    A sigma too small to resolve counts as 0, as there.  The stacked kernel
+    must match it bit for bit."""
     table = np.zeros((n, mu.size))
+    sigma = gaussian._resolved(sigma)
     active = np.flatnonzero(keep_mask(mu, sigma, pruning_threshold, n))
     mu, sigma = mu[active], sigma[active]
     spread = sigma > 0.0
@@ -497,6 +499,7 @@ def rank_probabilities_oracle(
     at `pruning_threshold=0.0` both masks hold every entry and the result
     is exact up to the quadrature.
     """
+    sigma = gaussian._resolved(sigma)
     order = np.argsort(-mu, kind="stable")
 
     def keep(rank: int) -> np.ndarray:

@@ -32,7 +32,7 @@ from embedstab import (
     structure_factor,
 )
 from embedstab import gaussian
-from embedstab.cli import ExperimentConfig, main, run_experiment
+from embedstab.cli import ExperimentConfig, main
 
 from helpers import (
     answer_files_oracle, cli_inputs, keep_mask, quadrature_nodes, random_normalized_space,
@@ -164,25 +164,23 @@ class TestTrain:
         assert code == 3
         assert "data error" in capsys.readouterr().err
 
-    def test_failing_run_reports_its_index(self, tmp_path, corpus_file):
-        config = ExperimentConfig(
-            corpus=str(corpus_file),
-            out_dir=str(tmp_path),
-            trainer=__import__("embedstab").SgnsConfig(min_count=10_000),
+    def test_failing_run_reports_its_index(self, tmp_path, corpus_file, capsys):
+        code = run_cli(
+            "train", "--corpus", corpus_file, "--min-count", 10_000, "--runs", 2,
+            "--out-dir", tmp_path / "runs",
         )
-        with pytest.raises(ValueError, match="run 0 failed"):
-            run_experiment(config)
+        assert code == 3
+        assert "data error: run 0 failed" in capsys.readouterr().err
 
-    def test_run_experiment_outside_main_names_its_files(self, tmp_path, corpus_file):
-        # The public entry point opens its own record of the files it reads
-        # and writes, so its manifest names their bytes as `train` does.
-        config = ExperimentConfig(
-            corpus=str(corpus_file), runs=2, out_dir=str(tmp_path / "runs"),
-            trainer=__import__("embedstab").SgnsConfig(dim=4, window=2, negatives=2, epochs=1),
+    def test_train_runs_manifest_names_its_files(self, tmp_path, corpus_file):
+        # The manifest of `train --runs` names the corpus read and every run
+        # and sidecar written by the sha256 of their bytes.
+        code = run_cli(
+            "train", "--corpus", corpus_file, "--dim", 4, "--window", 2, "--neg", 2,
+            "--epochs", 1, "--runs", 2, "--out-dir", tmp_path / "runs",
         )
-        manifest_path = run_experiment(config)
-        assert manifest_path == tmp_path / "runs" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
+        assert code == 0
+        manifest = json.loads((tmp_path / "runs" / "manifest.json").read_text())
         assert manifest["config"]["corpus_sha256"] == sha256_of(corpus_file)
         assert [entry["file"] for entry in manifest["runs"]] == ["run_000.vec", "run_001.vec"]
         for entry in manifest["runs"]:

@@ -7,7 +7,7 @@ import pytest
 import scipy.integrate
 import scipy.special
 import scipy.stats
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import embedstab.gaussian as gaussian
@@ -140,12 +140,18 @@ def quad_rank_probabilities(mus, sigmas):
     return p1, p2
 
 
+# Sigmas too small for the breakpoints mu + k sigma to resolve: the limit of
+# such an entry is its point mass.
+TINY_SIGMAS = [1e-300, 1e-20, 1e-12]
+
+
 @st.composite
 def random_profiles(draw):
-    """Up to 12 entries; means include exact ties, sigmas include zero."""
+    """Up to 12 entries; means include exact ties, sigmas include zero and
+    values too small to resolve."""
     k = draw(st.integers(2, 12))
     mean = st.one_of(st.sampled_from([0.2, 0.5, 0.55]), st.floats(-0.9, 0.9))
-    sigma = st.one_of(st.just(0.0), st.floats(0.005, 0.2))
+    sigma = st.one_of(st.just(0.0), st.floats(0.005, 0.2), st.sampled_from(TINY_SIGMAS))
     mus = draw(st.lists(mean, min_size=k, max_size=k))
     sigmas = draw(st.lists(sigma, min_size=k, max_size=k))
     return profile_of(*(pair(f"q{i}", m, s) for i, (m, s) in enumerate(zip(mus, sigmas))))
@@ -425,6 +431,31 @@ class TestRankKernel:
         assert [predict_p_hash2(profile, q) for q in profile.queries] == batch2.tolist()
         for n, batch in ((1, batch1), (2, batch2)):
             assert expected_overlap(twin, n) == min(1.0, float(batch @ batch) / n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        random_profiles(),
+        st.data(),
+        st.sampled_from(TINY_SIGMAS),
+        st.sampled_from([0.0, gaussian.DEFAULT_PRUNING_THRESHOLD]),
+        st.sampled_from([1, 2, 3]),
+    )
+    @example(profile_of(pair("a", 0.5, 0.0)), None, 1e-20, gaussian.DEFAULT_PRUNING_THRESHOLD, 1)
+    @example(profile_of(pair("a", 0.9, 0.0), pair("b", 0.1, 0.05)), None, 1e-12, 0.0, 1)
+    def test_a_sigma_too_small_to_resolve_gives_the_point_mass_table(
+        self, profile, data, tiny, threshold, n
+    ):
+        # The limit sigma -> 0 is continuous for an entry whose mean ties no
+        # other: its table at a tiny sigma is the table at sigma 0.
+        mu, sigma = gaussian._profile_arrays(profile)
+        i = 0 if data is None else data.draw(st.integers(0, mu.size - 1))
+        assume(np.sum(np.abs(mu - mu[i]) <= 1e-9) == 1)
+        at_zero, at_tiny = sigma.copy(), sigma.copy()
+        at_zero[i], at_tiny[i] = 0.0, tiny
+        (want,) = gaussian._rank_kernel([mu], [at_zero], threshold, n)
+        (got,) = gaussian._rank_kernel([mu], [at_tiny], threshold, n)
+        assert_allclose(got, want, rtol=0.0, atol=1e-6)
+        assert_allclose(rank_kernel_oracle(mu, at_tiny, threshold, n), want, rtol=0.0, atol=1e-6)
 
     @pytest.mark.parametrize("m", [3, 4])
     @pytest.mark.parametrize("threshold", [0.0, gaussian.DEFAULT_PRUNING_THRESHOLD])

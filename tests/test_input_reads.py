@@ -1,27 +1,30 @@
-"""Each input is read, hashed and mapped once.  The one-pass sidecar parser,
-the vocabulary index, row positions and the joint vocabulary agree with their
-loop oracles, faults and messages included.  Each CLI command reads every
-input path once, its reports and manifests name the digests of the bytes it
-parsed for every file it read, and the record of those digests ends with the
-command."""
+"""Each input is read, hashed and mapped once.  Sidecar counts, parsed or
+read from the cache, the vocabulary index, row positions and the joint
+vocabulary agree with their loop oracles, faults and messages included.
+Each CLI command reads every input path once, its reports and manifests name
+the digests of the bytes it parsed for every file it read, and the record of
+those digests ends with the command."""
 
 import collections
+import contextlib
 import hashlib
 import json
 import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from embedstab import (
-    EmbeddingSpace, LoadError, Vocabulary, joint_vocabulary, load_frequencies, save_frequencies,
+    EmbeddingSpace, LoadError, Vocabulary, joint_vocabulary, load_frequencies, load_text_vectors,
+    save_frequencies,
 )
 from embedstab import space as space_module
 from embedstab.cli import main
-from embedstab.space import _parse_counts, _positions, _read_map
+from embedstab.space import _positions, _read_map
 
 from helpers import cli_commands, cli_inputs
 
@@ -63,43 +66,78 @@ WORD = st.text(
 )
 
 
-class TestOnePassSidecars:
-    @given(st.lists(st.tuples(LINE, END), max_size=8), st.one_of(st.none(), st.integers(0, 40)))
-    @example([("a\t1", "\r\n"), ("b\t2", "\r\n")], None)  # CRLF
-    @example([("a\t1", "\r"), ("b\t2", "\n")], None)  # a lone CR
-    @example([("a\t1", "\n"), ("", "\n"), ("b\t2", "\n")], None)  # a blank line
-    @example([("a\t1", "\n"), (" ", "\n")], None)  # a whitespace-only line
-    @example([("a\t1", "\n"), ("a\t2", "\n")], None)  # a repeated word
-    @example([("a\t0", "\n")], None)
-    @example([("a\t-1", "\n")], None)
-    @example([("a\tx", "\n")], None)
-    @example([("a\t1_0", "\n")], None)  # int() reads it, so both give 10
-    @example([("a\t 5", "\n")], None)  # int() reads it, so both give 5
-    @example([("a", "\n"), ("b\t1\t2", "\n")], None)  # a missing tab, then an extra one
-    @example([], None)  # an empty file
-    @example([("a\t1", "\n"), ("b\t2", "\n")], 4)  # non-UTF-8 bytes
-    def test_same_map_or_same_error_as_the_line_walker(self, lines, bad_byte_at):
+def frequency_loads(path, frequency_path):
+    """The frequency map of `load_text_vectors` with the cache off, cold and
+    warm, each its value or the message of its error; after a cold load that
+    gives a map, the warm one must not parse the sidecar."""
+    with tempfile.TemporaryDirectory() as cache:
+        loads = []
+        for directory in ("off", cache, cache):
+            with mock.patch.dict(os.environ, {"EMBEDSTAB_CACHE": directory}):
+                if len(loads) == 2 and isinstance(loads[1], dict):
+                    walker = mock.patch.object(space_module, "_read_map", side_effect=AssertionError)
+                else:
+                    walker = contextlib.nullcontext()
+                with walker:
+                    loads.append(outcome(lambda: load_text_vectors(path, frequency_path).vocab.frequency))
+        return loads
+
+
+class TestSidecars:
+    @given(
+        st.lists(st.tuples(LINE, END), max_size=8),
+        st.one_of(st.none(), st.integers(0, 40)),
+        st.booleans(),
+    )
+    @example([("a\t1", "\r\n"), ("b\t2", "\r\n")], None, False)  # CRLF
+    @example([("a\t1", "\r"), ("b\t2", "\n")], None, False)  # a lone CR
+    @example([("a\t1", "\n"), ("", "\n"), ("b\t2", "\n")], None, False)  # a blank line
+    @example([("a\t1", "\n"), (" ", "\n")], None, False)  # a whitespace-only line
+    @example([("a\t1", "\n"), ("a\t2", "\n")], None, False)  # a repeated word
+    @example([("a\t0", "\n")], None, False)
+    @example([("a\t-1", "\n")], None, False)
+    @example([("a\tx", "\n")], None, False)
+    @example([("a\t1_0", "\n")], None, False)  # int() reads it, so every load gives 10
+    @example([("a\t 5", "\n")], None, False)  # int() reads it, so every load gives 5
+    @example([("a", "\n"), ("b\t1\t2", "\n")], None, False)  # a missing tab, then an extra one
+    @example([], None, False)  # an empty file
+    @example([("a\t1", "\n"), ("b\t2", "\n")], 4, False)  # non-UTF-8 bytes
+    @example([("a\t1", "\n"), ("b\t2", "\n")], None, True)  # a word the sidecar lacks
+    def test_same_map_or_same_error_as_the_line_walker(self, lines, bad_byte_at, lacking):
+        # A sidecar loaded alone or with a vector file of its words (and
+        # perhaps one more), with the cache off, cold or warm: the walker's
+        # map or its error, or the error naming the word it lacks.
         data = "".join(line + end for line, end in lines).encode("utf-8")
         if bad_byte_at is not None:
             at = min(bad_byte_at, len(data))
             data = data[:at] + b"\xff" + data[at:]
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp, "v.vec.freq")
+            path, vectors = Path(tmp, "v.vec.freq"), Path(tmp, "v.vec")
             path.write_bytes(data)
             want = outcome(walk_sidecar, path)
             assert outcome(load_frequencies, path) == want
-        fast = _parse_counts(data)
-        # The one-pass parser answers only where the walker gives a map.
-        assert fast is None or fast == want
+            words = sorted(w for w in want if w.split() == [w]) if isinstance(want, dict) else ["a"]
+            if lacking:
+                words.append("zz")
+            vectors.write_text(f"{len(words)} 1\n" + "".join(f"{w} 1\n" for w in words), encoding="utf-8")
+            if not isinstance(want, dict):
+                with_words = want
+            elif lacking:
+                with_words = f"LoadError: {path}: no count for 'zz'"
+            else:
+                with_words = {w: want[w] for w in words}
+            assert frequency_loads(vectors, path) == [with_words] * 3
 
-    @given(st.dictionaries(WORD, st.integers(1, 10**18), max_size=12))
+    @given(st.dictionaries(WORD.filter(lambda w: w.split() == [w]), st.integers(1, 10**18), max_size=12))
     @example({"bank": 1, "naïve": 7, "漢字": 10**18})
-    def test_a_well_formed_sidecar_takes_the_one_pass_parser(self, counts):
+    def test_a_saved_sidecar_loads_back_cold_and_warm(self, counts):
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp, "v.vec.freq")
+            path, vectors = Path(tmp, "v.vec.freq"), Path(tmp, "v.vec")
             save_frequencies(counts, path)
-            assert _parse_counts(path.read_bytes()) == counts
             assert walk_sidecar(path) == counts
+            assert load_frequencies(path) == counts
+            vectors.write_text(f"{len(counts)} 1\n" + "".join(f"{w} 1\n" for w in counts), encoding="utf-8")
+            assert frequency_loads(vectors, path) == [counts] * 3
 
 
 def vocabulary_oracle(words, frequency):

@@ -22,6 +22,7 @@ from embedstab import (
     sample_proxy,
     wordwise_reduced_pip_loss,
 )
+from embedstab.pip_loss import _pair_rows, _pip_kernel
 
 from helpers import (
     planted_profile_runs,
@@ -110,6 +111,20 @@ class TestPipLoss:
         b = space_b.matrix
         want = np.linalg.norm(a @ a.T - b @ b.T)
         assert_allclose(pip_loss(space_a, space_b, proxy), want, rtol=1e-10)
+
+    def test_a_whole_vocabulary_proxy_reads_the_matrix_in_place(self):
+        # A proxy that is the space's vocabulary in order is read as the
+        # matrix itself; the losses equal those of gathered rows bit for bit.
+        space_a = random_normalized_space(300, 5, seed=18)
+        space_b = rotated_copy(random_normalized_space(300, 5, seed=19), seed=20)
+        proxy = sample_proxy([space_a, space_b], size=300)
+        words = ["w0003", "w0100"]
+        rows = _pair_rows(space_a, space_b, proxy, words)
+        assert rows[0] is space_a.matrix and rows[2] is space_b.matrix
+        gathered = _pair_rows(space_a, space_b, ProxySample(list(proxy.words)), words)
+        assert rows[0] is not gathered[0] and np.array_equal(rows[0], gathered[0])
+        got, want = _pip_kernel(*rows), _pip_kernel(*gathered)
+        assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
 
     def test_symmetry(self):
         space_a = random_normalized_space(25, 4, seed=15)

@@ -1,12 +1,15 @@
 """The vector cache behind `load_text_vectors`, against its oracle: the text
-parser with ``EMBEDSTAB_CACHE=off``.  Hits are bit-identical to it, every
-cache fault falls back to parsing, malformed files are never cached, and
-CLI outputs hash the same with the cache off, cold and warm."""
+parser with ``EMBEDSTAB_CACHE=off``.  Hits are bit-identical to it, and so
+are the sidecar counts filed next to them; every cache fault falls back to
+parsing, malformed files are never cached, and CLI outputs hash the same
+with the cache off, cold and warm."""
 
+import contextlib
 import hashlib
 import os
 import shutil
 import tempfile
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
@@ -34,9 +37,14 @@ def cache_at(directory):
 
 
 @contextmanager
-def no_parse():
-    """Inside the block a load that parses fails the test: it must hit."""
-    with mock.patch.object(space_module, "_parse_text_vectors", side_effect=AssertionError("parsed")):
+def no_parse(sidecars=True):
+    """Inside the block a load that parses a vector file, or with `sidecars`
+    a sidecar, fails the test: it must hit."""
+    with contextlib.ExitStack() as stack:
+        for name in ("_parse_text_vectors", "_read_map")[: 1 + sidecars]:
+            stack.enter_context(
+                mock.patch.object(space_module, name, side_effect=AssertionError(f"{name} ran"))
+            )
         yield
 
 
@@ -52,7 +60,16 @@ def loaded(space):
 
 
 def entries(directory):
+    """The vector entries and counts records in a cache directory."""
     return sorted(Path(directory).glob(f"*{SUFFIX}"))
+
+
+def record(directory, path, frequency_path):
+    """The path of the counts record for a vector file and its sidecar: the
+    sha256 of the cache version, "counts " and the two hex digests."""
+    vec, freq = (hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in (path, frequency_path))
+    name = f"counts {vec} {freq}".encode("ascii")
+    return Path(directory, hashlib.sha256(space_module._CACHE_VERSION + name).hexdigest() + SUFFIX)
 
 
 def write_vectors(path, words, matrix, spec="%.17g"):
@@ -131,13 +148,114 @@ class TestHitsMatchTheParser:
                 assert load_text_vectors(path).matrix.tolist() == [[1.0, 2.0]]
 
     def test_sidecars_are_read_on_every_load(self, tmp_path):
+        # An edited sidecar next to an unchanged vector file: the vector
+        # entry hits, and the new counts are parsed and filed.
         path = tmp_path / "v.vec"
         save_text_vectors(random_normalized_space(3, 2, seed=0), path)
         freq = tmp_path / "v.vec.freq"
         with cache_at(tmp_path / "cache"):
-            for counts in ({"w0000": 1, "w0001": 2, "w0002": 3}, {"w0000": 7, "w0001": 8, "w0002": 9}):
+            for i, counts in enumerate(({"w0000": 1, "w0001": 2, "w0002": 3},
+                                        {"w0000": 7, "w0001": 8, "w0002": 9})):
                 save_frequencies(counts, freq)
+                with no_parse(sidecars=False) if i else contextlib.nullcontext():
+                    assert load_text_vectors(path, freq).vocab.frequency == counts
+                assert record(tmp_path / "cache", path, freq).exists()
+                with no_parse():
+                    assert load_text_vectors(path, freq).vocab.frequency == counts
+        assert len(entries(tmp_path / "cache")) == 3  # one vector entry, two records
+
+
+COUNT = st.one_of(st.integers(1, 2**63 - 1), st.sampled_from([1, 2**53 + 1, 2**63 - 1]))
+
+
+def write_sidecar(path, counts):
+    Path(path).write_text("".join(f"{w}\t{c}\n" for w, c in counts), encoding="utf-8")
+
+
+class TestSidecarCounts:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(WORD, min_size=0, max_size=8, unique=True),
+        st.data(),
+        st.sampled_from([None, 2**63, 10**19]),
+    )
+    def test_hit_miss_and_off_give_the_same_counts(self, words, data, too_big):
+        # Sidecar lines in any order, words the vector file lacks too; counts
+        # up to 2**63 - 1 are filed, a larger one loads and is never filed.
+        counts = {w: data.draw(COUNT) for w in words}
+        extra = data.draw(st.lists(WORD.filter(lambda w: w not in counts), max_size=2, unique=True))
+        lines = data.draw(st.permutations([*counts.items(), *((w, 3) for w in extra)]))
+        if too_big is not None and words:
+            counts[words[-1]] = too_big
+            lines = [(w, too_big if w == words[-1] else c) for w, c in lines]
+        with tempfile.TemporaryDirectory() as tmp:
+            path, freq, cache = Path(tmp, "v.vec"), Path(tmp, "v.vec.freq"), Path(tmp, "cache")
+            write_vectors(path, words, np.ones((len(words), 2)))
+            write_sidecar(freq, lines)
+            with cache_at("off"):
+                off = load_text_vectors(path, freq).vocab.frequency
+            filed = max(counts.values(), default=1) < 2**63
+            with cache_at(cache):
+                cold = load_text_vectors(path, freq).vocab.frequency
+                assert record(cache, path, freq).exists() == filed
+                assert len(entries(cache)) == 1 + filed
+                with no_parse(sidecars=filed):
+                    warm = load_text_vectors(path, freq).vocab.frequency
+        assert off == cold == warm == counts
+        assert all(type(c) is int for c in warm.values())
+
+    @pytest.mark.parametrize("fault", ["truncated", "flipped", "empty", "length"])
+    def test_a_bad_record_is_parsed_again_and_rewritten(self, tmp_path, fault):
+        path, freq, cache = tmp_path / "v.vec", tmp_path / "v.vec.freq", tmp_path / "cache"
+        save_text_vectors(random_normalized_space(30, 2, seed=7), path)
+        counts = {f"w{i:04d}": 5 * i + 1 for i in range(30)}
+        save_frequencies(counts, freq)
+        with cache_at(cache):
+            load_text_vectors(path, freq)
+        entry = record(cache, path, freq)
+        blob = entry.read_bytes()
+        assert len(blob) == 8 * 30 + 4
+        if fault == "truncated":
+            entry.write_bytes(blob[:-9])
+        elif fault == "flipped":
+            entry.write_bytes(blob[:100] + bytes([blob[100] ^ 1]) + blob[101:])
+        elif fault == "empty":
+            entry.write_bytes(b"")
+        else:  # a whole record, checksum and all, one count short
+            body = blob[8:-4]
+            entry.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
+        with cache_at(cache):
+            with no_parse(sidecars=False):
                 assert load_text_vectors(path, freq).vocab.frequency == counts
+            assert entry.read_bytes() == blob  # the parse rewrote the record
+            with no_parse():
+                assert load_text_vectors(path, freq).vocab.frequency == counts
+
+    def test_a_sidecar_that_lacks_a_word_raises_cold_and_warm(self, tmp_path):
+        path, freq, cache = tmp_path / "v.vec", tmp_path / "v.vec.freq", tmp_path / "cache"
+        save_text_vectors(random_normalized_space(4, 2, seed=8), path)
+        save_frequencies({"w0000": 1, "w0001": 2, "w0003": 4}, freq)
+        want = f"{freq}: no count for 'w0002'"
+        with cache_at("off"), pytest.raises(LoadError, match=want):
+            load_text_vectors(path, freq)
+        with cache_at(cache):
+            with pytest.raises(LoadError, match=want):
+                load_text_vectors(path, freq)  # cold: the vector file is filed
+            assert len(entries(cache)) == 1
+            with no_parse(sidecars=False), pytest.raises(LoadError, match=want):
+                load_text_vectors(path, freq)  # the vector file hits
+        assert not record(cache, path, freq).exists()
+        assert len(entries(cache)) == 1
+
+    def test_a_malformed_sidecar_is_never_filed(self, tmp_path):
+        path, freq, cache = tmp_path / "v.vec", tmp_path / "v.vec.freq", tmp_path / "cache"
+        save_text_vectors(random_normalized_space(2, 2, seed=9), path)
+        freq.write_text("w0000\t1\nw0001\t0\n", encoding="utf-8")
+        for directory in ("off", cache, cache):
+            with cache_at(directory), pytest.raises(LoadError) as caught:
+                load_text_vectors(path, freq)
+            assert str(caught.value) == f"{freq}:2: count must be >= 1, got 0"
+        assert len(entries(cache)) == 1
 
 
 class TestFaultsFallBackToParsing:
@@ -217,9 +335,11 @@ class TestFaultsFallBackToParsing:
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("HOME", str(tmp_path / "home"))
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        save_frequencies({f"w{i:04d}": i + 1 for i in range(5)}, tmp_path / "v.vec.freq")
         before = sorted(tmp_path.rglob("*"))
         with cache_at("off"):
             load_text_vectors(path)
+            load_text_vectors(path, tmp_path / "v.vec.freq")
         assert sorted(tmp_path.rglob("*")) == before
 
     def test_default_directories(self, tmp_path, monkeypatch):
@@ -268,6 +388,27 @@ class TestEviction:
         assert len(entries(cache)) == 2
         assert foreign.exists()  # only entries are counted or removed
 
+    def test_records_count_toward_the_bound_and_are_evicted(self, tmp_path, monkeypatch):
+        cache, loads = tmp_path / "cache", []
+        for seed in range(2):
+            path, freq = tmp_path / f"v{seed}.vec", tmp_path / f"v{seed}.vec.freq"
+            save_text_vectors(random_normalized_space(50, 4, seed=seed), path)
+            save_frequencies({f"w{i:04d}": i + seed + 1 for i in range(50)}, freq)
+            loads.append((path, freq))
+        with cache_at(cache):
+            load_text_vectors(*loads[0])
+            (vector,) = (e for e in entries(cache) if e != record(cache, *loads[0]))
+            counts = record(cache, *loads[0])
+            os.utime(counts, (1_000_000, 1_000_000))  # the least recently used
+            size, record_size = vector.stat().st_size, counts.stat().st_size
+            # Room for both vector entries and one record and a half: only
+            # counting records takes the cache past its bound.
+            monkeypatch.setattr(space_module, "_CACHE_MAX_BYTES", 2 * size + record_size * 3 // 2)
+            load_text_vectors(*loads[1])
+        assert not counts.exists()
+        assert vector.exists() and record(cache, *loads[1]).exists()
+        assert len(entries(cache)) == 3
+
     def test_an_entry_larger_than_the_bound_is_not_kept(self, tmp_path, monkeypatch):
         path = tmp_path / "v.vec"
         save_text_vectors(random_normalized_space(20, 3, seed=6), path)
@@ -298,7 +439,7 @@ class TestCommandOutputs:
             off = run_all(tmp_path / "in", inputs, out)
         with cache_at(cache):
             cold = run_all(tmp_path / "in", inputs, out)
-            assert len(entries(cache)) == 5  # each run file parsed once
+            assert len(entries(cache)) == 10  # each run file and its sidecar parsed once
             with no_parse():
                 warm = run_all(tmp_path / "in", inputs, out)
         assert sorted(off) == [
@@ -323,4 +464,4 @@ class TestCommandOutputs:
             errors.append(capsys.readouterr().err)
         want = f"embedstab: data error: {inputs[1]}:5: expected 6 values for 'w0003', got 2\n"
         assert errors == [want, want]
-        assert len(entries(cache)) == 5
+        assert len(entries(cache)) == 10
