@@ -5,184 +5,30 @@ document sampling, measures how nearest neighborhoods and inner-product
 structure vary across repeated runs, predicts that variation from a Gaussian
 model of pairwise cosine similarities, reduces it by aligned averaging of
 spaces, and applies the averaged spaces to diachronic semantic-change
-detection.
+detection.  The package exports every name in each module's `__all__`.
 """
 
 __version__ = "0.1.0"
 
-from .align import (
-    AlignmentResult,
-    aligned_average_pair,
-    aligned_average_tree,
-    bias_variance_report,
-    procrustes,
-    sample_word_pairs,
-)
-from .change import (
-    ChangeReport,
-    FrequencyEffectResult,
-    GoldData,
-    build_change_report,
-    classify_targets,
-    control_condition,
-    evaluate,
-    frequency_effect,
-    load_gold_binary,
-    load_gold_graded,
-    semantic_change,
-)
-from .corpus import (
-    SAMPLING_MODES,
-    Corpus,
-    SamplingMode,
-    dedup_lines,
-    load_corpus,
-    sample,
-    save_corpus,
-    tokenize,
-)
-from .gaussian import (
-    PairStatistics,
-    StabilityProfile,
-    estimate_pair_stats,
-    estimate_profile,
-    expected_overlap,
-    load_profile,
-    predict_p_hash1,
-    predict_p_hash2,
-    prob_greater,
-    save_profile,
-    structure_factor,
-)
-from .instability import (
-    InstabilityReport,
-    extrinsic_instability,
-    frequency_profile,
-    intrinsic_instability,
-    wordwise_instability,
-)
-from .overlap import (
-    OverlapMeasurement,
-    OverlapSummary,
-    list_overlap,
-    mean_overlap,
-    p_at_n,
-    p_to_j,
-)
-from .pip_loss import (
-    ProxySample,
-    chi_relative_width,
-    expected_wordwise_pip,
-    pip_loss,
-    reduced_pip_loss,
-    sample_proxy,
-    wordwise_reduced_pip_loss,
-)
-from .sgns import (
-    SgnsConfig,
-    build_vocab,
-    noise_distribution,
-    subsample_probability,
-    train,
-)
-from .space import (
-    AnalogyDataset,
-    EmbeddingSpace,
-    LoadError,
-    RunSet,
-    Vocabulary,
-    analogy_score,
-    cosine,
-    joint_vocabulary,
-    load_analogies,
-    load_frequencies,
-    load_text_vectors,
-    nearest_neighbors,
-    normalize,
-    restrict,
-    save_frequencies,
-    save_text_vectors,
-)
-from .stats import average_ranks, shapiro_wilk, spearman
+from . import align, change, corpus, gaussian, instability, overlap, pip_loss, sgns, space, stats
 
-__all__ = [
-    "__version__",
-    "AlignmentResult",
-    "AnalogyDataset",
-    "ChangeReport",
-    "Corpus",
-    "EmbeddingSpace",
-    "FrequencyEffectResult",
-    "GoldData",
-    "InstabilityReport",
-    "LoadError",
-    "OverlapMeasurement",
-    "OverlapSummary",
-    "PairStatistics",
-    "ProxySample",
-    "RunSet",
-    "SAMPLING_MODES",
-    "SamplingMode",
-    "SgnsConfig",
-    "StabilityProfile",
-    "Vocabulary",
-    "aligned_average_pair",
-    "aligned_average_tree",
-    "analogy_score",
-    "average_ranks",
-    "bias_variance_report",
-    "build_change_report",
-    "build_vocab",
-    "chi_relative_width",
-    "classify_targets",
-    "control_condition",
-    "cosine",
-    "dedup_lines",
-    "estimate_pair_stats",
-    "estimate_profile",
-    "evaluate",
-    "expected_overlap",
-    "expected_wordwise_pip",
-    "extrinsic_instability",
-    "frequency_effect",
-    "frequency_profile",
-    "intrinsic_instability",
-    "joint_vocabulary",
-    "list_overlap",
-    "load_analogies",
-    "load_corpus",
-    "load_frequencies",
-    "load_gold_binary",
-    "load_gold_graded",
-    "load_profile",
-    "load_text_vectors",
-    "mean_overlap",
-    "nearest_neighbors",
-    "noise_distribution",
-    "normalize",
-    "p_at_n",
-    "p_to_j",
-    "pip_loss",
-    "predict_p_hash1",
-    "predict_p_hash2",
-    "prob_greater",
-    "procrustes",
-    "reduced_pip_loss",
-    "restrict",
-    "sample",
-    "sample_proxy",
-    "sample_word_pairs",
-    "save_corpus",
-    "save_frequencies",
-    "save_profile",
-    "save_text_vectors",
-    "semantic_change",
-    "shapiro_wilk",
-    "spearman",
-    "structure_factor",
-    "subsample_probability",
-    "tokenize",
-    "train",
-    "wordwise_instability",
-    "wordwise_reduced_pip_loss",
+# Read before the star imports: `from .pip_loss import *` rebinds the name
+# `pip_loss` from the module to the function.
+__all__ = ["__version__", "tokenize"] + [
+    name
+    for module in (align, change, corpus, gaussian, instability, overlap, pip_loss, sgns, space, stats)
+    for name in module.__all__
 ]
+
+from .align import *  # noqa: F403
+from .change import *  # noqa: F403
+from .corpus import *  # noqa: F403
+from .gaussian import *  # noqa: F403
+from .instability import *  # noqa: F403
+from .overlap import *  # noqa: F403
+from .pip_loss import *  # noqa: F403
+from .sgns import *  # noqa: F403
+from .space import *  # noqa: F403
+from .stats import *  # noqa: F403
+
+tokenize = corpus.tokenize

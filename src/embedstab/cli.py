@@ -17,7 +17,7 @@ import itertools
 import json
 import re
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -65,7 +65,7 @@ from .space import (
     save_text_vectors,
 )
 
-__all__ = ["ExperimentConfig", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -200,26 +200,6 @@ def _safe_name(word: str) -> str:
 # experiment orchestration
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One seeded multi-run training experiment."""
-
-    corpus: str
-    mode: str = "shuffled"
-    runs: int = 1
-    trainer: SgnsConfig = SgnsConfig()
-    out_dir: str = "."
-    seed: int = 0
-    lowercase: bool = False
-    dedup: bool = True
-
-    def __post_init__(self) -> None:
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
-        if self.mode not in SAMPLING_MODES:
-            raise ValueError(f"mode must be one of {SAMPLING_MODES}, got {self.mode!r}")
-
-
 def _train_run(
     corpus: Corpus, mode: str, seed: int, trainer: SgnsConfig, label: str
 ) -> EmbeddingSpace:
@@ -231,39 +211,6 @@ def _train_run(
         raise ArithmeticError(f"{label} failed: {exc}") from exc
     except Exception as exc:
         raise ValueError(f"{label} failed: {exc}") from exc
-
-
-def _train_and_save(config: ExperimentConfig, out: str | None = None) -> None:
-    """Train and save run i of `config` with seed seed + i, then its manifest.
-
-    With `out` the one run goes to `out` (manifest `out`.manifest.json);
-    otherwise runs go to out_dir/run_###.vec (manifest out_dir/manifest.json).
-    """
-    corpus = _read_corpus(config.corpus, config.lowercase, config.dedup)
-    if out is None:
-        out_dir = Path(config.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        paths = [out_dir / f"run_{index:03d}.vec" for index in range(config.runs)]
-        names = [path.name for path in paths]
-        manifest_path = out_dir / "manifest.json"
-    else:
-        paths, names, manifest_path = [Path(out)], [out], Path(f"{out}.manifest.json")
-    entries = []
-    for index, (path, name) in enumerate(zip(paths, names)):
-        seed = config.seed + index
-        space = _train_run(corpus, config.mode, seed, config.trainer, f"run {index}")
-        save_text_vectors(space, path)
-        save_frequencies(space.vocab.frequency, f"{path}.freq")
-        entries.append({"index": index, "seed": seed, **_file_entry(path, name)})
-    # Every trainer setting but the seed, which each run entry records.
-    trainer = {k: v for k, v in asdict(config.trainer).items() if k != "seed"}
-    settings = {
-        **_corpus_config(config.corpus, config.mode, config.lowercase, config.dedup),
-        **trainer,
-        "runs": config.runs,
-        "global_seed": config.seed,
-    }
-    _write_manifest(manifest_path, "train", settings, runs=entries)
 
 
 # ---------------------------------------------------------------------------
@@ -285,21 +232,40 @@ def _trainer_from_args(args: argparse.Namespace, prefix: str = "") -> SgnsConfig
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    """Train and save run i with seed `--seed` + i, then the manifest.
+
+    With `--out` the one run goes to that file (manifest `<out>.manifest.json`);
+    with `--out-dir` runs go to run_###.vec there (manifest `manifest.json`).
+    """
     if (args.out is None) == (args.out_dir is None):
         raise UsageError("exactly one of --out or --out-dir is required")
     if args.out is not None and args.runs != 1:
         raise UsageError("--runs needs --out-dir; --out writes a single run")
-    config = ExperimentConfig(
-        corpus=args.corpus,
-        mode=args.mode,
-        runs=args.runs,
-        trainer=_trainer_from_args(args),
-        out_dir=args.out_dir or ".",
-        seed=args.seed,
-        lowercase=args.lowercase,
-        dedup=args.dedup,
-    )
-    _train_and_save(config, args.out)
+    trainer = _trainer_from_args(args)
+    corpus = _read_corpus(args.corpus, args.lowercase, args.dedup)
+    if args.out is None:
+        out_dir = Path(args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        paths = [out_dir / f"run_{index:03d}.vec" for index in range(args.runs)]
+        names = [path.name for path in paths]
+        manifest_path = out_dir / "manifest.json"
+    else:
+        paths, names, manifest_path = [Path(args.out)], [args.out], Path(f"{args.out}.manifest.json")
+    entries = []
+    for index, (path, name) in enumerate(zip(paths, names)):
+        seed = args.seed + index
+        space = _train_run(corpus, args.mode, seed, trainer, f"run {index}")
+        save_text_vectors(space, path)
+        save_frequencies(space.vocab.frequency, f"{path}.freq")
+        entries.append({"index": index, "seed": seed, **_file_entry(path, name)})
+    # Every trainer setting but the seed, which each run entry records.
+    settings = {
+        **_corpus_config(args.corpus, args.mode, args.lowercase, args.dedup),
+        **{k: v for k, v in asdict(trainer).items() if k != "seed"},
+        "runs": args.runs,
+        "global_seed": args.seed,
+    }
+    _write_manifest(manifest_path, "train", settings, runs=entries)
     return EXIT_OK
 
 
@@ -323,14 +289,14 @@ def _wordwise_flags(args: argparse.Namespace) -> None:
 
 
 def _cmd_instability(args: argparse.Namespace) -> int:
+    _wordwise_flags(args)
+    if args.words is not None and args.bootstrapped is None:
+        raise UsageError("word-level instability needs --bootstrapped runs")
     shuffled, shuffled_files = _load_runs(args.shuffled, args.runs, "shuffled")
     boot = None
     boot_files: list[Path] = []
     if args.bootstrapped is not None:
         boot, boot_files = _load_runs(args.bootstrapped, args.runs, "bootstrapped")
-    _wordwise_flags(args)
-    if args.words is not None and boot is None:
-        raise UsageError("word-level instability needs --bootstrapped runs")
     words = _read_words(args.words) if args.words is not None else []
     all_spaces = list(shuffled.spaces) + (list(boot.spaces) if boot else [])
     proxy = sample_proxy(all_spaces, size=args.proxy_size, seed=args.seed)
@@ -440,8 +406,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_pip(args: argparse.Namespace) -> int:
-    spaces = _read_spaces(args.inputs, 2)
     _wordwise_flags(args)
+    spaces = _read_spaces(args.inputs, 2)
     words = _read_words(args.words) if args.words is not None else []
     proxy = sample_proxy(spaces, size=args.proxy_size, seed=args.seed)
     word_list = [("words", args.words)] if words else []
@@ -593,11 +559,11 @@ def _epoch_observations(
 
 
 def _cmd_conformity(args: argparse.Namespace) -> int:
+    if not 1 <= args.avg <= args.runs:
+        raise UsageError(f"--avg must be in [1, runs={args.runs}], got {args.avg}")
     epoch_files = sorted(p for p in Path(args.epochs).iterdir() if p.is_file())
     if len(epoch_files) < 2:
         raise LoadError(f"{args.epochs}: need at least 2 epoch files")
-    if not 1 <= args.avg <= args.runs:
-        raise UsageError(f"--avg must be in [1, runs={args.runs}], got {args.avg}")
     epochs = [
         _read_corpus(str(p), args.lowercase, args.dedup) for p in epoch_files
     ]

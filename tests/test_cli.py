@@ -32,7 +32,7 @@ from embedstab import (
     structure_factor,
 )
 from embedstab import gaussian
-from embedstab.cli import ExperimentConfig, main
+from embedstab.cli import main
 
 from helpers import (
     answer_files_oracle, cli_inputs, keep_mask, quadrature_nodes, random_normalized_space,
@@ -42,6 +42,14 @@ from helpers import (
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def exit_code(*args):
+    """`main`'s exit code, whether it returns one or argparse exits with it."""
+    try:
+        return run_cli(*args)
+    except SystemExit as exc:
+        return exc.code
 
 
 def parse_report(path):
@@ -189,11 +197,19 @@ class TestTrain:
             assert entry["frequency_file"] == f"{entry['file']}.freq"
             assert entry["frequency_sha256"] == sha256_of(f"{path}.freq")
 
-    def test_config_validation(self, corpus_file):
-        with pytest.raises(ValueError, match="runs must be >= 1"):
-            ExperimentConfig(corpus=str(corpus_file), runs=0)
-        with pytest.raises(ValueError, match="mode must be one of"):
-            ExperimentConfig(corpus=str(corpus_file), mode="sideways")
+    def test_config_validation(self, tmp_path, corpus_file, capsys):
+        # A run count below 1 or an unknown sampling mode is a usage error,
+        # whether a flag or a --config key gives it, and stderr names which.
+        cases = [(("--runs", 0), "--runs"), (("--mode", "sideways"), "--mode")]
+        for key, body in (("runs", "runs=0\n"), ("mode", "mode=sideways\n")):
+            config = tmp_path / f"{key}.cfg"
+            config.write_text(body)
+            cases.append((("--config", config), f"config key {key!r}"))
+        for flags, named in cases:
+            argv = ("train", "--corpus", corpus_file, *flags, "--out-dir", tmp_path / "runs")
+            assert exit_code(*argv) == 2
+            assert named in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_numerical_failure_exit_code(self, tmp_path, corpus_file, monkeypatch, capsys):
         import embedstab.cli as cli
@@ -968,6 +984,29 @@ class TestNonUtf8Inputs:
             "--out", tmp_path / "overlap.tsv",
         ) == 3
         assert f"data error: {bad}:3: not UTF-8" in capsys.readouterr().err
+
+
+class TestFlagsBeforeInputs:
+    """A bad flag combination is a usage error even when the inputs are
+    missing: it is refused before any input is read."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("pip", "--inputs", "nope1.vec", "nope2.vec", "--words", "w.txt"),
+             "--words requires --wordwise-out"),
+            (("instability", "--shuffled", "nodir", "--words", "w.txt", "--wordwise-out", "x.tsv"),
+             "word-level instability needs --bootstrapped runs"),
+            (("conformity", "--epochs", "nodir", "--runs", 2, "--avg", 3),
+             "--avg must be in [1, runs=2], got 3"),
+        ],
+        ids=["pip", "instability", "conformity"],
+    )
+    def test_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv, "--out", "out.tsv") == 2
+        assert f"embedstab: usage error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestInputCounts:

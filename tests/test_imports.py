@@ -1,39 +1,54 @@
-"""Package hygiene: no unused imports, no scipy loaded but by the commands
-that compute with it, and no file read or written outside `space.py`, whose
-line reader sets the rules for all and whose reader and writer record the
-digest of every file a command reads or writes."""
+"""Package hygiene: each public name declared once, in its module's
+`__all__`; no unused imports, no scipy loaded but by the commands that
+compute with it, and no file read or written outside `space.py`, whose line
+reader sets the rules for all and whose reader and writer record the digest
+of every file a command reads or writes."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
 from helpers import cli_commands, cli_inputs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-MODULES = sorted(p for p in (SRC / "embedstab").glob("*.py") if p.name != "__init__.py")
+INIT = SRC / "embedstab" / "__init__.py"
+MODULES = sorted(p for p in (SRC / "embedstab").glob("*.py") if p != INIT)
 
 
 def unused_imports(path: Path) -> list[str]:
-    """Names a module imports (at any depth) but never reads."""
+    """Names a module imports (at any depth) but never reads; a star import
+    names nothing."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            imported += [alias.asname or alias.name for alias in node.names]
+            imported += [alias.asname or alias.name for alias in node.names if alias.name != "*"]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [name for name in imported if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [INIT, *MODULES], ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path) == []
+
+
+def test_the_check_skips_star_imports_but_not_unread_modules(tmp_path):
+    module = tmp_path / "__init__.py"
+    module.write_text(
+        "from . import a, b\n"
+        "__all__ = list(a.__all__)\n"
+        "from .a import *\n"
+    )
+    assert unused_imports(module) == ["b"]
 
 
 def test_the_check_sees_an_unused_import(tmp_path):
@@ -44,6 +59,24 @@ def test_the_check_sees_an_unused_import(tmp_path):
         "def f(x: Sequence[int]):\n    import scipy.stats\n    return np.sum(x)\n"
     )
     assert unused_imports(module) == ["math", "scipy"]
+
+
+def test_the_package_exports_what_its_modules_declare():
+    import embedstab
+
+    modules = [importlib.import_module(f"embedstab.{p.stem}") for p in MODULES if p.stem != "cli"]
+    declared = ["__version__", "tokenize"] + [name for m in modules for name in m.__all__]
+    assert len(embedstab.__all__) == len(set(embedstab.__all__))
+    assert sorted(embedstab.__all__) == sorted(declared)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(embedstab, name) is getattr(module, name), f"{module.__name__}.{name}"
+    assert embedstab.tokenize is importlib.import_module("embedstab.corpus").tokenize
+    namespace: dict[str, object] = {}
+    exec("from embedstab import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(declared)
+    # The function shadows its module's name in the package.
+    assert isinstance(embedstab.pip_loss, FunctionType)
 
 
 # Calls that read or write a file, or make read bytes text.
