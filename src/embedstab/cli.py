@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import re
 import sys
 from dataclasses import asdict, replace
@@ -145,13 +146,15 @@ def _corpus_config(path: str, mode: str, lowercase: bool, dedup: bool) -> dict[s
     }
 
 
-def _load_space(path: str | Path, require_frequencies: bool = False) -> EmbeddingSpace:
+def _load_space(
+    path: str | Path, require_frequencies: bool = False, normalized: bool = False
+) -> EmbeddingSpace:
     freq_path: Path | None = Path(f"{path}.freq")
     if not freq_path.exists():
         if require_frequencies:
             raise LoadError(f"{path}: frequency sidecar {freq_path} not found")
         freq_path = None
-    return load_text_vectors(path, freq_path)
+    return load_text_vectors(path, freq_path, normalized=normalized)
 
 
 def _read_spaces(
@@ -163,7 +166,7 @@ def _read_spaces(
     """Load each vector file (with its .freq sidecar, if any) with unit rows."""
     if len(paths) < minimum:
         raise ValueError(f"need at least {minimum} {what}")
-    return tuple(normalize(_load_space(p, require_frequencies)) for p in paths)
+    return tuple(_load_space(p, require_frequencies, normalized=True) for p in paths)
 
 
 def _load_runs(directory: str, count: int | str, mode: str) -> tuple[RunSet, list[Path]]:
@@ -663,6 +666,20 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
+def _learning_rate(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
+def _sampling_threshold(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text}")
+    return value
+
+
 def _runs_count(text: str) -> int | str:
     if text == "all":
         return "all"
@@ -689,8 +706,8 @@ def _add_trainer_flags(parser: argparse.ArgumentParser, prefix: str = "") -> Non
     parser.add_argument(f"{p}window", type=_positive_int, default=d.window, help="max context window")
     parser.add_argument(f"{p}neg", type=_positive_int, default=d.negatives, help="negative samples per pair")
     parser.add_argument(f"{p}epochs", type=_nonneg_int, default=d.epochs, help="training epochs")
-    parser.add_argument(f"{p}lr", type=float, default=d.initial_lr, help="initial learning rate")
-    parser.add_argument(f"{p}sample", type=float, default=d.subsample_t, help="subsampling threshold t")
+    parser.add_argument(f"{p}lr", type=_learning_rate, default=d.initial_lr, help="initial learning rate")
+    parser.add_argument(f"{p}sample", type=_sampling_threshold, default=d.subsample_t, help="subsampling threshold t")
     parser.add_argument(f"{p}min-count", type=_positive_int, default=d.min_count, help="vocabulary count floor")
     parser.add_argument(
         f"{p}static-window",

@@ -65,8 +65,8 @@ class SgnsConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.initial_lr <= 0.0:
-            raise ValueError(f"initial_lr must be > 0, got {self.initial_lr}")
+        if not 0.0 < self.initial_lr < math.inf:
+            raise ValueError(f"initial_lr must be finite and > 0, got {self.initial_lr}")
         if not 0.0 < self.subsample_t <= 1.0:
             raise ValueError(f"subsample_t must be in (0, 1], got {self.subsample_t}")
 

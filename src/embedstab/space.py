@@ -23,16 +23,20 @@ followed by the file's hex sha256 names a cache entry holding the parsed
 matrix (``.npy``) and word list, checked by a CRC-32 and by shape on every
 hit. A miss parses the same bytes and files the entry; a malformed file is
 never filed. Entries are bit-identical to what the parser returns, so a hit
-and a parse give the same space. A sidecar loaded with its vector file is
-read and hashed on every load, and its counts, int64 in the vector file's
-word order, are filed in a record keyed by both digests: a warm load parses
+and a parse give the same space. A normalized load files a unit record
+instead: the rows ``_scaled_rows`` gives, in the entry layout, named by
+``unit `` and the hex sha256. Its hit skips the ``normalize`` pass; its
+miss scales the rows of a filed entry, else of a parse, and a file with a
+zero row files nothing. A sidecar loaded with its vector file is read and
+hashed on every load, and its counts, int64 in the vector file's word
+order, are filed in a record keyed by both digests: a warm load parses
 neither file. A sidecar that is malformed, lacks a word or holds a count
-past int64 is never filed. The directory is
-``$EMBEDSTAB_CACHE``, else ``$XDG_CACHE_HOME/embedstab``, else
-``~/.cache/embedstab``; ``EMBEDSTAB_CACHE=off`` turns the cache off. Its size
-is bounded by ``_CACHE_MAX_BYTES``, least recently used entries going first.
-Cache faults are never errors: an entry that cannot be read is parsed again,
-and a directory that cannot be written means no caching.
+past int64 is never filed. The directory is ``$EMBEDSTAB_CACHE``, else
+``$XDG_CACHE_HOME/embedstab``, else ``~/.cache/embedstab``;
+``EMBEDSTAB_CACHE=off`` turns the cache off. Its size is bounded by
+``_CACHE_MAX_BYTES``, least recently used entries going first. Cache
+faults are never errors: an entry that cannot be read is parsed again, and
+a directory that cannot be written means no caching.
 
 One kernel, ``_top_k``, ranks neighbors for `nearest_neighbors`,
 `analogy_score` and the overlap metrics.
@@ -74,8 +78,9 @@ __all__ = [
 _NORM_ATOL = 1e-9
 # Rows parsed per np.loadtxt call when loading text vectors; sets peak memory.
 _LOAD_BLOCK_LINES = 128
-# Part of every vector cache key: change it when the parser or the entry
-# layout changes, so that no entry written for another loader is read.
+# Part of every vector cache key: change it when the parser, the entry layout
+# or the arithmetic of `_scaled_rows` changes (unit records hold its rows),
+# so that no entry written for another loader is read.
 _CACHE_VERSION = b"embedstab vector cache 1\n"
 # Bytes of entries the vector cache keeps; a store past it evicts the least
 # recently used entries (by mtime, which a hit refreshes).
@@ -215,28 +220,43 @@ class RunSet:
 
 
 def load_text_vectors(
-    path: str | Path, frequency_path: str | Path | None = None
+    path: str | Path, frequency_path: str | Path | None = None, *, normalized: bool = False
 ) -> EmbeddingSpace:
-    """Load a text vector file; word order is preserved, normalized is False.
+    """Load a text vector file; word order is preserved.
 
     With ``frequency_path`` given, counts from the sidecar are attached to the
-    vocabulary; every loaded word must have an entry.  The file's bytes are
-    read once and looked up in the vector cache (see the module docstring).
+    vocabulary; every loaded word must have an entry.  With ``normalized``
+    the rows are scaled to unit length: the space, and any error, is that of
+    ``normalize(load_text_vectors(path, frequency_path))``.  The file's bytes
+    are read once and looked up in the vector cache, which files the unit
+    rows of a normalized load and the parsed rows of any other (see the
+    module docstring).
     """
     path = Path(path)
     data, digest = _read_input(path)
-    entry = _cache_entry(digest)
-    cached = None if entry is None else _cache_read(entry)
+    unit = _cache_entry(f"unit {digest}") if normalized else None
+    cached = None if unit is None else _cache_read(unit)
+    scale = normalized and cached is None
     if cached is None:
-        words, matrix = _parse_text_vectors(path, data)
-        if entry is not None:
-            _cache_store(entry, words, matrix)
-    else:
-        words, matrix = cached
+        entry = _cache_entry(digest)
+        cached = None if entry is None else _cache_read(entry)
+        if cached is None:
+            cached = _parse_text_vectors(path, data)
+            if entry is not None and not normalized:
+                _cache_store(entry, *cached)
+    words, matrix = cached
+    del data, cached  # a miss never holds the file's bytes, its rows and its unit rows at once
     frequency = None
     if frequency_path is not None:
         frequency = dict(zip(words, _sidecar_counts(frequency_path, words, digest)))
-    return EmbeddingSpace(Vocabulary(tuple(words), frequency), matrix, normalized=False)
+    vocab = Vocabulary(tuple(words), frequency)
+    if not scale:
+        return EmbeddingSpace(vocab, matrix, normalized=normalized)
+    matrix = _scaled_rows(EmbeddingSpace(vocab, matrix))
+    space = EmbeddingSpace(vocab, matrix, normalized=True)
+    if unit is not None:
+        _cache_store(unit, words, matrix)
+    return space
 
 
 def _sidecar_counts(path: str | Path, words: list[str], digest: str) -> list[int]:
@@ -244,7 +264,7 @@ def _sidecar_counts(path: str | Path, words: list[str], digest: str) -> list[int
     file whose sha256 is `digest`: read and hashed, then looked up in the
     cache, or parsed by `_read_map` and filed if every count fits int64."""
     data, sidecar = _read_input(path)
-    record = _cache_entry(digest, sidecar)
+    record = _cache_entry(f"counts {digest} {sidecar}")
     counts = None if record is None else _counts_read(record, len(words))
     if counts is None:
         parsed = _read_map(path, "count", int, ">= 1", 1, data=data)
@@ -301,11 +321,12 @@ def _parse_text_vectors(path: Path, data: bytes) -> tuple[list[str], np.ndarray]
     return words, matrix
 
 
-def _cache_entry(digest: str, sidecar: str | None = None) -> str | None:
-    """The path of the cache entry for a vector file whose bytes have the
-    sha256 `digest` (hex), or of its counts record with a sidecar of sha256
-    `sidecar`, its directory made with mode 0o700 if missing; None when
-    ``EMBEDSTAB_CACHE`` is ``off`` or the directory cannot be made."""
+def _cache_entry(name: str) -> str | None:
+    """The path of the cache entry `name` names, its directory made with
+    mode 0o700 if missing; None when ``EMBEDSTAB_CACHE`` is ``off`` or the
+    directory cannot be made.  A vector file whose bytes have the hex sha256
+    D files its rows as D, its unit rows as ``unit D`` and the counts of a
+    sidecar of sha256 S as ``counts D S``: no name is another's."""
     directory = os.environ.get("EMBEDSTAB_CACHE") or os.path.join(
         os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache"),
         "embedstab",
@@ -316,8 +337,6 @@ def _cache_entry(digest: str, sidecar: str | None = None) -> str | None:
         os.makedirs(directory, mode=0o700, exist_ok=True)
     except OSError:
         return None
-    # No vector file's key hashes a name holding "counts " and two digests.
-    name = digest if sidecar is None else f"counts {digest} {sidecar}"
     key = hashlib.sha256(_CACHE_VERSION + name.encode("ascii")).hexdigest()
     return os.path.join(directory, key + _CACHE_SUFFIX)
 
@@ -718,7 +737,9 @@ def _top_k(
     cut is ordered by (-similarity, word), so lists are exact under ties and
     independent of storage order.  Returns (q, n) positions and similarities.
     """
-    unit = _unit_rows(space, _positions(space.vocab, words))
+    whole = isinstance(words, tuple) and words == space.vocab.words
+    # The space's own vocabulary is its matrix, read in place when normalized.
+    unit = _unit_rows(space) if whole else _unit_rows(space, _positions(space.vocab, words))
     found = np.empty((len(queries), n), dtype=np.intp)
     sims_found = np.empty((len(queries), n))
     step = max(1, _TOP_K_BLOCK_ENTRIES // len(unit))
@@ -730,7 +751,7 @@ def _top_k(
         sims = vectors @ unit.T
         sims[np.arange(len(block))[:, None], block] = -np.inf
         kth = len(unit) - n
-        cut = np.take_along_axis(sims, np.argpartition(sims, kth, axis=1)[:, kth, None], axis=1)
+        cut = np.partition(sims, kth, axis=1)[:, kth, None]
         rows, cols = np.nonzero(sims >= cut)
         pool, inverse = np.unique(cols, return_inverse=True)
         rank = np.empty(len(pool), dtype=np.intp)

@@ -4,6 +4,9 @@ import hashlib
 import importlib
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -36,7 +39,7 @@ from embedstab.cli import main
 
 from helpers import (
     answer_files_oracle, cli_inputs, keep_mask, quadrature_nodes, random_normalized_space,
-    two_topic_corpus, words_for,
+    rotated_copy, two_topic_corpus, words_for,
 )
 
 
@@ -210,6 +213,35 @@ class TestTrain:
             assert exit_code(*argv) == 2
             assert named in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (("--lr", -1), "--lr"), (("--lr", 0), "--lr"), (("--lr", "nan"), "--lr"),
+            (("--lr", "inf"), "--lr"), (("--sample", 2), "--sample"),
+            (("--sample", 0), "--sample"), (("--sample", "nan"), "--sample"),
+            (("--config", "lr=-1\n"), "config key 'lr'"),
+            (("--config", "sample=2\n"), "config key 'sample'"),
+            (("conformity", "--train-lr", -1), "--train-lr"),
+            (("conformity", "--train-sample", 0), "--train-sample"),
+        ],
+    )
+    def test_a_bad_learning_rate_or_sampling_threshold_is_a_usage_error(
+        self, tmp_path, corpus_file, capsys, flags, named
+    ):
+        # Each exits 2 naming its flag or config key, and writes nothing.
+        if flags[0] == "--config":
+            config = tmp_path / "bad.cfg"
+            config.write_text(flags[1])
+            flags = ("--config", config)
+        if flags[0] == "conformity":
+            argv = (*flags, "--epochs", tmp_path, "--out", tmp_path / "out.tsv")
+        else:
+            argv = ("train", "--corpus", corpus_file, *flags, "--out-dir", tmp_path / "runs")
+        before = sorted(tmp_path.iterdir())
+        assert exit_code(*argv) == 2
+        assert named in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_numerical_failure_exit_code(self, tmp_path, corpus_file, monkeypatch, capsys):
         import embedstab.cli as cli
@@ -1238,3 +1270,71 @@ class TestReportProvenance:
             **file_record(averaged), "frequency_file": f"{averaged}.freq",
             "frequency_sha256": sha256_of(f"{averaged}.freq"),
         }
+
+
+# Runs each command of a JSON list of argvs through `main`.
+_COMMANDS_PROBE = """
+import json, sys
+from embedstab.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv):
+        sys.exit(f"{argv[0]} failed")
+"""
+
+
+@pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2,
+    reason="with one processor a second BLAS thread does not split any sum",
+)
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the d x d cross-covariance of a rotation and the 2d x 2d PIP Gram sum over "
+    "vocabulary rows in BLAS, which splits those sums by thread (ROADMAP item 3)",
+)
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """`pip --words`, `average` and `change` write the same bytes with one and
+    with two BLAS threads.  Each setting runs in its own interpreter, since
+    BLAS reads its thread count at load time; OpenBLAS threads only large
+    products, so the runs hold 3,000 words of 50 dimensions."""
+    v, d = 3000, 50
+    counts = {w: 5000 - i for i, w in enumerate(words_for(v))}
+    base = random_normalized_space(v, d, seed=30, frequency=counts)
+    inputs = []
+    for i in range(3):
+        noisy = base.matrix + 0.05 * np.random.default_rng(31 + i).normal(size=(v, d))
+        path = tmp_path / f"run_{i}.vec"
+        save_text_vectors(rotated_copy(EmbeddingSpace(base.vocab, noisy), seed=i), path)
+        save_frequencies(counts, f"{path}.freq")
+        inputs.append(str(path))
+    targets = tmp_path / "targets.txt"
+    targets.write_text("".join(f"w{i:04d}\n" for i in range(0, v, 97)), encoding="utf-8")
+    hashes = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        commands = [
+            ["pip", "--inputs", *inputs, "--words", str(targets),
+             "--wordwise-out", str(out / "wordwise.tsv"), "--out", str(out / "pip.tsv")],
+            ["average", "--inputs", *inputs, "--out", str(out / "average.vec")],
+            ["change", "--t1", inputs[0], "--t2", inputs[1], "--targets", str(targets),
+             "--out", str(out / "change")],
+        ]
+        out.mkdir()
+        subprocess.run(
+            [sys.executable, "-c", _COMMANDS_PROBE, json.dumps(commands)],
+            env={
+                **os.environ,
+                "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+                "EMBEDSTAB_CACHE": str(tmp_path / "cache"),
+                **{var: threads for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                            "MKL_NUM_THREADS")},
+            },
+            check=True,
+            timeout=120,
+        )
+        hashes.append({
+            str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.rglob("*")) if p.is_file()
+        })
+    assert len(hashes[0]) == 8
+    assert hashes[0] == hashes[1]

@@ -79,8 +79,9 @@ class TestConfig:
             SgnsConfig(dim=0)
         with pytest.raises(ValueError, match="epochs"):
             SgnsConfig(epochs=-1)
-        with pytest.raises(ValueError, match="initial_lr"):
-            SgnsConfig(initial_lr=0.0)
+        for lr in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="initial_lr"):
+                SgnsConfig(initial_lr=lr)
         with pytest.raises(ValueError, match="subsample_t"):
             SgnsConfig(subsample_t=0.0)
         with pytest.raises(ValueError, match="min_count"):

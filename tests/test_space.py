@@ -409,6 +409,33 @@ class TestTopKKernel:
             assert_allclose([s for _, s in got], [s for _, s in want], rtol=0, atol=1e-14)
             assert target not in [w for w, _ in got]
 
+    @pytest.mark.parametrize("quantized", [True, False])
+    def test_a_normalized_space_ranked_over_its_own_vocabulary_is_read_in_place(
+        self, monkeypatch, quantized
+    ):
+        # Over its own vocabulary a normalized space's matrix itself is the
+        # operand of the kernel's product, not a gathered copy; the lists and
+        # similarities, ties included, equal those over a copy bit for bit.
+        rng = np.random.default_rng(21)
+        space = normalize(EmbeddingSpace(
+            Vocabulary(tuple(shuffled_words(rng, 200))), tie_rich_rows(rng, 200, 6, quantized)
+        ))
+        operands = []
+        unit_rows = space_module._unit_rows
+
+        def recorded(*args):
+            operands.append(unit_rows(*args))
+            return operands[-1]
+
+        monkeypatch.setattr(space_module, "_unit_rows", recorded)
+        queries = np.arange(len(space))[:, None]
+        got = space_module._top_k(space, space.vocab.words, queries, 7)
+        want = space_module._top_k(space, list(space.vocab.words), queries, 7)
+        assert operands[0] is space.matrix
+        assert operands[1] is not space.matrix and np.array_equal(operands[1], space.matrix)
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1].tobytes() == want[1].tobytes()
+
 
 class TestJointAndRestrict:
     def test_joint_vocabulary_keeps_first_space_order(self):

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from embedstab import (
-    LoadError, load_text_vectors, save_frequencies, save_text_vectors,
+    LoadError, load_text_vectors, normalize, save_frequencies, save_text_vectors,
 )
 from embedstab import space as space_module
 from embedstab.cli import main
@@ -37,11 +37,12 @@ def cache_at(directory):
 
 
 @contextmanager
-def no_parse(sidecars=True):
-    """Inside the block a load that parses a vector file, or with `sidecars`
-    a sidecar, fails the test: it must hit."""
+def no_parse(sidecars=True, scale=False):
+    """Inside the block a load that parses a vector file, with `sidecars` a
+    sidecar, or with `scale` scales rows, fails the test: it must hit."""
+    names = ["_parse_text_vectors"] + ["_read_map"] * sidecars + ["_scaled_rows"] * scale
     with contextlib.ExitStack() as stack:
-        for name in ("_parse_text_vectors", "_read_map")[: 1 + sidecars]:
+        for name in names:
             stack.enter_context(
                 mock.patch.object(space_module, name, side_effect=AssertionError(f"{name} ran"))
             )
@@ -69,6 +70,13 @@ def record(directory, path, frequency_path):
     sha256 of the cache version, "counts " and the two hex digests."""
     vec, freq = (hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in (path, frequency_path))
     name = f"counts {vec} {freq}".encode("ascii")
+    return Path(directory, hashlib.sha256(space_module._CACHE_VERSION + name).hexdigest() + SUFFIX)
+
+
+def unit_record(directory, path):
+    """The path of the unit record for a vector file: the sha256 of the cache
+    version, "unit " and the file's hex digest."""
+    name = f"unit {hashlib.sha256(Path(path).read_bytes()).hexdigest()}".encode("ascii")
     return Path(directory, hashlib.sha256(space_module._CACHE_VERSION + name).hexdigest() + SUFFIX)
 
 
@@ -258,6 +266,148 @@ class TestSidecarCounts:
         assert len(entries(cache)) == 1
 
 
+def unit_outcome(path, frequency_path=None, normalized=True):
+    """(words, matrix bytes, normalized flag, frequency map) of a normalized
+    load, or of `normalize` of a raw one, or the message of its error."""
+    try:
+        if normalized:
+            space = load_text_vectors(path, frequency_path, normalized=True)
+        else:
+            space = normalize(load_text_vectors(path, frequency_path))
+    except (LoadError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return list(space.vocab.words), space.matrix.tobytes(), space.normalized, space.vocab.frequency
+
+
+# Rows as they come, or all zeros (signed too): a zero row is an error.
+ROW = st.one_of(
+    st.lists(VALUE, min_size=4, max_size=4),
+    st.lists(st.sampled_from([0.0, -0.0]), min_size=4, max_size=4),
+)
+
+
+class TestUnitRecords:
+    """A normalized load against its oracle: `normalize` of a raw load with
+    the cache off."""
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.lists(WORD, min_size=0, max_size=8, unique=True),
+        st.integers(1, 4),
+        st.data(),
+        st.booleans(),
+    )
+    def test_off_cold_and_warm_give_normalize_of_the_parse(self, words, d, data, sidecar):
+        # Values past 1e154 or below 1e-154 square out of range: such a row
+        # loads as a zero row or fails the unit check, the same way each time.
+        values = np.array(
+            [data.draw(ROW)[:d] for _ in words], dtype=np.float64
+        ).reshape(len(words), d)
+        with tempfile.TemporaryDirectory() as tmp:
+            path, freq, cache = Path(tmp, "v.vec"), Path(tmp, "v.vec.freq"), Path(tmp, "cache")
+            write_vectors(path, words, values)
+            write_sidecar(freq, [(w, i + 1) for i, w in enumerate(words)])
+            frequency = freq if sidecar else None
+            with cache_at("off"):
+                want = unit_outcome(path, frequency, normalized=False)
+                off = unit_outcome(path, frequency)
+            with cache_at(cache):
+                cold = unit_outcome(path, frequency)
+                filed = unit_record(cache, path).exists()
+                # A unit record and a counts record; never the raw entry.
+                assert len(entries(cache)) == filed + sidecar
+                with no_parse(scale=True) if filed else contextlib.nullcontext():
+                    warm = unit_outcome(path, frequency)
+        assert off == cold == warm == want
+        assert filed == (not isinstance(want, str))
+
+    def test_a_zero_row_raises_the_same_error_and_files_nothing(self, tmp_path, capsys):
+        path, cache = tmp_path / "z.vec", tmp_path / "cache"
+        path.write_text("3 2\na 1 2\nb 0 -0\nc 3 4\n", encoding="utf-8")
+        want = "ValueError: zero vector for 'b'"
+        with cache_at("off"):
+            assert unit_outcome(path, normalized=False) == want
+        for directory in ("off", cache, cache):
+            with cache_at(directory):
+                assert unit_outcome(path) == want
+        assert entries(cache) == []
+        other, targets = tmp_path / "o.vec", tmp_path / "targets.txt"
+        other.write_text("3 2\na 1 2\nb 1 0\nc 3 4\n", encoding="utf-8")
+        targets.write_text("a\n", encoding="utf-8")
+        command = ["overlap", "--inputs", str(other), str(path), "--targets", str(targets),
+                   "--n", "1", "--out", str(tmp_path / "overlap.tsv")]
+        with cache_at(cache):
+            assert main(command) == 3
+        assert capsys.readouterr().err == f"embedstab: data error: {want[12:]}\n"
+        assert entries(cache) == [unit_record(cache, other)]
+        assert not (tmp_path / "overlap.tsv").exists()
+
+    @pytest.mark.parametrize("fault", ["truncated", "flipped", "empty", "shape"])
+    def test_a_bad_unit_record_is_computed_again_and_rewritten(self, tmp_path, fault):
+        path, cache = tmp_path / "v.vec", tmp_path / "cache"
+        save_text_vectors(random_normalized_space(40, 3, seed=11), path)
+        want = unit_outcome(path, normalized=False)
+        with cache_at(cache):
+            assert unit_outcome(path) == want
+        entry = unit_record(cache, path)
+        assert entries(cache) == [entry]
+        blob = entry.read_bytes()
+        if fault == "truncated":
+            entry.write_bytes(blob[: len(blob) // 2])
+        elif fault == "flipped":
+            entry.write_bytes(blob[:200] + bytes([blob[200] ^ 1]) + blob[201:])
+        elif fault == "empty":
+            entry.write_bytes(b"")
+        else:  # a whole record, checksum and all, with one word too few
+            words, matrix = want[0], np.frombuffer(want[1]).reshape(40, 3)
+            space_module._cache_store(str(entry), words[:-1], matrix)
+            assert entry.read_bytes() != blob
+        with cache_at(cache):
+            assert unit_outcome(path) == want
+            assert entry.read_bytes() == blob  # computed again and rewritten
+            with no_parse(scale=True):
+                assert unit_outcome(path) == want
+
+    def test_a_filed_entry_serves_a_unit_miss_without_a_parse(self, tmp_path):
+        path, freq, cache = tmp_path / "v.vec", tmp_path / "v.vec.freq", tmp_path / "cache"
+        save_text_vectors(random_normalized_space(30, 4, seed=12), path)
+        save_frequencies({f"w{i:04d}": i + 1 for i in range(30)}, freq)
+        with cache_at("off"):
+            want = unit_outcome(path, freq, normalized=False)
+        with cache_at(cache):
+            load_text_vectors(path, freq)  # files the entry and the counts
+            assert len(entries(cache)) == 2
+            with no_parse():
+                assert unit_outcome(path, freq) == want
+            assert unit_record(cache, path).exists()
+            assert len(entries(cache)) == 3
+            with no_parse(scale=True):
+                assert unit_outcome(path, freq) == want
+
+    def test_unit_records_count_toward_the_bound_and_are_evicted(self, tmp_path, monkeypatch):
+        cache, paths = tmp_path / "cache", []
+        for seed in range(3):
+            path = tmp_path / f"v{seed}.vec"
+            save_text_vectors(random_normalized_space(50, 4, seed=seed), path)
+            paths.append(path)
+        with cache_at(cache):
+            for path in paths[:2]:
+                load_text_vectors(path, normalized=True)
+            records = [unit_record(cache, path) for path in paths[:2]]
+            size = records[0].stat().st_size
+            # Both records last used long ago, the first one first ...
+            os.utime(records[0], (1_000_000, 1_000_000))
+            os.utime(records[1], (2_000_000, 2_000_000))
+            # ... then a hit makes the first the most recently used.
+            with no_parse(scale=True):
+                load_text_vectors(paths[0], normalized=True)
+            monkeypatch.setattr(space_module, "_CACHE_MAX_BYTES", 2 * size + size // 2)
+            load_text_vectors(paths[2], normalized=True)
+        assert records[0].exists() and not records[1].exists()
+        assert entries(cache) == sorted([records[0], unit_record(cache, paths[2])])
+
+
 class TestFaultsFallBackToParsing:
     @staticmethod
     def setup_entry(tmp_path):
@@ -340,6 +490,7 @@ class TestFaultsFallBackToParsing:
         with cache_at("off"):
             load_text_vectors(path)
             load_text_vectors(path, tmp_path / "v.vec.freq")
+            load_text_vectors(path, tmp_path / "v.vec.freq", normalized=True)
         assert sorted(tmp_path.rglob("*")) == before
 
     def test_default_directories(self, tmp_path, monkeypatch):
