@@ -20,7 +20,7 @@ import re
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -212,7 +212,7 @@ def _train_run(
         return train(sampled, replace(trainer, seed=seed))
     except (np.linalg.LinAlgError, ArithmeticError) as exc:
         raise ArithmeticError(f"{label} failed: {exc}") from exc
-    except Exception as exc:
+    except ValueError as exc:
         raise ValueError(f"{label} failed: {exc}") from exc
 
 
@@ -248,7 +248,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     corpus = _read_corpus(args.corpus, args.lowercase, args.dedup)
     if args.out is None:
         out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         paths = [out_dir / f"run_{index:03d}.vec" for index in range(args.runs)]
         names = [path.name for path in paths]
         manifest_path = out_dir / "manifest.json"
@@ -276,7 +275,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     corpus = _read_corpus(args.corpus, args.lowercase, args.dedup)
     settings = _corpus_config(args.corpus, args.mode, args.lowercase, args.dedup)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_corpus(sample(corpus, SamplingMode(args.mode, args.seed)), out)
     _write_manifest(
         f"{out}.manifest.json", "sample", {**settings, "seed": args.seed}, output=_file_entry(out)
@@ -361,8 +359,6 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     spaces = _read_spaces(args.inputs, 2)
     runs = RunSet(spaces, mode="fixed")
     targets = _read_words(args.targets)
-    if args.profiles is not None:
-        Path(args.profiles).mkdir(parents=True, exist_ok=True)
     # One pass serves the candidate queries and both measured overlaps,
     # which read the top-1 and top-2 prefixes of the same lists.
     sizes = (1, 2)
@@ -479,7 +475,6 @@ def _cmd_change(args: argparse.Namespace) -> int:
         space_t1, space_t2, targets=targets, min_count=args.min_count
     )
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     inputs = [("t1", args.t1), ("t2", args.t2), ("targets", args.targets)]
     meta = _base_meta("change", inputs) + [
@@ -652,29 +647,37 @@ def _cmd_report(args: argparse.Namespace) -> int:
 # argument parsing, config files, dispatch
 
 
+def _parsed(convert: Callable[[str], float], text: str, expected: str) -> float:
+    """`convert(text)`, or a usage error saying what was expected."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _parsed(int, text, "an integer >= 1")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
     return value
 
 
 def _nonneg_int(text: str) -> int:
-    value = int(text)
+    value = _parsed(int, text, "an integer >= 0")
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
     return value
 
 
 def _learning_rate(text: str) -> float:
-    value = float(text)
+    value = _parsed(float, text, "a finite number > 0")
     if not 0.0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
     return value
 
 
 def _sampling_threshold(text: str) -> float:
-    value = float(text)
+    value = _parsed(float, text, "a number in (0, 1]")
     if not 0.0 < value <= 1.0:
         raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text}")
     return value
@@ -683,7 +686,7 @@ def _sampling_threshold(text: str) -> float:
 def _runs_count(text: str) -> int | str:
     if text == "all":
         return "all"
-    value = int(text)
+    value = _parsed(int, text, "an integer >= 2 or 'all'")
     if value < 2:
         raise argparse.ArgumentTypeError(f"must be >= 2 or 'all', got {text}")
     return value

@@ -18,25 +18,22 @@ leading or trailing points and exponents read as ``float()`` reads them;
 as non-finite, naming their line. Blank lines are allowed only after the
 announced rows.
 
-Parsed vector files are cached by content: the sha256 of ``_CACHE_VERSION``
-followed by the file's hex sha256 names a cache entry holding the parsed
-matrix (``.npy``) and word list, checked by a CRC-32 and by shape on every
-hit. A miss parses the same bytes and files the entry; a malformed file is
-never filed. Entries are bit-identical to what the parser returns, so a hit
-and a parse give the same space. A normalized load files a unit record
-instead: the rows ``_scaled_rows`` gives, in the entry layout, named by
-``unit `` and the hex sha256. Its hit skips the ``normalize`` pass; its
-miss scales the rows of a filed entry, else of a parse, and a file with a
-zero row files nothing. A sidecar loaded with its vector file is read and
-hashed on every load, and its counts, int64 in the vector file's word
-order, are filed in a record keyed by both digests: a warm load parses
-neither file. A sidecar that is malformed, lacks a word or holds a count
-past int64 is never filed. The directory is ``$EMBEDSTAB_CACHE``, else
-``$XDG_CACHE_HOME/embedstab``, else ``~/.cache/embedstab``;
-``EMBEDSTAB_CACHE=off`` turns the cache off. Its size is bounded by
-``_CACHE_MAX_BYTES``, least recently used entries going first. Cache
-faults are never errors: an entry that cannot be read is parsed again, and
-a directory that cannot be written means no caching.
+Loads are cached by content, one record per load: the sha256 of
+``_CACHE_VERSION``, the kind (``unit`` for a normalized load, else
+``rows``), the vector file's hex sha256 and the sidecar's (``-`` for none)
+names a record holding the rows (``.npy``; unit rows for a normalized load),
+the sidecar's int64 counts in the file's word order, and the words, checked
+by a CRC-32 and by shape on every hit.  Both files are read and hashed on
+every load, so a warm load parses neither and makes no ``normalize`` pass.
+A miss parses the vector file, then the sidecar, scales, and files the
+record; nothing is filed for a malformed file or sidecar, a missing word, a
+zero row or a count past int64.  Records are bit-identical to what the
+parsers and ``_scaled_rows`` give, so a hit and a parse give the same space.
+The directory is ``$EMBEDSTAB_CACHE``, else ``$XDG_CACHE_HOME/embedstab``,
+else ``~/.cache/embedstab``; ``EMBEDSTAB_CACHE=off`` turns the cache off.
+Its size is bounded by ``_CACHE_MAX_BYTES``, least recently used records
+going first. Cache faults are never errors: a record that cannot be read is
+computed again, and a directory that cannot be written means no caching.
 
 One kernel, ``_top_k``, ranks neighbors for `nearest_neighbors`,
 `analogy_score` and the overlap metrics.
@@ -78,15 +75,15 @@ __all__ = [
 _NORM_ATOL = 1e-9
 # Rows parsed per np.loadtxt call when loading text vectors; sets peak memory.
 _LOAD_BLOCK_LINES = 128
-# Part of every vector cache key: change it when the parser, the entry layout
-# or the arithmetic of `_scaled_rows` changes (unit records hold its rows),
-# so that no entry written for another loader is read.
-_CACHE_VERSION = b"embedstab vector cache 1\n"
-# Bytes of entries the vector cache keeps; a store past it evicts the least
-# recently used entries (by mtime, which a hit refreshes).
+# Part of every vector cache record's name: change it when the parsers, the
+# record layout or the arithmetic of `_scaled_rows` changes (unit records
+# hold its rows), so that no record written for another loader is read.
+_CACHE_VERSION = b"embedstab vector cache 2\n"
+# Bytes of records the vector cache keeps; a store past it evicts the least
+# recently used records (by mtime, which a hit refreshes).
 _CACHE_MAX_BYTES = 1 << 30
 _CACHE_SUFFIX = ".vecc"
-# An entry ends in the word list's byte length (8 bytes) and the CRC-32 of
+# A record ends in the word list's byte length (8 bytes) and the CRC-32 of
 # everything before them (4 bytes), both little-endian.
 _CACHE_TRAILER = 12
 # Similarities held at once by the top-k kernel (8 MB); sets its peak memory.
@@ -227,62 +224,51 @@ def load_text_vectors(
     With ``frequency_path`` given, counts from the sidecar are attached to the
     vocabulary; every loaded word must have an entry.  With ``normalized``
     the rows are scaled to unit length: the space, and any error, is that of
-    ``normalize(load_text_vectors(path, frequency_path))``.  The file's bytes
-    are read once and looked up in the vector cache, which files the unit
-    rows of a normalized load and the parsed rows of any other (see the
-    module docstring).
+    ``normalize(load_text_vectors(path, frequency_path))``.  Both files are
+    read and hashed once, before either is parsed, and the load is looked up
+    in the vector cache as one record of its words, rows and counts (see
+    the module docstring).  A miss parses the vector file, then the sidecar,
+    then scales, and files the record.
     """
     path = Path(path)
     data, digest = _read_input(path)
-    unit = _cache_entry(f"unit {digest}") if normalized else None
-    cached = None if unit is None else _cache_read(unit)
-    scale = normalized and cached is None
-    if cached is None:
-        entry = _cache_entry(digest)
-        cached = None if entry is None else _cache_read(entry)
-        if cached is None:
-            cached = _parse_text_vectors(path, data)
-            if entry is not None and not normalized:
-                _cache_store(entry, *cached)
-    words, matrix = cached
-    del data, cached  # a miss never holds the file's bytes, its rows and its unit rows at once
-    frequency = None
-    if frequency_path is not None:
-        frequency = dict(zip(words, _sidecar_counts(frequency_path, words, digest)))
-    vocab = Vocabulary(tuple(words), frequency)
-    if not scale:
-        return EmbeddingSpace(vocab, matrix, normalized=normalized)
-    matrix = _scaled_rows(EmbeddingSpace(vocab, matrix))
-    space = EmbeddingSpace(vocab, matrix, normalized=True)
-    if unit is not None:
-        _cache_store(unit, words, matrix)
-    return space
-
-
-def _sidecar_counts(path: str | Path, words: list[str], digest: str) -> list[int]:
-    """The counts the sidecar `path` gives `words`, the words of the vector
-    file whose sha256 is `digest`: read and hashed, then looked up in the
-    cache, or parsed by `_read_map` and filed if every count fits int64."""
-    data, sidecar = _read_input(path)
-    record = _cache_entry(f"counts {digest} {sidecar}")
-    counts = None if record is None else _counts_read(record, len(words))
-    if counts is None:
-        parsed = _read_map(path, "count", int, ">= 1", 1, data=data)
+    sidecar, sidecar_digest = (None, "-") if frequency_path is None else _read_input(frequency_path)
+    entry = _cache_entry(f"{'unit' if normalized else 'rows'} {digest} {sidecar_digest}")
+    cached = None if entry is None else _cache_read(entry, frequency_path is not None)
+    hit = cached is not None
+    words, matrix, counts = cached if hit else (*_parse_text_vectors(path, data), None)
+    # The file's bytes go before its words are checked for repeats and the
+    # counts are listed, and the sidecar's bytes and map before the rows are
+    # scaled: a load's peak memory stays that of its parse or of its record read.
+    del data, cached
+    if hit:
+        counts = None if counts is None else counts.tolist()
+    elif len(set(words)) != len(words):
+        raise _repeat_error(path, words)
+    elif frequency_path is not None:
+        parsed = _read_map(frequency_path, "count", int, ">= 1", 1, data=sidecar)
         try:
             counts = list(map(parsed.__getitem__, words))
         except KeyError as exc:
-            raise LoadError(f"{path}: no count for {exc.args[0]!r}") from None
-        if record is not None and max(counts, default=1) < 1 << 63:
-            body = np.array(counts, dtype="<i8").tobytes()
-            _cache_write(record, [body, zlib.crc32(body).to_bytes(4, "little")])
-    return counts
+            raise LoadError(f"{frequency_path}: no count for {exc.args[0]!r}") from None
+        del parsed
+    del sidecar
+    vocab = Vocabulary(tuple(words), None if counts is None else dict(zip(words, counts)))
+    if normalized and not hit:
+        matrix = _scaled_rows(EmbeddingSpace(vocab, matrix))
+    space = EmbeddingSpace(vocab, matrix, normalized=normalized)
+    if not hit and entry is not None and max(counts or [1]) < 1 << 63:
+        _cache_store(entry, words, matrix, counts)
+    return space
 
 
 def _parse_text_vectors(path: Path, data: bytes) -> tuple[list[str], np.ndarray]:
     """The words and matrix of the vector file `path` whose bytes are `data`.
 
     Lines end as in text-mode reading; the rows are parsed in blocks of
-    ``_LOAD_BLOCK_LINES``.  Every fault is a LoadError naming its line.
+    ``_LOAD_BLOCK_LINES``.  Every fault is a LoadError naming its line; a
+    repeated word is left to the caller (`_repeat_error`), which can drop
+    the file's bytes first.
     """
     try:
         with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as handle:
@@ -312,21 +298,23 @@ def _parse_text_vectors(path: Path, data: bytes) -> tuple[list[str], np.ndarray]
                     raise LoadError(f"{path}:{lineno}: more rows than the header announced")
     except UnicodeDecodeError:
         raise _decode_error(path, data) from None
-    if len(set(words)) != v:
-        seen: set[str] = set()
-        for lineno, word in enumerate(words, start=2):
-            if word in seen:
-                raise LoadError(f"{path}:{lineno}: duplicate word {word!r}")
-            seen.add(word)
     return words, matrix
 
 
+def _repeat_error(path: Path, words: list[str]) -> LoadError:
+    """The LoadError naming the first row of the vector file `path` whose
+    word an earlier row holds; `words`, its words, hold a repeat."""
+    seen: set[str] = set()
+    lineno = next(i for i, w in enumerate(words, start=2) if w in seen or seen.add(w))
+    return LoadError(f"{path}:{lineno}: duplicate word {words[lineno - 2]!r}")
+
+
 def _cache_entry(name: str) -> str | None:
-    """The path of the cache entry `name` names, its directory made with
+    """The path of the cache record `name` names, its directory made with
     mode 0o700 if missing; None when ``EMBEDSTAB_CACHE`` is ``off`` or the
-    directory cannot be made.  A vector file whose bytes have the hex sha256
-    D files its rows as D, its unit rows as ``unit D`` and the counts of a
-    sidecar of sha256 S as ``counts D S``: no name is another's."""
+    directory cannot be made.  A load of a vector file whose bytes have the
+    hex sha256 D, with a sidecar of sha256 S (``-`` for none), files its
+    record as ``unit D S`` if normalized, else as ``rows D S``."""
     directory = os.environ.get("EMBEDSTAB_CACHE") or os.path.join(
         os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache"),
         "embedstab",
@@ -341,65 +329,61 @@ def _cache_entry(name: str) -> str | None:
     return os.path.join(directory, key + _CACHE_SUFFIX)
 
 
-def _cache_blob(entry: str, trailer: int) -> bytes | None:
-    """The bytes of a cache entry whose CRC-32, in its last 4 bytes, is that
-    of the bytes before its `trailer`, refreshing its mtime; None if the
-    entry is missing, cannot be read or fails the check."""
+def _cache_read(
+    entry: str, counted: bool
+) -> tuple[list[str], np.ndarray, np.ndarray | None] | None:
+    """The words, rows and (if `counted`) int64 counts a cache record holds,
+    refreshing its mtime; None if the record is missing, cannot be read, or
+    fails its checksum or a layout check."""
     try:
         with open(entry, "rb") as handle:
-            blob = handle.read()
-    except OSError:
-        return None
-    body = len(blob) - trailer
-    if body < 0 or zlib.crc32(memoryview(blob)[:body]) != int.from_bytes(blob[-4:], "little"):
-        return None
-    with contextlib.suppress(OSError):  # an entry another user owns is still read
-        os.utime(entry)
-    return blob
-
-
-def _cache_read(entry: str) -> tuple[list[str], np.ndarray] | None:
-    """The words and matrix a cache entry holds; None if the entry is
-    missing, fails its checksum or shape check, or cannot be read."""
-    blob = _cache_blob(entry, _CACHE_TRAILER)
-    if blob is None:
-        return None
-    body = len(blob) - _CACHE_TRAILER
-    try:
-        text = blob[body - int.from_bytes(blob[body:-4], "little") : body].decode("utf-8")
+            # The .npy leads the record; only a float64 matrix the file can
+            # hold is read, into an array of its own, so that a space keeps
+            # none of the record's other bytes.
+            if np.lib.format.read_magic(handle) != (1, 0):
+                return None
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(handle)
+            head = handle.tell()
+            if dtype != np.float64 or fortran_order or len(shape) != 2 or (
+                head + 8 * shape[0] * shape[1] + _CACHE_TRAILER > os.fstat(handle.fileno()).st_size
+            ):
+                return None
+            matrix = np.empty(shape)
+            handle.readinto(matrix)
+            rest = handle.read()  # counts, words and trailer
+            handle.seek(0)
+            checksum = zlib.crc32(matrix, zlib.crc32(handle.read(head)))
+        body = len(rest) - _CACHE_TRAILER
+        checksum = zlib.crc32(memoryview(rest)[:body], checksum)
+        if body < 0 or checksum != int.from_bytes(rest[-4:], "little"):
+            return None
+        start = body - int.from_bytes(rest[body:-4], "little")
+        text = str(memoryview(rest)[start:body], "utf-8")
         words = text.split("\n") if text else []
-        # The .npy leads the entry.  Its matrix is read in place, not copied
-        # out of the entry's bytes, and only a float64 matrix is read.
-        npy = io.BytesIO(blob)
-        if np.lib.format.read_magic(npy) != (1, 0):
-            return None
-        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(npy)
-        if dtype != np.float64 or fortran_order or len(shape) != 2 or shape[0] != len(words):
-            return None
-        matrix = np.frombuffer(blob, np.float64, shape[0] * shape[1], npy.tell()).reshape(shape)
-    except ValueError:
+    except (OSError, ValueError):
         return None
-    return words, matrix
-
-
-def _counts_read(record: str, size: int) -> list[int] | None:
-    """The `size` counts a counts record holds (int64, then their CRC-32);
-    None if the record is missing, fails its checksum or has another length."""
-    blob = _cache_blob(record, 4)
-    if blob is None or len(blob) != 8 * size + 4:
+    if shape[0] != len(words) or start != 8 * len(words) * counted:
         return None
-    return np.frombuffer(blob, "<i8", size).tolist()
+    with contextlib.suppress(OSError):  # a record another user owns is still read
+        os.utime(entry)
+    return words, matrix, np.frombuffer(rest, "<i8", len(words)) if counted else None
 
 
-def _cache_store(entry: str, words: list[str], matrix: np.ndarray) -> None:
-    """File a parsed space as a cache entry.  Words hold no whitespace, so
-    "\n" separates them."""
+def _cache_store(
+    entry: str, words: list[str], matrix: np.ndarray, counts: list[int] | None
+) -> None:
+    """File a load as a cache record: the .npy of its rows, its counts as
+    little-endian int64 if a sidecar was given, its words, then the trailer.
+    Words hold no whitespace, so "\n" separates them."""
     header = io.BytesIO()
     np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(matrix))
     text = "\n".join(words).encode("utf-8")
-    # The .npy (header, then the matrix's bytes) and the words, written in
-    # place rather than joined first: a miss should cost little more than a parse.
-    parts = [header.getvalue(), matrix, text]
+    # The parts are written in place rather than joined first: a miss
+    # should cost little more than a parse.
+    parts = [header.getvalue(), matrix]
+    if counts is not None:
+        parts.append(np.array(counts, dtype="<i8"))
+    parts.append(text)
     checksum = 0
     for part in parts:
         checksum = zlib.crc32(part, checksum)
@@ -408,10 +392,10 @@ def _cache_store(entry: str, words: list[str], matrix: np.ndarray) -> None:
 
 
 def _cache_write(entry: str, parts: list) -> None:
-    """Write the parts as the cache entry `entry`, then evict past the size
-    bound.  The entry is written under a temporary name and renamed into
-    place, so a reader sees a whole entry or none.  Any OSError just leaves
-    the entry out."""
+    """Write the parts as the cache record `entry`, then evict past the size
+    bound.  The record is written under a temporary name and renamed into
+    place, so a reader sees a whole record or none.  Any OSError just leaves
+    the record out."""
     temporary = f"{entry}.{os.urandom(8).hex()}.tmp"
     try:
         with open(temporary, "xb") as handle:
@@ -425,8 +409,8 @@ def _cache_write(entry: str, parts: list) -> None:
 
 
 def _cache_evict(directory: str) -> None:
-    """Remove the least recently used entries until the cache holds at most
-    ``_CACHE_MAX_BYTES``.  Only entry files are counted or removed."""
+    """Remove the least recently used records until the cache holds at most
+    ``_CACHE_MAX_BYTES``.  Only record files are counted or removed."""
     entries = []
     with os.scandir(directory) as scan:
         for item in scan:
@@ -534,8 +518,10 @@ def _recorded_digest(path: str | Path) -> str | None:
 
 
 def _write_text(path: str | Path, chunks: Iterable[str]) -> None:
-    """Write the chunks to `path` as UTF-8, recording the sha256 of the bytes
-    written inside `_recording_inputs`.  Every output file is written here."""
+    """Write the chunks to `path` as UTF-8, making its parent directories,
+    and record the sha256 of the bytes written inside `_recording_inputs`.
+    Every output file is written here."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     digest = hashlib.sha256()
     with open(path, "wb") as handle:
         for chunk in chunks:
@@ -608,6 +594,8 @@ def _read_map(
 def _fmt(value: object) -> str:
     if value is None:
         return "NA"
+    if isinstance(value, np.generic):  # a numpy scalar is written as its value
+        value = value.item()
     if value is True or value is False:  # isinstance(value, bool), without a call per cell
         return "true" if value else "false"
     if isinstance(value, float):
@@ -621,7 +609,8 @@ def _write_table(
 ) -> None:
     """Write ``# key: value`` lines for `meta`, the tab-joined `columns` if
     given, then one tab-joined line per row.  Floats are written by repr, so
-    they read back exactly; None is ``NA``, booleans ``true``/``false``."""
+    they read back exactly; None is ``NA``, booleans ``true``/``false``, and
+    a numpy scalar is written as its ``.item()``."""
     lines = [f"# {key}: {_fmt(value)}" for key, value in meta]
     if columns is not None:
         lines.append("\t".join(columns))

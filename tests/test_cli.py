@@ -257,6 +257,18 @@ class TestTrain:
         assert code == 4
         assert "numerical failure: run 0 failed" in capsys.readouterr().err
 
+    def test_a_bug_in_a_run_is_not_a_data_error(self, tmp_path, corpus_file, monkeypatch):
+        # Only a ValueError (a LoadError too) is a data error; a TypeError
+        # raised while training is a bug, and it reaches the caller.
+        import embedstab.cli as cli
+
+        def broken(corpus, config):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(cli, "train", broken)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            run_cli("train", "--corpus", corpus_file, "--out-dir", tmp_path / "runs")
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_diverging_training_exit_code(self, tmp_path, corpus_file, capsys):
         code = run_cli(
@@ -352,6 +364,39 @@ class TestArgparseBehaviour:
         with pytest.raises(SystemExit) as exc:
             run_cli("overlap", "--out", "x.tsv")
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
+    @pytest.mark.parametrize(
+        "command, key, expected",
+        [
+            ("train", "dim", "an integer >= 1"),
+            ("train", "epochs", "an integer >= 0"),
+            ("train", "lr", "a finite number > 0"),
+            ("train", "sample", "a number in (0, 1]"),
+            ("instability", "runs", "an integer >= 2 or 'all'"),
+        ],
+    )
+    def test_a_non_number_names_what_is_expected(
+        self, tmp_path, corpus_file, capsys, command, key, expected, by_config
+    ):
+        # Each converter's message, by flag and by config key: exit 2, and
+        # nothing written.
+        if command == "train":
+            argv = ["train", "--corpus", corpus_file, "--out-dir", tmp_path / "runs"]
+        else:
+            argv = ["instability", "--shuffled", tmp_path, "--out", tmp_path / "i.tsv"]
+        if by_config:
+            config = tmp_path / "bad.cfg"
+            config.write_text(f"{key}=abc\n")
+            argv += ["--config", config]
+            named = f"config key {key!r}"
+        else:
+            argv += [f"--{key}", "abc"]
+            named = f"argument --{key}"
+        before = sorted(tmp_path.iterdir())
+        assert exit_code(*argv) == 2
+        assert f"{named}: expected {expected}, got 'abc'" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
 
 
 class TestConfigFile:

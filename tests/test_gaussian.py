@@ -670,6 +670,17 @@ class TestProfileIO:
         loaded = load_profile(path)
         assert loaded == profile  # dataclass equality: floats must round-trip
 
+    def test_numpy_scalars_round_trip(self, tmp_path):
+        # Statistics computed with numpy hold numpy scalars: they are written
+        # as their values, so the file loads back to an equal profile.
+        profile = profile_of(
+            pair("a", np.float64(0.5), np.float64(0.25), r=np.int64(3)),
+            pair("b", np.float64(-0.125), np.float32(0.1), r=4),
+        )
+        path = str(tmp_path / "profile.tsv")
+        save_profile(profile, path)
+        assert load_profile(path) == profile
+
     def test_faults_name_file_and_line(self, tmp_path):
         path = tmp_path / "profile.tsv"
         header = "target\tquery\tmu\tsigma\tr\n"

@@ -79,14 +79,17 @@ def test_the_package_exports_what_its_modules_declare():
     assert isinstance(embedstab.pip_loss, FunctionType)
 
 
-# Calls that read or write a file, or make read bytes text.
-FILE_IO = ("open", "read_text", "read_bytes", "write_text", "write_bytes", "decode")
+# Calls that read or write a file, make read bytes text, or make a directory.
+FILE_IO = (
+    "open", "read_text", "read_bytes", "write_text", "write_bytes", "decode", "mkdir", "makedirs",
+)
 
 
 def file_io(path: Path) -> list[int]:
     """Lines where a module reads or writes a file: any `open(...)` or
     `<path>.open(...)` in any mode, `.read_text`, `.read_bytes`,
-    `.write_text`, `.write_bytes`, and `.decode` (bytes read, then made text)."""
+    `.write_text`, `.write_bytes`, `.decode` (bytes read, then made text),
+    and `.mkdir` or `os.makedirs` (a directory made to write into)."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     lines = []
     for node in ast.walk(tree):
@@ -120,8 +123,11 @@ def test_the_check_sees_every_file_io_call(tmp_path):
         "def h(p, text):\n"
         "    Path(p).write_bytes(text.encode('utf-8'))\n"
         "    return len(text)\n"
+        "def k(p):\n"
+        "    Path(p).parent.mkdir(parents=True, exist_ok=True)\n"
+        "    os.makedirs(p, exist_ok=True)\n"
     )
-    assert file_io(module) == [3, 4, 4, 6, 6, 6, 8, 8, 8, 9, 10, 12, 12, 14]
+    assert file_io(module) == [3, 4, 4, 6, 6, 6, 8, 8, 8, 9, 10, 12, 12, 14, 17, 18]
 
 
 def scipy_after(code: str, *argv: object) -> tuple[object, list[str]]:

@@ -10,6 +10,7 @@ import contextlib
 import hashlib
 import json
 import os
+import shutil
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -288,6 +289,31 @@ def every_command(root, inputs, out):
                        "--train-sample", 1.0, "--train-min-count", 1, "--out", out / "conformity.tsv"),
         "report": ("report", "--in", out / "overlap.tsv", "--format", "tsv", "--out", out / "report.tsv"),
     }
+
+
+class TestOutputDirectories:
+    def test_every_command_makes_the_directories_it_writes_into(self, tmp_path):
+        # Each command alone into a missing nested directory exits 0 and
+        # writes the bytes it writes when the directory exists.
+        root, out = tmp_path / "in", tmp_path / "new" / "nested" / "out"
+        commands = every_command(root, cli_inputs(root), out)
+        table = tmp_path / "table.tsv"
+        table.write_text("# tool: embedstab\nword\tvalue\nw0001\t0.5\n", encoding="utf-8")
+        commands["report"] = ("report", "--in", table, "--format", "json", "--out", out / "r.json")
+
+        def files():
+            return {p.relative_to(out): sha256_of(p) for p in out.rglob("*") if p.is_file()}
+
+        out.mkdir(parents=True)
+        existing = {}
+        for label, command in commands.items():
+            before = files()
+            assert main([str(a) for a in command]) == 0, label
+            existing[label] = {p: h for p, h in files().items() if before.get(p) != h}
+        for label, command in commands.items():
+            shutil.rmtree(tmp_path / "new")
+            assert main([str(a) for a in command]) == 0, label
+            assert files() == existing[label] != {}, label
 
 
 class TestEachInputIsReadOnce:

@@ -5,6 +5,7 @@ byte-for-byte agreement of the table writer with per-line f-string writers."""
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -111,6 +112,17 @@ class TestReportRoundTrip:
         assert got_meta == [[key, _fmt(value)] for key, value in meta]
         assert got_columns == columns
         assert got_rows == [[_fmt(cell) for cell in row] for row in rows]
+
+    def test_numpy_scalars_read_back_as_their_values(self, tmp_path):
+        path = tmp_path / "report.tsv"
+        cells = [np.float64(0.5), np.float32(0.1), np.int64(-7), np.bool_(True), np.bool_(False)]
+        columns = ["f64", "f32", "i64", "yes", "no"]
+        _write_table(path, [cells], columns, list(zip(columns, cells)))
+        meta, _, rows = _read_table(path)
+        assert rows == [["0.5", repr(float(np.float32(0.1))), "-7", "true", "false"]]
+        assert meta == [list(pair) for pair in zip(columns, rows[0])]
+        assert np.float32(float(rows[0][1])) == np.float32(0.1)
+        assert [_fmt(cell) for cell in cells] == rows[0]
 
     def test_a_blank_line_is_a_row_of_empty_cells(self, tmp_path):
         path = tmp_path / "report.tsv"

@@ -1,15 +1,15 @@
 """The vector cache behind `load_text_vectors`, against its oracle: the text
-parser with ``EMBEDSTAB_CACHE=off``.  Hits are bit-identical to it, and so
-are the sidecar counts filed next to them; every cache fault falls back to
-parsing, malformed files are never cached, and CLI outputs hash the same
-with the cache off, cold and warm."""
+parser with ``EMBEDSTAB_CACHE=off``.  A load files one record of its words,
+rows and sidecar counts; hits are bit-identical to the parse, every cache
+fault falls back to parsing, a faulty load files nothing, and CLI outputs
+hash the same with the cache off, cold and warm."""
 
 import contextlib
 import hashlib
+import io
 import os
 import shutil
 import tempfile
-import zlib
 from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
@@ -37,10 +37,10 @@ def cache_at(directory):
 
 
 @contextmanager
-def no_parse(sidecars=True, scale=False):
-    """Inside the block a load that parses a vector file, with `sidecars` a
-    sidecar, or with `scale` scales rows, fails the test: it must hit."""
-    names = ["_parse_text_vectors"] + ["_read_map"] * sidecars + ["_scaled_rows"] * scale
+def no_parse(scale=True):
+    """Inside the block a load that parses a vector file or a sidecar, or
+    with `scale` scales rows, fails the test: it must hit."""
+    names = ["_parse_text_vectors", "_read_map"] + ["_scaled_rows"] * scale
     with contextlib.ExitStack() as stack:
         for name in names:
             stack.enter_context(
@@ -61,23 +61,29 @@ def loaded(space):
 
 
 def entries(directory):
-    """The vector entries and counts records in a cache directory."""
+    """The records in a cache directory."""
     return sorted(Path(directory).glob(f"*{SUFFIX}"))
 
 
-def record(directory, path, frequency_path):
-    """The path of the counts record for a vector file and its sidecar: the
-    sha256 of the cache version, "counts " and the two hex digests."""
-    vec, freq = (hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in (path, frequency_path))
-    name = f"counts {vec} {freq}".encode("ascii")
-    return Path(directory, hashlib.sha256(space_module._CACHE_VERSION + name).hexdigest() + SUFFIX)
+def record(directory, path, frequency_path=None, normalized=False):
+    """The path of a load's record: the sha256 of the cache version, the
+    kind ("unit" or "rows"), the vector file's hex digest and the sidecar's
+    ("-" for none)."""
+    sha = lambda p: hashlib.sha256(Path(p).read_bytes()).hexdigest()  # noqa: E731
+    kind = "unit" if normalized else "rows"
+    name = f"{kind} {sha(path)} {'-' if frequency_path is None else sha(frequency_path)}"
+    key = hashlib.sha256(space_module._CACHE_VERSION + name.encode("ascii")).hexdigest()
+    return Path(directory, key + SUFFIX)
 
 
-def unit_record(directory, path):
-    """The path of the unit record for a vector file: the sha256 of the cache
-    version, "unit " and the file's hex digest."""
-    name = f"unit {hashlib.sha256(Path(path).read_bytes()).hexdigest()}".encode("ascii")
-    return Path(directory, hashlib.sha256(space_module._CACHE_VERSION + name).hexdigest() + SUFFIX)
+def outcome(path, frequency_path=None, normalized=False):
+    """(words, matrix bytes, normalized flag, frequency map) of a load, or
+    the message of its error."""
+    try:
+        space = load_text_vectors(path, frequency_path, normalized=normalized)
+    except (LoadError, ValueError, OSError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return list(space.vocab.words), space.matrix.tobytes(), space.normalized, space.vocab.frequency
 
 
 def write_vectors(path, words, matrix, spec="%.17g"):
@@ -120,7 +126,7 @@ class TestHitsMatchTheParser:
             want = oracle(path)
             with cache_at(Path(tmp, "cache")):
                 assert loaded(load_text_vectors(path)) == want  # cold: parsed, stored
-                assert len(entries(Path(tmp, "cache"))) == 1
+                assert entries(Path(tmp, "cache")) == [record(Path(tmp, "cache"), path)]
                 with no_parse():
                     assert loaded(load_text_vectors(path)) == want  # warm: a hit
         assert want[0] == words
@@ -156,21 +162,24 @@ class TestHitsMatchTheParser:
                 assert load_text_vectors(path).matrix.tolist() == [[1.0, 2.0]]
 
     def test_sidecars_are_read_on_every_load(self, tmp_path):
-        # An edited sidecar next to an unchanged vector file: the vector
-        # entry hits, and the new counts are parsed and filed.
+        # An edited sidecar next to an unchanged vector file names another
+        # record: the load parses both files, gives the new counts and files
+        # the new record; each warm load then hits its own.
         path = tmp_path / "v.vec"
         save_text_vectors(random_normalized_space(3, 2, seed=0), path)
-        freq = tmp_path / "v.vec.freq"
-        with cache_at(tmp_path / "cache"):
-            for i, counts in enumerate(({"w0000": 1, "w0001": 2, "w0002": 3},
-                                        {"w0000": 7, "w0001": 8, "w0002": 9})):
+        freq, cache = tmp_path / "v.vec.freq", tmp_path / "cache"
+        filed = []
+        with cache_at(cache):
+            for counts in ({"w0000": 1, "w0001": 2, "w0002": 3}, {"w0000": 7, "w0001": 8, "w0002": 9}):
                 save_frequencies(counts, freq)
-                with no_parse(sidecars=False) if i else contextlib.nullcontext():
-                    assert load_text_vectors(path, freq).vocab.frequency == counts
-                assert record(tmp_path / "cache", path, freq).exists()
-                with no_parse():
-                    assert load_text_vectors(path, freq).vocab.frequency == counts
-        assert len(entries(tmp_path / "cache")) == 3  # one vector entry, two records
+                for normalized in (False, True):
+                    assert load_text_vectors(path, freq, normalized=normalized).vocab.frequency == counts
+                    filed.append(record(cache, path, freq, normalized))
+                    with no_parse():
+                        space = load_text_vectors(path, freq, normalized=normalized)
+                    assert space.vocab.frequency == counts and space.normalized == normalized
+        assert entries(cache) == sorted(filed)
+        assert len(filed) == 4
 
 
 COUNT = st.one_of(st.integers(1, 2**63 - 1), st.sampled_from([1, 2**53 + 1, 2**63 - 1]))
@@ -180,14 +189,69 @@ def write_sidecar(path, counts):
     Path(path).write_text("".join(f"{w}\t{c}\n" for w, c in counts), encoding="utf-8")
 
 
+def corrupt(entry, fault, words, matrix, counts):
+    """Make the record at `entry` faulty: truncated, one bit flipped, empty,
+    a header claiming more rows than any file holds ("oversized"), or a
+    whole record, checksum and all, with one word too few ("shape") or
+    with counts of the wrong length ("length"): one short of a sidecar's,
+    or counts where the load gave no sidecar."""
+    blob = entry.read_bytes()
+    if fault == "truncated":
+        entry.write_bytes(blob[: len(blob) // 2])
+    elif fault == "flipped":
+        entry.write_bytes(blob[:200] + bytes([blob[200] ^ 1]) + blob[201:])
+    elif fault == "empty":
+        entry.write_bytes(b"")
+    elif fault == "oversized":  # read before the checksum: it must not be allocated
+        header = io.BytesIO()
+        fields = {"descr": "<f8", "fortran_order": False, "shape": (10**15, matrix.shape[1])}
+        np.lib.format.write_array_header_1_0(header, fields)
+        entry.write_bytes(header.getvalue() + blob[128:])
+    elif fault == "shape":
+        space_module._cache_store(str(entry), words[:-1], matrix, counts)
+    else:
+        wrong = [1] * len(words) if counts is None else counts[:-1]
+        space_module._cache_store(str(entry), words, matrix, wrong)
+    assert entry.read_bytes() != blob
+
+
+def check_a_bad_record_is_computed_again(tmp_path, fault, normalized, sidecar):
+    """A faulty record of a load is computed again, as with the cache off,
+    and rewritten byte for byte; the next load hits it."""
+    path, freq, cache = tmp_path / "v.vec", tmp_path / "v.vec.freq", tmp_path / "cache"
+    save_text_vectors(random_normalized_space(40, 3, seed=7), path)
+    save_frequencies({f"w{i:04d}": 5 * i + 1 for i in range(40)}, freq)
+    frequency = freq if sidecar else None
+    with cache_at("off"):
+        want = outcome(path, frequency, normalized)
+    with cache_at(cache):
+        assert outcome(path, frequency, normalized) == want
+    entry = record(cache, path, frequency, normalized)
+    assert entries(cache) == [entry]
+    blob = entry.read_bytes()
+    words, matrix = want[0], np.frombuffer(want[1]).reshape(40, 3)
+    counts = None if want[3] is None else [want[3][w] for w in words]
+    corrupt(entry, fault, words, matrix, counts)
+    with cache_at(cache):
+        assert outcome(path, frequency, normalized) == want
+        assert entry.read_bytes() == blob  # computed again and rewritten
+        with no_parse():
+            assert outcome(path, frequency, normalized) == want
+    shutil.rmtree(cache)
+
+
+FAULTS = ["truncated", "flipped", "empty", "oversized", "shape", "length"]
+
+
 class TestSidecarCounts:
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(WORD, min_size=0, max_size=8, unique=True),
         st.data(),
         st.sampled_from([None, 2**63, 10**19]),
+        st.booleans(),
     )
-    def test_hit_miss_and_off_give_the_same_counts(self, words, data, too_big):
+    def test_hit_miss_and_off_give_the_same_counts(self, words, data, too_big, normalized):
         # Sidecar lines in any order, words the vector file lacks too; counts
         # up to 2**63 - 1 are filed, a larger one loads and is never filed.
         counts = {w: data.draw(COUNT) for w in words}
@@ -201,82 +265,42 @@ class TestSidecarCounts:
             write_vectors(path, words, np.ones((len(words), 2)))
             write_sidecar(freq, lines)
             with cache_at("off"):
-                off = load_text_vectors(path, freq).vocab.frequency
+                off = load_text_vectors(path, freq, normalized=normalized).vocab.frequency
             filed = max(counts.values(), default=1) < 2**63
             with cache_at(cache):
-                cold = load_text_vectors(path, freq).vocab.frequency
-                assert record(cache, path, freq).exists() == filed
-                assert len(entries(cache)) == 1 + filed
-                with no_parse(sidecars=filed):
-                    warm = load_text_vectors(path, freq).vocab.frequency
+                cold = load_text_vectors(path, freq, normalized=normalized).vocab.frequency
+                assert entries(cache) == [record(cache, path, freq, normalized)] * filed
+                with no_parse() if filed else contextlib.nullcontext():
+                    warm = load_text_vectors(path, freq, normalized=normalized).vocab.frequency
+                assert len(entries(cache)) == filed  # a count past int64: parsed every load
         assert off == cold == warm == counts
         assert all(type(c) is int for c in warm.values())
 
-    @pytest.mark.parametrize("fault", ["truncated", "flipped", "empty", "length"])
+    @pytest.mark.parametrize("fault", FAULTS)
     def test_a_bad_record_is_parsed_again_and_rewritten(self, tmp_path, fault):
-        path, freq, cache = tmp_path / "v.vec", tmp_path / "v.vec.freq", tmp_path / "cache"
-        save_text_vectors(random_normalized_space(30, 2, seed=7), path)
-        counts = {f"w{i:04d}": 5 * i + 1 for i in range(30)}
-        save_frequencies(counts, freq)
-        with cache_at(cache):
-            load_text_vectors(path, freq)
-        entry = record(cache, path, freq)
-        blob = entry.read_bytes()
-        assert len(blob) == 8 * 30 + 4
-        if fault == "truncated":
-            entry.write_bytes(blob[:-9])
-        elif fault == "flipped":
-            entry.write_bytes(blob[:100] + bytes([blob[100] ^ 1]) + blob[101:])
-        elif fault == "empty":
-            entry.write_bytes(b"")
-        else:  # a whole record, checksum and all, one count short
-            body = blob[8:-4]
-            entry.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
-        with cache_at(cache):
-            with no_parse(sidecars=False):
-                assert load_text_vectors(path, freq).vocab.frequency == counts
-            assert entry.read_bytes() == blob  # the parse rewrote the record
-            with no_parse():
-                assert load_text_vectors(path, freq).vocab.frequency == counts
+        check_a_bad_record_is_computed_again(tmp_path, fault, normalized=False, sidecar=True)
 
     def test_a_sidecar_that_lacks_a_word_raises_cold_and_warm(self, tmp_path):
         path, freq, cache = tmp_path / "v.vec", tmp_path / "v.vec.freq", tmp_path / "cache"
         save_text_vectors(random_normalized_space(4, 2, seed=8), path)
         save_frequencies({"w0000": 1, "w0001": 2, "w0003": 4}, freq)
-        want = f"{freq}: no count for 'w0002'"
-        with cache_at("off"), pytest.raises(LoadError, match=want):
-            load_text_vectors(path, freq)
-        with cache_at(cache):
-            with pytest.raises(LoadError, match=want):
-                load_text_vectors(path, freq)  # cold: the vector file is filed
-            assert len(entries(cache)) == 1
-            with no_parse(sidecars=False), pytest.raises(LoadError, match=want):
-                load_text_vectors(path, freq)  # the vector file hits
-        assert not record(cache, path, freq).exists()
-        assert len(entries(cache)) == 1
+        want = f"LoadError: {freq}: no count for 'w0002'"
+        for normalized in (False, True):
+            for directory in ("off", cache, cache):
+                with cache_at(directory):
+                    assert outcome(path, freq, normalized) == want
+        assert entries(cache) == []
 
     def test_a_malformed_sidecar_is_never_filed(self, tmp_path):
         path, freq, cache = tmp_path / "v.vec", tmp_path / "v.vec.freq", tmp_path / "cache"
         save_text_vectors(random_normalized_space(2, 2, seed=9), path)
         freq.write_text("w0000\t1\nw0001\t0\n", encoding="utf-8")
-        for directory in ("off", cache, cache):
-            with cache_at(directory), pytest.raises(LoadError) as caught:
-                load_text_vectors(path, freq)
-            assert str(caught.value) == f"{freq}:2: count must be >= 1, got 0"
-        assert len(entries(cache)) == 1
-
-
-def unit_outcome(path, frequency_path=None, normalized=True):
-    """(words, matrix bytes, normalized flag, frequency map) of a normalized
-    load, or of `normalize` of a raw one, or the message of its error."""
-    try:
-        if normalized:
-            space = load_text_vectors(path, frequency_path, normalized=True)
-        else:
-            space = normalize(load_text_vectors(path, frequency_path))
-    except (LoadError, ValueError) as exc:
-        return f"{type(exc).__name__}: {exc}"
-    return list(space.vocab.words), space.matrix.tobytes(), space.normalized, space.vocab.frequency
+        want = f"LoadError: {freq}:2: count must be >= 1, got 0"
+        for normalized in (False, True):
+            for directory in ("off", cache, cache):
+                with cache_at(directory):
+                    assert outcome(path, freq, normalized) == want
+        assert entries(cache) == []
 
 
 # Rows as they come, or all zeros (signed too): a zero row is an error.
@@ -310,28 +334,35 @@ class TestUnitRecords:
             write_sidecar(freq, [(w, i + 1) for i, w in enumerate(words)])
             frequency = freq if sidecar else None
             with cache_at("off"):
-                want = unit_outcome(path, frequency, normalized=False)
-                off = unit_outcome(path, frequency)
+                try:
+                    space = normalize(load_text_vectors(path, frequency))
+                    want = (list(space.vocab.words), space.matrix.tobytes(), True,
+                            space.vocab.frequency)
+                except (LoadError, ValueError) as exc:
+                    want = f"{type(exc).__name__}: {exc}"
+                off = outcome(path, frequency, normalized=True)
             with cache_at(cache):
-                cold = unit_outcome(path, frequency)
-                filed = unit_record(cache, path).exists()
-                # A unit record and a counts record; never the raw entry.
-                assert len(entries(cache)) == filed + sidecar
-                with no_parse(scale=True) if filed else contextlib.nullcontext():
-                    warm = unit_outcome(path, frequency)
+                cold = outcome(path, frequency, normalized=True)
+                filed = record(cache, path, frequency, normalized=True).exists()
+                assert len(entries(cache)) == filed  # the one record of the load
+                with no_parse() if filed else contextlib.nullcontext():
+                    warm = outcome(path, frequency, normalized=True)
         assert off == cold == warm == want
         assert filed == (not isinstance(want, str))
 
     def test_a_zero_row_raises_the_same_error_and_files_nothing(self, tmp_path, capsys):
-        path, cache = tmp_path / "z.vec", tmp_path / "cache"
+        path, freq, cache = tmp_path / "z.vec", tmp_path / "z.vec.freq", tmp_path / "cache"
         path.write_text("3 2\na 1 2\nb 0 -0\nc 3 4\n", encoding="utf-8")
+        write_sidecar(freq, [("a", 1), ("b", 2), ("c", 3)])
         want = "ValueError: zero vector for 'b'"
-        with cache_at("off"):
-            assert unit_outcome(path, normalized=False) == want
-        for directory in ("off", cache, cache):
-            with cache_at(directory):
-                assert unit_outcome(path) == want
+        for frequency in (None, freq):
+            with cache_at("off"):
+                assert isinstance(outcome(path, frequency), tuple)  # loads raw
+            for directory in ("off", cache, cache):
+                with cache_at(directory):
+                    assert outcome(path, frequency, normalized=True) == want
         assert entries(cache) == []
+        freq.unlink()
         other, targets = tmp_path / "o.vec", tmp_path / "targets.txt"
         other.write_text("3 2\na 1 2\nb 1 0\nc 3 4\n", encoding="utf-8")
         targets.write_text("a\n", encoding="utf-8")
@@ -340,119 +371,95 @@ class TestUnitRecords:
         with cache_at(cache):
             assert main(command) == 3
         assert capsys.readouterr().err == f"embedstab: data error: {want[12:]}\n"
-        assert entries(cache) == [unit_record(cache, other)]
+        assert entries(cache) == [record(cache, other, normalized=True)]
         assert not (tmp_path / "overlap.tsv").exists()
 
-    @pytest.mark.parametrize("fault", ["truncated", "flipped", "empty", "shape"])
+    @pytest.mark.parametrize("fault", FAULTS)
     def test_a_bad_unit_record_is_computed_again_and_rewritten(self, tmp_path, fault):
-        path, cache = tmp_path / "v.vec", tmp_path / "cache"
-        save_text_vectors(random_normalized_space(40, 3, seed=11), path)
-        want = unit_outcome(path, normalized=False)
-        with cache_at(cache):
-            assert unit_outcome(path) == want
-        entry = unit_record(cache, path)
-        assert entries(cache) == [entry]
-        blob = entry.read_bytes()
-        if fault == "truncated":
-            entry.write_bytes(blob[: len(blob) // 2])
-        elif fault == "flipped":
-            entry.write_bytes(blob[:200] + bytes([blob[200] ^ 1]) + blob[201:])
-        elif fault == "empty":
-            entry.write_bytes(b"")
-        else:  # a whole record, checksum and all, with one word too few
-            words, matrix = want[0], np.frombuffer(want[1]).reshape(40, 3)
-            space_module._cache_store(str(entry), words[:-1], matrix)
-            assert entry.read_bytes() != blob
-        with cache_at(cache):
-            assert unit_outcome(path) == want
-            assert entry.read_bytes() == blob  # computed again and rewritten
-            with no_parse(scale=True):
-                assert unit_outcome(path) == want
+        for sidecar in (False, True):
+            check_a_bad_record_is_computed_again(tmp_path, fault, normalized=True, sidecar=sidecar)
 
-    def test_a_filed_entry_serves_a_unit_miss_without_a_parse(self, tmp_path):
+    def test_a_raw_and_a_normalized_load_file_one_record_each(self, tmp_path):
+        # Each kind of load parses the file once and then hits its own record.
         path, freq, cache = tmp_path / "v.vec", tmp_path / "v.vec.freq", tmp_path / "cache"
         save_text_vectors(random_normalized_space(30, 4, seed=12), path)
         save_frequencies({f"w{i:04d}": i + 1 for i in range(30)}, freq)
         with cache_at("off"):
-            want = unit_outcome(path, freq, normalized=False)
-        with cache_at(cache):
-            load_text_vectors(path, freq)  # files the entry and the counts
-            assert len(entries(cache)) == 2
-            with no_parse():
-                assert unit_outcome(path, freq) == want
-            assert unit_record(cache, path).exists()
-            assert len(entries(cache)) == 3
-            with no_parse(scale=True):
-                assert unit_outcome(path, freq) == want
+            want = {n: outcome(path, freq, n) for n in (False, True)}
+        parse = space_module._parse_text_vectors
+        with cache_at(cache), mock.patch.object(
+            space_module, "_parse_text_vectors", side_effect=parse
+        ) as parses:
+            for _ in range(3):
+                for normalized in (False, True):
+                    assert outcome(path, freq, normalized) == want[normalized]
+        assert parses.call_count == 2
+        assert entries(cache) == sorted(record(cache, path, freq, n) for n in (False, True))
 
     def test_unit_records_count_toward_the_bound_and_are_evicted(self, tmp_path, monkeypatch):
-        cache, paths = tmp_path / "cache", []
-        for seed in range(3):
-            path = tmp_path / f"v{seed}.vec"
-            save_text_vectors(random_normalized_space(50, 4, seed=seed), path)
-            paths.append(path)
-        with cache_at(cache):
-            for path in paths[:2]:
-                load_text_vectors(path, normalized=True)
-            records = [unit_record(cache, path) for path in paths[:2]]
-            size = records[0].stat().st_size
-            # Both records last used long ago, the first one first ...
-            os.utime(records[0], (1_000_000, 1_000_000))
-            os.utime(records[1], (2_000_000, 2_000_000))
-            # ... then a hit makes the first the most recently used.
-            with no_parse(scale=True):
-                load_text_vectors(paths[0], normalized=True)
-            monkeypatch.setattr(space_module, "_CACHE_MAX_BYTES", 2 * size + size // 2)
-            load_text_vectors(paths[2], normalized=True)
-        assert records[0].exists() and not records[1].exists()
-        assert entries(cache) == sorted([records[0], unit_record(cache, paths[2])])
+        check_least_recently_used_records_go_first(tmp_path, monkeypatch, normalized=True)
+
+
+class TestFaultOrder:
+    """A load that misses reports vector-file faults first, then sidecar
+    faults, then a zero row; both files are read before either is parsed."""
+
+    def test_vector_faults_then_sidecar_faults_then_a_zero_row(self, tmp_path):
+        zero, bad, repeat = tmp_path / "zero.vec", tmp_path / "bad.vec", tmp_path / "repeat.vec"
+        zero.write_text("2 2\na 1 2\nb 0 0\n", encoding="utf-8")
+        bad.write_text("2 2\na 1 2\nb 3 x\n", encoding="utf-8")
+        repeat.write_text("2 2\na 1 2\na 0 0\n", encoding="utf-8")
+        ok, lacking, malformed = (tmp_path / f"{name}.freq" for name in ("ok", "lacking", "malformed"))
+        write_sidecar(ok, [("a", 1), ("b", 2)])
+        write_sidecar(lacking, [("a", 1)])
+        malformed.write_text("a\t1\nb\t0\n", encoding="utf-8")
+        cases = [
+            (bad, malformed, f"LoadError: {bad}:3: non-numeric value"),
+            (bad, lacking, f"LoadError: {bad}:3: non-numeric value"),
+            (repeat, malformed, f"LoadError: {repeat}:3: duplicate word 'a'"),
+            (zero, malformed, f"LoadError: {malformed}:2: count must be >= 1, got 0"),
+            (zero, lacking, f"LoadError: {lacking}: no count for 'b'"),
+            (zero, ok, "ValueError: zero vector for 'b'"),
+        ]
+        for directory in ("off", tmp_path / "cache", tmp_path / "cache"):
+            with cache_at(directory):
+                for path, freq, want in cases:
+                    assert outcome(path, freq, normalized=True) == want, (path, freq)
+        assert entries(tmp_path / "cache") == []
+
+    def test_a_missing_sidecar_is_reported_before_a_malformed_vector_file(self, tmp_path):
+        # A library call may name a sidecar that does not exist (the CLI
+        # passes one only when it does): its OSError comes first.
+        bad, missing = tmp_path / "bad.vec", tmp_path / "missing.freq"
+        bad.write_text("1 2\na 1 x\n", encoding="utf-8")
+        for directory in ("off", tmp_path / "cache"):
+            with cache_at(directory):
+                for normalized in (False, True):
+                    with pytest.raises(FileNotFoundError):
+                        load_text_vectors(bad, missing, normalized=normalized)
+                    with pytest.raises(LoadError, match="non-numeric value"):
+                        load_text_vectors(bad, normalized=normalized)
+        assert entries(tmp_path / "cache") == []
 
 
 class TestFaultsFallBackToParsing:
-    @staticmethod
-    def setup_entry(tmp_path):
-        path = tmp_path / "v.vec"
-        save_text_vectors(random_normalized_space(40, 3, seed=1), path)
-        cache = tmp_path / "cache"
-        with cache_at(cache):
-            load_text_vectors(path)
-        (entry,) = entries(cache)
-        return path, cache, entry
-
-    @pytest.mark.parametrize("fault", ["truncated", "flipped", "empty", "shape"])
+    @pytest.mark.parametrize("fault", FAULTS)
     def test_a_bad_entry_is_parsed_again_and_rewritten(self, tmp_path, fault):
-        path, cache, entry = self.setup_entry(tmp_path)
-        blob = entry.read_bytes()
-        if fault == "truncated":
-            entry.write_bytes(blob[: len(blob) // 2])
-        elif fault == "flipped":
-            entry.write_bytes(blob[:200] + bytes([blob[200] ^ 1]) + blob[201:])
-        elif fault == "empty":
-            entry.write_bytes(b"")
-        else:  # a whole entry, checksum and all, with one word too few
-            words, matrix = oracle(path)
-            space_module._cache_store(
-                str(entry), words[:-1], np.frombuffer(matrix).reshape(len(words), 3)
-            )
-            assert entry.read_bytes() != blob
-        want = oracle(path)
-        with cache_at(cache):
-            assert loaded(load_text_vectors(path)) == want
-            assert entry.read_bytes() == blob  # the parse rewrote the entry
-            with no_parse():
-                assert loaded(load_text_vectors(path)) == want
+        check_a_bad_record_is_computed_again(tmp_path, fault, normalized=False, sidecar=False)
 
     def test_a_malformed_file_is_never_cached(self, tmp_path):
-        path = tmp_path / "bad.vec"
+        path, freq = tmp_path / "bad.vec", tmp_path / "bad.vec.freq"
         path.write_text("3 2\na 1 2\nb 1 x\nc 1 2\n", encoding="utf-8")
+        write_sidecar(freq, [("a", 1), ("b", 2), ("c", 3)])
         cache = tmp_path / "cache"
-        with cache_at(cache), pytest.raises(LoadError) as caught:
-            load_text_vectors(path)
-        assert str(caught.value) == f"{path}:3: non-numeric value"
+        for frequency in (None, freq):
+            for normalized in (False, True):
+                for directory in ("off", cache, cache):
+                    with cache_at(directory):
+                        assert outcome(path, frequency, normalized) == (
+                            f"LoadError: {path}:3: non-numeric value"
+                        )
         assert list(cache.iterdir()) == []
-        with cache_at("off"), pytest.raises(LoadError) as off:
-            load_text_vectors(path)
-        assert str(off.value) == str(caught.value)
 
     def test_a_directory_that_cannot_be_made_means_no_caching(self, tmp_path):
         path = tmp_path / "v.vec"
@@ -466,8 +473,11 @@ class TestFaultsFallBackToParsing:
 
     def test_an_unwritable_directory_still_loads(self, tmp_path, monkeypatch):
         # Permission bits do not stop every user (root), so the write fails here.
-        path = tmp_path / "v.vec"
+        path, freq = tmp_path / "v.vec", tmp_path / "v.vec.freq"
         save_text_vectors(random_normalized_space(5, 2, seed=3), path)
+        save_frequencies({f"w{i:04d}": i + 1 for i in range(5)}, freq)
+        with cache_at("off"):
+            want = {n: outcome(path, freq, n) for n in (False, True)}
         cache = tmp_path / "cache"
 
         def refuse(src, dst):
@@ -477,7 +487,9 @@ class TestFaultsFallBackToParsing:
         with cache_at(cache):
             for _ in range(2):
                 assert loaded(load_text_vectors(path)) == oracle(path)
-        assert list(cache.iterdir()) == []  # no entry and no temporary file left
+                for normalized in (False, True):
+                    assert outcome(path, freq, normalized) == want[normalized]
+        assert list(cache.iterdir()) == []  # no record and no temporary file left
 
     def test_off_creates_nothing(self, tmp_path, monkeypatch):
         path = tmp_path / "v.vec"
@@ -489,6 +501,7 @@ class TestFaultsFallBackToParsing:
         before = sorted(tmp_path.rglob("*"))
         with cache_at("off"):
             load_text_vectors(path)
+            load_text_vectors(path, normalized=True)
             load_text_vectors(path, tmp_path / "v.vec.freq")
             load_text_vectors(path, tmp_path / "v.vec.freq", normalized=True)
         assert sorted(tmp_path.rglob("*")) == before
@@ -507,58 +520,45 @@ class TestFaultsFallBackToParsing:
         assert len(entries(tmp_path / "home" / ".cache" / "embedstab")) == 1
 
 
+def check_least_recently_used_records_go_first(tmp_path, monkeypatch, normalized, sidecar=False):
+    """Three loads' records under a bound that holds two and a half: a hit
+    makes the older record the most recently used, so the other one goes.
+    Files that are not records are neither counted nor removed."""
+    cache, loads = tmp_path / "cache", []
+    for seed in range(3):
+        path, freq = tmp_path / f"v{seed}.vec", tmp_path / f"v{seed}.vec.freq"
+        save_text_vectors(random_normalized_space(50, 4, seed=seed), path)
+        save_frequencies({f"w{i:04d}": i + seed + 1 for i in range(50)}, freq)
+        loads.append((path, freq if sidecar else None))
+    with cache_at(cache):
+        for load in loads[:2]:
+            load_text_vectors(*load, normalized=normalized)
+        records = [record(cache, *load, normalized) for load in loads]
+        size = records[0].stat().st_size
+        # Both records last used long ago, the first one first ...
+        os.utime(records[0], (1_000_000, 1_000_000))
+        os.utime(records[1], (2_000_000, 2_000_000))
+        # ... then a hit makes the first the most recently used.
+        with no_parse():
+            load_text_vectors(*loads[0], normalized=normalized)
+        foreign = cache / "notes.txt"
+        foreign.write_bytes(b"x" * (10 * size))
+        monkeypatch.setattr(space_module, "_CACHE_MAX_BYTES", 2 * size + size // 2)
+        load_text_vectors(*loads[2], normalized=normalized)
+    assert entries(cache) == sorted([records[0], records[2]])
+    assert foreign.exists()
+
+
 class TestEviction:
     def test_least_recently_used_entries_go_first(self, tmp_path, monkeypatch):
-        cache = tmp_path / "cache"
-        paths = []
-        for seed in range(3):
-            path = tmp_path / f"v{seed}.vec"
-            save_text_vectors(random_normalized_space(50, 4, seed=seed), path)
-            paths.append(path)
-        with cache_at(cache):
-            load_text_vectors(paths[0])
-            load_text_vectors(paths[1])
-            by_path = {}
-            for path in paths[:2]:
-                digest = hashlib.sha256(path.read_bytes()).hexdigest().encode("ascii")
-                key = hashlib.sha256(space_module._CACHE_VERSION + digest).hexdigest()
-                by_path[path] = cache / f"{key}{SUFFIX}"
-            size = by_path[paths[0]].stat().st_size
-            # Both entries last used long ago, the first one first ...
-            os.utime(by_path[paths[0]], (1_000_000, 1_000_000))
-            os.utime(by_path[paths[1]], (2_000_000, 2_000_000))
-            # ... then a hit makes the first the most recently used.
-            with no_parse():
-                load_text_vectors(paths[0])
-            foreign = cache / "notes.txt"
-            foreign.write_bytes(b"x" * (10 * size))
-            monkeypatch.setattr(space_module, "_CACHE_MAX_BYTES", 2 * size + size // 2)
-            load_text_vectors(paths[2])
-        assert not by_path[paths[1]].exists()
-        assert by_path[paths[0]].exists()
-        assert len(entries(cache)) == 2
-        assert foreign.exists()  # only entries are counted or removed
+        check_least_recently_used_records_go_first(tmp_path, monkeypatch, normalized=False)
 
     def test_records_count_toward_the_bound_and_are_evicted(self, tmp_path, monkeypatch):
-        cache, loads = tmp_path / "cache", []
-        for seed in range(2):
-            path, freq = tmp_path / f"v{seed}.vec", tmp_path / f"v{seed}.vec.freq"
-            save_text_vectors(random_normalized_space(50, 4, seed=seed), path)
-            save_frequencies({f"w{i:04d}": i + seed + 1 for i in range(50)}, freq)
-            loads.append((path, freq))
-        with cache_at(cache):
-            load_text_vectors(*loads[0])
-            (vector,) = (e for e in entries(cache) if e != record(cache, *loads[0]))
-            counts = record(cache, *loads[0])
-            os.utime(counts, (1_000_000, 1_000_000))  # the least recently used
-            size, record_size = vector.stat().st_size, counts.stat().st_size
-            # Room for both vector entries and one record and a half: only
-            # counting records takes the cache past its bound.
-            monkeypatch.setattr(space_module, "_CACHE_MAX_BYTES", 2 * size + record_size * 3 // 2)
-            load_text_vectors(*loads[1])
-        assert not counts.exists()
-        assert vector.exists() and record(cache, *loads[1]).exists()
-        assert len(entries(cache)) == 3
+        # Records that hold counts: their counts count toward the bound too.
+        for normalized in (False, True):
+            root = tmp_path / f"normalized={normalized}"
+            root.mkdir()
+            check_least_recently_used_records_go_first(root, monkeypatch, normalized, sidecar=True)
 
     def test_an_entry_larger_than_the_bound_is_not_kept(self, tmp_path, monkeypatch):
         path = tmp_path / "v.vec"
@@ -590,8 +590,8 @@ class TestCommandOutputs:
             off = run_all(tmp_path / "in", inputs, out)
         with cache_at(cache):
             cold = run_all(tmp_path / "in", inputs, out)
-            assert len(entries(cache)) == 10  # each run file and its sidecar parsed once
-            with no_parse():
+            assert len(entries(cache)) == 5  # one record per run file and its sidecar
+            with no_parse(scale=False):  # `average` renormalizes its result
                 warm = run_all(tmp_path / "in", inputs, out)
         assert sorted(off) == [
             "average.vec", "average.vec.freq", "average.vec.manifest.json",
@@ -615,4 +615,4 @@ class TestCommandOutputs:
             errors.append(capsys.readouterr().err)
         want = f"embedstab: data error: {inputs[1]}:5: expected 6 values for 'w0003', got 2\n"
         assert errors == [want, want]
-        assert len(entries(cache)) == 10
+        assert len(entries(cache)) == 5
