@@ -17,7 +17,7 @@ import numpy as np
 
 from .gaussian import _pair_moments
 from .space import (
-    EmbeddingSpace, RunSet, Vocabulary, _positions, _row_dots, _unit_rows, joint_vocabulary,
+    EmbeddingSpace, RunSet, Vocabulary, _positions, _row_dots, _word_rows, joint_vocabulary,
     normalize, restrict,
 )
 
@@ -47,8 +47,7 @@ def _joint_rows(
     space_a: EmbeddingSpace, space_b: EmbeddingSpace
 ) -> tuple[Vocabulary, np.ndarray, np.ndarray]:
     joint = joint_vocabulary([space_a, space_b])
-    a = space_a.matrix[_positions(space_a.vocab, joint.words)]
-    return joint, a, space_b.matrix[_positions(space_b.vocab, joint.words)]
+    return joint, _word_rows(space_a, joint.words), _word_rows(space_b, joint.words)
 
 
 def _solve_rotation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -89,8 +88,7 @@ def _average_pair_raw(
     matrix = space_b.matrix.copy()
     matrix[_positions(space_b.vocab, joint.words)] = 0.5 * (a @ rotation + b)
     only_a = [w for w in space_a.vocab.words if w not in space_b.vocab]
-    rows = space_a.matrix[_positions(space_a.vocab, only_a)]
-    matrix = np.vstack((matrix, (rows[:, None, :] @ rotation)[:, 0, :]))
+    matrix = np.vstack((matrix, (_word_rows(space_a, only_a)[:, None, :] @ rotation)[:, 0, :]))
     frequency: dict[str, int] = {}
     for space, words in ((space_b, space_b.vocab.words), (space_a, only_a)):
         if space.vocab.frequency is not None:
@@ -198,8 +196,7 @@ def _pair_cosine_moments(
     first, second = zip(*word_pairs)
     samples = np.empty((len(runs), len(word_pairs)))
     for i, space in enumerate(runs.spaces):
-        unit = _unit_rows(space)
-        a, b = (unit[_positions(space.vocab, words)] for words in (first, second))
+        a, b = (_word_rows(space, words, unit=True) for words in (first, second))
         samples[i] = np.clip(_row_dots(a, b), -1.0, 1.0)
     mu, sigma = _pair_moments(samples, unbiased=False)
     return float(mu.mean()), float(sigma.mean())

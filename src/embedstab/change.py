@@ -19,7 +19,7 @@ import numpy as np
 
 from .align import AlignmentResult, procrustes
 from .corpus import Corpus
-from .space import EmbeddingSpace, _positions, _read_map, _row_dots, joint_vocabulary
+from .space import EmbeddingSpace, _read_map, _row_dots, _word_rows, joint_vocabulary
 from .stats import spearman
 
 __all__ = [
@@ -85,9 +85,8 @@ def _change_scores(
     """Cosine distances of `words` between the aligned epoch-1 rows and the
     epoch-2 rows: one stacked product with the rotation, row norms and a
     row-wise dot."""
-    rows1 = space_t1.matrix[_positions(space_t1.vocab, words)]
-    rows2 = space_t2.matrix[_positions(space_t2.vocab, words)]
-    rows1 = (rows1[:, None, :] @ alignment.rotation)[:, 0, :]
+    rows1 = (_word_rows(space_t1, words)[:, None, :] @ alignment.rotation)[:, 0, :]
+    rows2 = _word_rows(space_t2, words)
     norms1 = np.sqrt(_row_dots(rows1, rows1))
     norms2 = np.sqrt(_row_dots(rows2, rows2))
     zero = np.flatnonzero((norms1 == 0.0) | (norms2 == 0.0))

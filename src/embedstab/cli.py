@@ -3,11 +3,11 @@
 Subcommands: train, sample, instability, overlap, predict, pip, average,
 analogy, change, conformity, report.  Every emitted report embeds the tool
 version, the seeds in play, and SHA-256 hashes of its inputs, and is
-byte-reproducible from (inputs, config, seed).  Every digest a report or
-manifest prints is looked up in the record of the files its command read and
-wrote (see `space`); a `--config` file is read before that record opens, as
-flags, not data.  Exit codes: 0 success, 2 usage error, 3 data error,
-4 numerical failure.
+byte-reproducible from (inputs, config, seed) at a fixed BLAS thread count.
+Every digest a report or manifest prints is looked up in the record of the
+files its command read and wrote (see `space`); a `--config` file is read
+before that record opens, as flags, not data.  Exit codes: 0 success,
+2 usage error, 3 data error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -146,17 +146,6 @@ def _corpus_config(path: str, mode: str, lowercase: bool, dedup: bool) -> dict[s
     }
 
 
-def _load_space(
-    path: str | Path, require_frequencies: bool = False, normalized: bool = False
-) -> EmbeddingSpace:
-    freq_path: Path | None = Path(f"{path}.freq")
-    if not freq_path.exists():
-        if require_frequencies:
-            raise LoadError(f"{path}: frequency sidecar {freq_path} not found")
-        freq_path = None
-    return load_text_vectors(path, freq_path, normalized=normalized)
-
-
 def _read_spaces(
     paths: Sequence[str | Path],
     minimum: int = 1,
@@ -166,7 +155,15 @@ def _read_spaces(
     """Load each vector file (with its .freq sidecar, if any) with unit rows."""
     if len(paths) < minimum:
         raise ValueError(f"need at least {minimum} {what}")
-    return tuple(_load_space(p, require_frequencies, normalized=True) for p in paths)
+    spaces = []
+    for path in paths:
+        freq_path: Path | None = Path(f"{path}.freq")
+        if not freq_path.exists():
+            if require_frequencies:
+                raise LoadError(f"{path}: frequency sidecar {freq_path} not found")
+            freq_path = None
+        spaces.append(load_text_vectors(path, freq_path, normalized=True))
+    return tuple(spaces)
 
 
 def _load_runs(directory: str, count: int | str, mode: str) -> tuple[RunSet, list[Path]]:
@@ -449,7 +446,7 @@ def _cmd_average(args: argparse.Namespace) -> int:
 
 
 def _cmd_analogy(args: argparse.Namespace) -> int:
-    space = _load_space(args.input)
+    (space,) = _read_spaces([args.input])
     dataset = load_analogies(args.analogies)
     restrict_to = None
     if args.restrict > 0:
@@ -520,15 +517,15 @@ def _epoch_observations(
     args: argparse.Namespace,
     base_seed: int,
 ) -> list[tuple[str, int, float, float]]:
-    """Train per-epoch runs, tree-average them in groups, score adjacent pairs."""
+    """Train the runs of whole groups, tree-average each group, score adjacent pairs."""
     trainer = _trainer_from_args(args, prefix="train_")
     groups = args.runs // args.avg
     averaged: list[list[EmbeddingSpace]] = []
     for e, corpus in enumerate(epochs):
-        seeds = range(base_seed + e * args.runs, base_seed + (e + 1) * args.runs)
+        first = base_seed + e * args.runs  # the seeds of runs past the groups stay unused
         spaces = [
             _train_run(corpus, "shuffled", seed, trainer, f"epoch {labels[e]} run {r}")
-            for r, seed in enumerate(seeds)
+            for r, seed in enumerate(range(first, first + groups * args.avg))
         ]
         averaged.append(
             [
@@ -852,7 +849,8 @@ def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
             "--avg",
             type=_positive_int,
             default=8,
-            help="runs tree-averaged per epoch space (groups = runs // avg)",
+            help="runs tree-averaged per epoch space (groups = runs // avg; "
+            "the runs left over are not trained)",
         )
         p.add_argument("--control", type=_positive_int, default=None, help="control condition batch count")
         p.add_argument(
@@ -953,7 +951,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"embedstab: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (LoadError, OSError, ValueError, KeyError) as exc:
-        print(f"embedstab: data error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message: print the message.
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"embedstab: data error: {message}", file=sys.stderr)
         return EXIT_DATA
 
 

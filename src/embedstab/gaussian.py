@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .space import (
-    LoadError, RunSet, _positions, _read_lines, _unit_rows, _write_table, joint_vocabulary,
+    LoadError, RunSet, _positions, _read_lines, _word_rows, _write_table, joint_vocabulary,
 )
 
 __all__ = [
@@ -139,7 +139,7 @@ def _cosine_samples(runs: RunSet, target: str, queries: Sequence[str]) -> np.nda
     """(r, len(queries)) matrix of cosines, one row per run."""
     rows = []
     for space in runs.spaces:
-        unit = _unit_rows(space)
+        unit = _word_rows(space, unit=True)
         t = unit[space.vocab.position(target)]
         rows.append(np.clip(unit[_positions(space.vocab, queries)] @ t, -1.0, 1.0))
     return np.array(rows)

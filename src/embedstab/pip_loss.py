@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .align import _solve_rotation
-from .space import EmbeddingSpace, _positions, joint_vocabulary
+from .space import EmbeddingSpace, _word_rows, joint_vocabulary
 from .gaussian import StabilityProfile
 
 __all__ = [
@@ -78,17 +78,13 @@ def sample_proxy(
 def _rows(
     space: EmbeddingSpace, proxy: ProxySample, words: Sequence[str], name: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The proxy rows and the word rows of one normalized space; rows that
-    are the whole space in order are its matrix itself, not a copy."""
+    """The proxy rows and the word rows of one normalized space."""
     if not space.normalized:
         raise ValueError(
             f"{name} is not normalized; PIP entries are cosines only for "
             "unit rows, so normalize explicitly first"
         )
-    return tuple(
-        space.matrix if w == space.vocab.words else space.matrix[_positions(space.vocab, w)]
-        for w in (proxy.words, words)
-    )
+    return _word_rows(space, proxy.words), _word_rows(space, words)
 
 
 def _pip_kernel(

@@ -35,8 +35,10 @@ Its size is bounded by ``_CACHE_MAX_BYTES``, least recently used records
 going first. Cache faults are never errors: a record that cannot be read is
 computed again, and a directory that cannot be written means no caching.
 
-One kernel, ``_top_k``, ranks neighbors for `nearest_neighbors`,
-`analogy_score` and the overlap metrics.
+Every kernel reads the rows of a word list, raw or at unit length, through
+one reader, ``_word_rows``; only it reads a vocabulary's rows in place.  One
+kernel, ``_top_k``, ranks neighbors for `nearest_neighbors`, `analogy_score`
+and the overlap metrics.
 """
 
 from __future__ import annotations
@@ -255,7 +257,7 @@ def load_text_vectors(
     del sidecar
     vocab = Vocabulary(tuple(words), None if counts is None else dict(zip(words, counts)))
     if normalized and not hit:
-        matrix = _scaled_rows(EmbeddingSpace(vocab, matrix))
+        matrix = _scaled_rows(matrix, words)
     space = EmbeddingSpace(vocab, matrix, normalized=normalized)
     if not hit and entry is not None and max(counts or [1]) < 1 << 63:
         _cache_store(entry, words, matrix, counts)
@@ -669,26 +671,32 @@ def load_analogies(path: str | Path) -> AnalogyDataset:
 
 def normalize(space: EmbeddingSpace) -> EmbeddingSpace:
     """Scale every row to unit L2 norm. Zero rows are an error naming the word."""
-    return EmbeddingSpace(space.vocab, _scaled_rows(space), normalized=True)
+    matrix = _scaled_rows(space.matrix, space.vocab.words)
+    return EmbeddingSpace(space.vocab, matrix, normalized=True)
 
 
-def _scaled_rows(space: EmbeddingSpace, rows: np.ndarray | None = None) -> np.ndarray:
-    """The space's rows (or the given rows) divided by their L2 norms."""
-    matrix = space.matrix if rows is None else space.matrix[rows]
+def _scaled_rows(matrix: np.ndarray, words: Sequence[str]) -> np.ndarray:
+    """The rows, those of `words`, over their L2 norms; a zero row names its word."""
     norms = np.linalg.norm(matrix, axis=1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
-        word = space.vocab.words[zero[0] if rows is None else rows[zero[0]]]
-        raise ValueError(f"zero vector for {word!r}")
+        raise ValueError(f"zero vector for {words[zero[0]]!r}")
     return matrix / norms[:, None]
 
 
-def _unit_rows(space: EmbeddingSpace, rows: np.ndarray | None = None) -> np.ndarray:
-    """The space's rows (or the given rows) at unit length: read as they are
-    from a normalized space, scaled otherwise."""
-    if space.normalized:
-        return space.matrix if rows is None else space.matrix[rows]
-    return _scaled_rows(space, rows)
+def _word_rows(
+    space: EmbeddingSpace, words: Sequence[str] | None = None, unit: bool = False
+) -> np.ndarray:
+    """The rows of `words`, or of the whole vocabulary when None; with `unit`
+    at unit length: a normalized space's as they are, another's scaled after
+    the gather, so only the listed rows are.  Only the space's own
+    ``vocab.words`` tuple is read in place, as its matrix itself; any other
+    list is gathered, an unknown word being a KeyError."""
+    if words is None or isinstance(words, tuple) and words == space.vocab.words:
+        words, rows = space.vocab.words, space.matrix
+    else:
+        rows = space.matrix[_positions(space.vocab, words)]
+    return _scaled_rows(rows, words) if unit and not space.normalized else rows
 
 
 def _positions(vocab: Vocabulary, words: Sequence[str]) -> np.ndarray:
@@ -709,7 +717,7 @@ def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def cosine(space: EmbeddingSpace, w1: str, w2: str) -> float:
     """Cosine similarity of two words' rows, clipped to [-1, 1]."""
-    a, b = _unit_rows(space, _positions(space.vocab, [w1, w2]))
+    a, b = _word_rows(space, [w1, w2], unit=True)
     return float(np.clip(a @ b, -1.0, 1.0))
 
 
@@ -726,9 +734,7 @@ def _top_k(
     cut is ordered by (-similarity, word), so lists are exact under ties and
     independent of storage order.  Returns (q, n) positions and similarities.
     """
-    whole = isinstance(words, tuple) and words == space.vocab.words
-    # The space's own vocabulary is its matrix, read in place when normalized.
-    unit = _unit_rows(space) if whole else _unit_rows(space, _positions(space.vocab, words))
+    unit = _word_rows(space, words, unit=True)
     found = np.empty((len(queries), n), dtype=np.intp)
     sims_found = np.empty((len(queries), n))
     step = max(1, _TOP_K_BLOCK_ENTRIES // len(unit))
@@ -810,8 +816,8 @@ def joint_vocabulary(spaces: Sequence[EmbeddingSpace]) -> Vocabulary:
 
 def restrict(space: EmbeddingSpace, words: Sequence[str]) -> EmbeddingSpace:
     """Sub-space holding exactly `words`, in the given order."""
+    matrix = _word_rows(space, words)  # first, so an unknown word is named as such
     frequency = None
     if space.vocab.frequency is not None:
         frequency = {w: space.vocab.frequency[w] for w in words}
-    matrix = space.matrix[_positions(space.vocab, words)]
     return EmbeddingSpace(Vocabulary(tuple(words), frequency), matrix, space.normalized)

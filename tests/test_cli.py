@@ -985,6 +985,28 @@ class TestConformityCommand:
         assert by_condition["genuine"] == int(rows[0]["n_observations"])
         assert by_condition["control"] == int(rows[1]["n_observations"])
 
+    def test_trains_only_the_runs_it_averages(self, tmp_path, epochs_dir, monkeypatch):
+        # --runs 3 --avg 2 averages one group of 2 runs per epoch: the third
+        # run of each epoch is not trained, and the seeds of the runs that
+        # are keep their places (seed + epoch * runs + run).
+        cli = importlib.import_module("embedstab.cli")
+        seeds = []
+        train = cli.train
+
+        def counted(corpus, config):
+            seeds.append(config.seed)
+            return train(corpus, config)
+
+        monkeypatch.setattr(cli, "train", counted)
+        assert run_cli(
+            "conformity", "--epochs", epochs_dir, "--runs", 3, "--avg", 2,
+            "--min-count", 1, "--seed", 0,
+            "--train-dim", 4, "--train-window", 2, "--train-neg", 2,
+            "--train-epochs", 1, "--train-sample", 1.0, "--train-min-count", 1,
+            "--out", tmp_path / "conformity.tsv",
+        ) == 0
+        assert seeds == [0, 1, 3, 4]
+
     def test_avg_must_divide_into_runs(self, tmp_path, epochs_dir):
         assert run_cli(
             "conformity", "--epochs", epochs_dir, "--runs", 2, "--avg", 3,
@@ -1095,6 +1117,21 @@ class TestInputCounts:
             command, "--inputs", first, *extra, "--out", tmp_path / "x.tsv"
         ) == 3
         assert "need at least 2 input spaces" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["overlap", "pip", "predict"])
+    def test_an_unknown_word_is_a_data_error_naming_it(self, command, tmp_path, run_dir, capsys):
+        words = tmp_path / "words.txt"
+        words.write_text("nope\n")
+        extra = {
+            "overlap": ("--targets", words),
+            "pip": ("--words", words, "--wordwise-out", tmp_path / "w.tsv"),
+            "predict": ("--targets", words),
+        }[command]
+        assert run_cli(
+            command, "--inputs", *sorted(run_dir.glob("*.vec"))[:2], *extra,
+            "--out", tmp_path / "x.tsv",
+        ) == 3
+        assert capsys.readouterr().err == "embedstab: data error: word 'nope' not in vocabulary\n"
 
     def test_average_of_one_input_is_that_space(self, tmp_path, run_dir, run_spaces):
         first = sorted(run_dir.glob("*.vec"))[0]

@@ -1,8 +1,9 @@
 """Package hygiene: each public name declared once, in its module's
 `__all__`; no unused imports, no scipy loaded but by the commands that
-compute with it, and no file read or written outside `space.py`, whose line
+compute with it, no file read or written outside `space.py`, whose line
 reader sets the rules for all and whose reader and writer record the digest
-of every file a command reads or writes."""
+of every file a command reads or writes, and no space's rows gathered
+outside `space.py`, whose row reader serves every kernel."""
 
 import ast
 import importlib
@@ -128,6 +129,35 @@ def test_the_check_sees_every_file_io_call(tmp_path):
         "    os.makedirs(p, exist_ok=True)\n"
     )
     assert file_io(module) == [3, 4, 4, 6, 6, 6, 8, 8, 8, 9, 10, 12, 12, 14, 17, 18]
+
+
+def matrix_subscripts(path: Path) -> list[int]:
+    """Lines where a module subscripts an attribute named `matrix`
+    (``x.matrix[...]``): a gather of a space's rows."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "matrix"
+    )
+
+
+def test_only_space_subscripts_a_matrix():
+    # Every other module reads a word list's rows through `space._word_rows`.
+    assert [p.name for p in MODULES if matrix_subscripts(p)] == ["space.py"]
+
+
+def test_the_check_sees_a_matrix_subscript(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "def f(space, rows, matrix):\n"
+        "    a = space.matrix[rows]\n"
+        "    b = matrix[rows] + space.matrix.copy()\n"
+        "    return a, b, space.other.matrix[0, :], space.matrix\n"
+    )
+    assert matrix_subscripts(module) == [2, 4]
 
 
 def scipy_after(code: str, *argv: object) -> tuple[object, list[str]]:

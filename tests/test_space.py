@@ -421,13 +421,13 @@ class TestTopKKernel:
             Vocabulary(tuple(shuffled_words(rng, 200))), tie_rich_rows(rng, 200, 6, quantized)
         ))
         operands = []
-        unit_rows = space_module._unit_rows
+        word_rows = space_module._word_rows
 
-        def recorded(*args):
-            operands.append(unit_rows(*args))
+        def recorded(*args, **kwargs):
+            operands.append(word_rows(*args, **kwargs))
             return operands[-1]
 
-        monkeypatch.setattr(space_module, "_unit_rows", recorded)
+        monkeypatch.setattr(space_module, "_word_rows", recorded)
         queries = np.arange(len(space))[:, None]
         got = space_module._top_k(space, space.vocab.words, queries, 7)
         want = space_module._top_k(space, list(space.vocab.words), queries, 7)
@@ -435,6 +435,62 @@ class TestTopKKernel:
         assert operands[1] is not space.matrix and np.array_equal(operands[1], space.matrix)
         assert got[0].tolist() == want[0].tolist()
         assert got[1].tobytes() == want[1].tobytes()
+
+
+@st.composite
+def reader_cases(draw, zero_rows=False):
+    """A space that is not normalized, with one or two zero rows if
+    `zero_rows`, and a list of its words, repeats allowed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v, d = draw(st.integers(1, 30)), draw(st.integers(1, 6))
+    rows = tie_rich_rows(rng, v, d, quantized=draw(st.booleans()))
+    if zero_rows:
+        rows[draw(st.lists(st.integers(0, v - 1), min_size=1, max_size=2))] = 0.0
+    words = tuple(shuffled_words(rng, v))
+    listed = draw(st.lists(st.sampled_from(words), max_size=2 * v))
+    return EmbeddingSpace(Vocabulary(words), rows), listed
+
+
+class TestWordRows:
+    """The one row reader, `_word_rows`, over raw and normalized spaces."""
+
+    @given(reader_cases())
+    def test_unit_rows_are_the_normalized_space_s_rows_bit_for_bit(self, case):
+        # A raw space's rows are scaled after the gather, yet give the bits
+        # of the normalized space's rows; a normalized space's are read as
+        # they are.
+        raw, listed = case
+        unit = normalize(raw)
+        for words in (listed, raw.vocab.words):
+            want = unit.matrix[space_module._positions(raw.vocab, words)].tobytes()
+            for space in (raw, unit):
+                assert space_module._word_rows(space, words, unit=True).tobytes() == want
+
+    @given(reader_cases())
+    def test_only_the_vocabulary_tuple_is_the_matrix_itself(self, case):
+        raw, _ = case
+        unit = normalize(raw)
+        for space in (raw, unit):
+            words = space.vocab.words
+            assert restrict(space, words).matrix is space.matrix
+            assert space_module._word_rows(space) is space.matrix
+            assert space_module._word_rows(space, words) is space.matrix
+            copy = space_module._word_rows(space, list(words))
+            assert copy is not space.matrix and np.array_equal(copy, space.matrix)
+            with pytest.raises(KeyError, match="word '\\?' not in vocabulary"):
+                space_module._word_rows(space, [words[0], "?"])
+        assert space_module._word_rows(unit, unit=True) is unit.matrix
+
+    @given(reader_cases(zero_rows=True))
+    def test_only_a_listed_zero_row_is_an_error_naming_its_word(self, case):
+        space, listed = case
+        dead = [w for w in listed if not space.vector(w).any()]
+        if dead:
+            with pytest.raises(ValueError, match=f"^zero vector for '{dead[0]}'$"):
+                space_module._word_rows(space, listed, unit=True)
+        else:
+            unit = space_module._word_rows(space, listed, unit=True)
+            assert_allclose(np.linalg.norm(unit, axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 class TestJointAndRestrict:
@@ -449,6 +505,13 @@ class TestJointAndRestrict:
         b = EmbeddingSpace(Vocabulary(("y",)), np.eye(1, 2))
         with pytest.raises(ValueError):
             joint_vocabulary([a, b])
+
+    @pytest.mark.parametrize("counted", [False, True])
+    def test_restrict_names_an_unknown_word(self, counted):
+        counts = dict.fromkeys(words_for(4), 1) if counted else None
+        space = random_normalized_space(4, 3, seed=2, frequency=counts)
+        with pytest.raises(KeyError, match="word 'nope' not in vocabulary"):
+            restrict(space, [space.vocab.words[0], "nope"])
 
     def test_restrict_preserves_rows(self):
         space = random_normalized_space(6, 4, seed=5)
