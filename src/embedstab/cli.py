@@ -527,14 +527,12 @@ def _epoch_observations(
             _train_run(corpus, "shuffled", seed, trainer, f"epoch {labels[e]} run {r}")
             for r, seed in enumerate(range(first, first + groups * args.avg))
         ]
-        averaged.append(
-            [
-                normalize(
-                    aligned_average_tree(spaces[k * args.avg : (k + 1) * args.avg])
-                )
-                for k in range(groups)
-            ]
-        )
+        trees = [
+            aligned_average_tree(spaces[k * args.avg : (k + 1) * args.avg])
+            for k in range(groups)
+        ]
+        # The tree returns an average of runs at unit length, a lone run as trained.
+        averaged.append([tree if tree.normalized else normalize(tree) for tree in trees])
     observations: list[tuple[str, int, float, float]] = []
     for e in range(len(epochs) - 1):
         for k in range(groups):

@@ -13,14 +13,17 @@ at the block's incoming vectors, so they are stale within the block.  Each
 center's k noise words are shared by its window and weighted by its context
 count, so the expected gradient is that of k noise words per pair.  All
 random choices come from one PCG64 stream consumed in a fixed order: the
-initialization, then per block the subsampling, the window widths, the
-noise words and the clash redraws.
+initialization, then per chunk of whole blocks of at most `_CHUNK_TOKENS`
+tokens the subsampling of its tokens, the window widths of the kept ones,
+their noise words and the clash redraws.  The blocks of a chunk then step
+over slices of what was drawn.
 
-The step is written in NumPy plus one `scipy.sparse` product per block,
-imported on first use.  It uses no BLAS call: a dense matrix product may
-split its sums across BLAS threads and round them differently, while the
-sparse product adds the terms one by one on a single thread.  So the
-trained bits do not depend on the BLAS thread count.
+The input and output vectors are one stacked table.  The step is written in
+NumPy plus scipy's compiled COO product (`coo_matmat_dense`, the routine
+`coo_array @ dense` runs), imported on first use.  It uses no BLAS call: a
+dense matrix product may split its sums across BLAS threads and round them
+differently, while the COO product adds the terms one by one on a single
+thread.  So the trained bits do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ __all__ = [
 _LR_FLOOR_FACTOR = 1e-4
 _SIGMOID_CLAMP = 6.0
 _BLOCK_TOKENS = 64
+_CHUNK_TOKENS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -123,8 +127,25 @@ def _block_bounds(lengths: list[int]) -> list[int]:
     return bounds
 
 
+def _chunk_blocks(bounds: list[int]) -> list[np.ndarray]:
+    """The block bounds cut into chunks of whole blocks, each the block
+    offsets from its start to its end.
+
+    A chunk closes at the last block end that keeps it within
+    `_CHUNK_TOKENS` tokens, so a longer block is a chunk of its own.
+    """
+    chunks, first = [], 0
+    for i in range(1, len(bounds)):
+        if bounds[i] - bounds[first] > _CHUNK_TOKENS and i - 1 > first:
+            chunks.append(np.array(bounds[first:i]))
+            first = i - 1
+    if len(bounds) > 1:
+        chunks.append(np.array(bounds[first:]))
+    return chunks
+
+
 def _window_pairs(doc_of: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(center, context) position pairs of a block, sorted by center.
+    """(center, context) position pairs, sorted by center.
 
     `doc_of` gives each position's document and is non-decreasing; position
     i pairs with every other position of its document within widths[i].
@@ -162,59 +183,74 @@ def _shared_negatives(
     return negatives
 
 
-def _block_update(
-    input_vectors: np.ndarray,
-    output_vectors: np.ndarray,
+def _step_blocks(
+    table: np.ndarray,
+    step: np.ndarray,
     words: np.ndarray,
     centers: np.ndarray,
     contexts: np.ndarray,
     negatives: np.ndarray,
     lr: np.ndarray,
+    blocks: np.ndarray,
 ) -> None:
-    """One SGD ascent step on a block's objective, in place.
+    """One SGD ascent step per block of a chunk, in place, block after block.
 
-    Position i holds word words[i], rate lr[i] and noise words negatives[i].
-    The objective sums lr[c] log sigma(in[c] . out[o]) over the position
-    pairs (c, o) and lr[i] n_i log sigma(-in[i] . out[n]) over the noise
-    words n of each position i with n_i pairs.  Gradients are evaluated at
-    the incoming vectors; the contributions to a recurring row are summed.
+    `table` stacks the input vectors (rows 0..v-1) over the output vectors
+    (rows v..2v-1).  Position i holds word words[i], rate lr[i] and noise
+    words negatives[i]; block j holds positions blocks[j]:blocks[j + 1], and
+    no pair (centers, contexts), sorted by center, joins two blocks.  A
+    block's objective sums lr[c] log sigma(in[c] . out[o]) over its pairs
+    (c, o) and lr[i] n_i log sigma(-in[i] . out[n]) over the noise words n
+    of each position i with n_i pairs.  Gradients are evaluated at the
+    block's incoming vectors; the contributions to a recurring row are
+    summed.
 
-    The block's distinct input rows U and output rows W are stacked into
-    X = [in[U]; out[W]].  Each pair and noise draw is a term joining one row
-    of U with one row of W, with the loss-gradient coefficient rate *
-    (sigma(score) - label), label 1 for a pair and 0 for a noise draw.  The
-    coefficients summed per (U, W) row pair form C, and the whole step is
-    X -= M X with M = [[0, C], [C^T, 0]]: the top rows of M X are C out[W]
-    and the bottom rows C^T in[U].  M is kept as COO: its product adds the
-    terms one by one in their given order, with no sort or merge of the
-    terms that share a row pair.
+    Each pair and noise draw is a term joining an input row a with an
+    output row b, with the loss-gradient coefficient rate * (sigma(score) -
+    label), label 1 for a pair and 0 for a noise draw.  A block's terms are
+    its pairs, then the k noise draws of each position, weighted by its pair
+    count.  The step adds coef * table[b] to row a, then coef * table[a] to
+    row b, term by term in that order, with scipy's compiled COO product
+    into `step`, an all-zero buffer of the table's shape; the block's rows
+    of the table then move by the step, and their buffer rows are cleared.
+    Only the scores, the coefficients, the product and the row update run
+    per block; the terms, their rates and each block's distinct rows are
+    laid out once per chunk.
     """
-    from scipy.sparse import coo_array
+    from scipy.sparse._sparsetools import coo_matmat_dense
+    v, d = len(table) // 2, table.shape[1]
     m, k = negatives.shape
-    v, p = len(input_vectors), len(centers)
-    # Input word w is stacked row w and output word w is row v + w, so one
-    # np.unique numbers both sides, the input rows first.
-    rows, at = np.unique(
-        np.concatenate((words, v + words[contexts], v + negatives.ravel())),
-        return_inverse=True,
-    )
-    n_in = int(np.searchsorted(rows, v))
-    in_rows, out_rows = rows[:n_in], rows[n_in:] - v
-    stacked = np.concatenate((input_vectors[in_rows], output_vectors[out_rows]))
-    # Term t joins stacked rows a[t] and b[t]: the pairs, then the k noise
-    # draws of each position, which are weighted by its pair count.
-    a = np.concatenate((at[centers], np.repeat(at[:m], k)))
-    b = at[m:]
-    coef = _sigmoid(np.einsum("td,td->t", stacked[a], stacked[b]))
-    coef[:p] -= 1.0
-    coef *= np.concatenate((lr[centers], np.repeat(lr * np.bincount(centers, minlength=m), k)))
-    n = len(rows)
-    step = coo_array(
-        (np.concatenate((coef, coef)), (np.concatenate((a, b)), np.concatenate((b, a)))),
-        shape=(n, n),
-    ) @ stacked
-    input_vectors[in_rows] -= step[:n_in]
-    output_vectors[out_rows] -= step[n_in:]
+    n = len(centers) + negatives.size
+    block_of = np.repeat(np.arange(len(blocks) - 1), np.diff(blocks))
+    pairs = np.searchsorted(centers, blocks)  # each block's first pair
+    starts = pairs + k * blocks  # each block's first term
+    # Pair t of block j is term t + k * blocks[j]: the noise terms of the
+    # blocks before it come first.  Noise term t of block j follows all the
+    # pairs of blocks 0..j.
+    pair_at = np.arange(len(centers)) + k * blocks[block_of[centers]]
+    noise_at = np.arange(negatives.size) + np.repeat(pairs[1:][block_of], k)
+    a, b, rate = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp), np.empty(n)
+    a[pair_at], a[noise_at] = words[centers], np.repeat(words, k)
+    b[pair_at], b[noise_at] = v + words[contexts], v + negatives.ravel()
+    rate[pair_at] = lr[centers]
+    rate[noise_at] = np.repeat(lr * np.bincount(centers, minlength=m), k)
+    # Each block's distinct rows, from one sort over the chunk.
+    span = np.repeat(2 * v * block_of, 2 + k)
+    keys = np.sort(span + np.column_stack((words, v + words, v + negatives)).ravel())
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    touched = keys % (2 * v)
+    touched_at = np.searchsorted(keys, 2 * v * np.arange(len(blocks)))
+    for j in range(len(blocks) - 1):
+        lo, hi = starts[j], starts[j + 1]
+        ta, tb = a[lo:hi], b[lo:hi]
+        coef = _sigmoid(np.einsum("td,td->t", table[ta], table[tb]))
+        coef[: pairs[j + 1] - pairs[j]] -= 1.0
+        coef *= rate[lo:hi]
+        coo_matmat_dense(hi - lo, d, ta, tb, coef, table, step)
+        coo_matmat_dense(hi - lo, d, tb, ta, coef, table, step)
+        moved = touched[touched_at[j] : touched_at[j + 1]]
+        table[moved] -= step[moved]
+        step[moved] = 0.0
 
 
 def train(corpus: Corpus, config: SgnsConfig) -> EmbeddingSpace:
@@ -229,6 +265,7 @@ def train(corpus: Corpus, config: SgnsConfig) -> EmbeddingSpace:
     dropped tokens, never across documents.  Each block of whole documents
     takes one SGD step covering all its window pairs, evaluated at its
     incoming vectors, with each center's k noise words shared by its window.
+    A chunk's samples are drawn at once, before its first block steps.
     The returned space holds the input vectors, unnormalized, with corpus
     frequencies attached.  A run whose input vectors are not all finite at
     the end of an epoch has diverged and raises FloatingPointError there.
@@ -236,8 +273,9 @@ def train(corpus: Corpus, config: SgnsConfig) -> EmbeddingSpace:
     vocab = build_vocab(corpus, config.min_count)
     v, d = len(vocab.words), config.dim
     rng = np.random.default_rng(config.seed)
-    input_vectors = rng.uniform(-0.5 / d, 0.5 / d, size=(v, d))
-    output_vectors = np.zeros((v, d))
+    table = np.zeros((2 * v, d))
+    table[:v] = rng.uniform(-0.5 / d, 0.5 / d, size=(v, d))
+    step = np.zeros_like(table)
     noise_cdf = np.cumsum(noise_distribution(vocab))
     noise_cdf[-1] = 1.0
 
@@ -257,11 +295,12 @@ def train(corpus: Corpus, config: SgnsConfig) -> EmbeddingSpace:
     lengths = [len(doc) for doc in docs]
     tokens = np.array([t for doc in docs for t in doc], dtype=np.intp)
     doc_of = np.repeat(np.arange(len(docs)), lengths)
-    bounds = _block_bounds(lengths)
+    chunks = _chunk_blocks(_block_bounds(lengths))
     total_steps = config.epochs * len(tokens)
 
     for epoch in range(config.epochs):
-        for start, stop in zip(bounds[:-1], bounds[1:]):
+        for blocks in chunks:
+            start, stop = blocks[0], blocks[-1]
             draws = rng.random(stop - start)
             kept = start + np.flatnonzero(draws >= discard[tokens[start:stop]])
             if len(kept) == 0:
@@ -278,11 +317,12 @@ def train(corpus: Corpus, config: SgnsConfig) -> EmbeddingSpace:
             reads = epoch * len(tokens) + kept
             decay = np.maximum(1.0 - reads / total_steps, _LR_FLOOR_FACTOR)
             lr = config.initial_lr * decay
-            _block_update(
-                input_vectors, output_vectors, words, centers, contexts, negatives, lr
+            _step_blocks(
+                table, step, words, centers, contexts, negatives, lr,
+                np.searchsorted(kept, blocks),
             )
-        if not np.all(np.isfinite(input_vectors)):
+        if not np.all(np.isfinite(table[:v])):
             raise FloatingPointError(
                 f"training diverged: non-finite input vectors after epoch {epoch + 1}"
             )
-    return EmbeddingSpace(vocab, input_vectors, normalized=False)
+    return EmbeddingSpace(vocab, table[:v].copy(), normalized=False)

@@ -13,6 +13,7 @@ from embedstab import (
     Corpus,
     EmbeddingSpace,
     RunSet,
+    SgnsConfig,
     Vocabulary,
     normalize,
     save_frequencies,
@@ -20,7 +21,8 @@ from embedstab import (
 )
 from embedstab import gaussian
 from embedstab.align import _solve_rotation
-from embedstab.sgns import _sigmoid
+from embedstab import sgns
+from embedstab.sgns import _sigmoid, _step_blocks
 
 
 def words_for(count: int, prefix: str = "w") -> tuple[str, ...]:
@@ -178,6 +180,115 @@ def block_update_oracle(
         np.concatenate((words[contexts], negatives.ravel())),
         np.concatenate((g_pos[:, None] * inp_c, noise_grads)),
     )
+
+
+def stacked_step(
+    input_vectors: np.ndarray,
+    output_vectors: np.ndarray,
+    words: np.ndarray,
+    centers: np.ndarray,
+    contexts: np.ndarray,
+    negatives: np.ndarray,
+    lr: np.ndarray,
+    blocks: Sequence[int] | None = None,
+) -> None:
+    """The trainer's step, `sgns._step_blocks`, on the two tables in place.
+
+    They are stacked into one table as `train` keeps them, stepped with an
+    all-zero step buffer, and written back; the buffer must be all zero
+    again afterwards.  `blocks` defaults to one block of all positions.
+    """
+    v = len(input_vectors)
+    table = np.concatenate((input_vectors, output_vectors))
+    step = np.zeros_like(table)
+    blocks = np.array([0, len(words)] if blocks is None else blocks)
+    _step_blocks(table, step, words, centers, contexts, negatives, lr, blocks)
+    assert not step.any()
+    input_vectors[...], output_vectors[...] = table[:v], table[v:]
+
+
+def block_step_oracle(
+    input_vectors: np.ndarray,
+    output_vectors: np.ndarray,
+    words: np.ndarray,
+    centers: np.ndarray,
+    contexts: np.ndarray,
+    negatives: np.ndarray,
+    lr: np.ndarray,
+) -> None:
+    """One block's step as it ran before the vectors were stacked in one
+    table: its rows numbered by one `np.unique`, gathered into their own
+    matrix X = [in[U]; out[W]], and stepped by one `coo_array` product
+    X -= M X, the pairs, then the noise draws, then the mirrored half.  The
+    stacked step must match it bit for bit."""
+    from scipy.sparse import coo_array
+    m, k = negatives.shape
+    v, p = len(input_vectors), len(centers)
+    rows, at = np.unique(
+        np.concatenate((words, v + words[contexts], v + negatives.ravel())),
+        return_inverse=True,
+    )
+    n_in = int(np.searchsorted(rows, v))
+    in_rows, out_rows = rows[:n_in], rows[n_in:] - v
+    stacked = np.concatenate((input_vectors[in_rows], output_vectors[out_rows]))
+    a = np.concatenate((at[centers], np.repeat(at[:m], k)))
+    b = at[m:]
+    coef = _sigmoid(np.einsum("td,td->t", stacked[a], stacked[b]))
+    coef[:p] -= 1.0
+    coef *= np.concatenate((lr[centers], np.repeat(lr * np.bincount(centers, minlength=m), k)))
+    n = len(rows)
+    step = coo_array(
+        (np.concatenate((coef, coef)), (np.concatenate((a, b)), np.concatenate((b, a)))),
+        shape=(n, n),
+    ) @ stacked
+    input_vectors[in_rows] -= step[:n_in]
+    output_vectors[out_rows] -= step[n_in:]
+
+
+def train_per_block_oracle(corpus: Corpus, config: SgnsConfig) -> np.ndarray:
+    """The trained input vectors as `train` made them before chunks: every
+    block draws its own subsampling, widths, noise words and redraws, then
+    takes `block_step_oracle`'s step.  `train` with one block per chunk must
+    match it bit for bit."""
+    vocab = sgns.build_vocab(corpus, config.min_count)
+    v, d = len(vocab.words), config.dim
+    rng = np.random.default_rng(config.seed)
+    input_vectors = rng.uniform(-0.5 / d, 0.5 / d, size=(v, d))
+    output_vectors = np.zeros((v, d))
+    noise_cdf = np.cumsum(sgns.noise_distribution(vocab))
+    noise_cdf[-1] = 1.0
+    counts = np.array([vocab.frequency[w] for w in vocab.words], dtype=float)
+    discard = np.array(
+        [sgns.subsample_probability(c / counts.sum(), config.subsample_t) for c in counts]
+    )
+    docs = [[vocab.index[t] for t in doc if t in vocab.index] for doc in corpus.documents]
+    size = sgns._BLOCK_TOKENS
+    docs = [doc[i : i + size] for doc in docs for i in range(0, len(doc), size)]
+    lengths = [len(doc) for doc in docs]
+    tokens = np.array([t for doc in docs for t in doc], dtype=np.intp)
+    doc_of = np.repeat(np.arange(len(docs)), lengths)
+    bounds = sgns._block_bounds(lengths)
+    for epoch in range(config.epochs):
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            kept = start + np.flatnonzero(rng.random(stop - start) >= discard[tokens[start:stop]])
+            if len(kept) == 0:
+                continue
+            if config.dynamic_window:
+                widths = rng.integers(1, config.window + 1, size=len(kept))
+            else:
+                widths = np.full(len(kept), config.window)
+            words = tokens[kept]
+            centers, contexts = sgns._window_pairs(doc_of[kept], widths)
+            negatives = sgns._shared_negatives(
+                noise_cdf, words, centers, contexts, config.negatives, rng
+            )
+            reads = epoch * len(tokens) + kept
+            decay = np.maximum(1.0 - reads / (config.epochs * len(tokens)), sgns._LR_FLOOR_FACTOR)
+            block_step_oracle(
+                input_vectors, output_vectors, words, centers, contexts, negatives,
+                config.initial_lr * decay,
+            )
+    return input_vectors
 
 
 def finite_difference_gradients(

@@ -5,6 +5,7 @@ import importlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -1007,6 +1008,28 @@ class TestConformityCommand:
         ) == 0
         assert seeds == [0, 1, 3, 4]
 
+    @pytest.mark.parametrize("avg, normalized", [(1, 2), (2, 0)])
+    def test_normalizes_only_a_lone_run(self, tmp_path, epochs_dir, monkeypatch, avg, normalized):
+        # The averaging tree returns two or more runs' average at unit length
+        # and a lone run as trained; only the lone run needs normalizing.
+        cli = importlib.import_module("embedstab.cli")
+        calls = []
+        normalize_space = cli.normalize
+
+        def counted(space):
+            calls.append(space.normalized)
+            return normalize_space(space)
+
+        monkeypatch.setattr(cli, "normalize", counted)
+        assert run_cli(
+            "conformity", "--epochs", epochs_dir, "--runs", avg, "--avg", avg,
+            "--min-count", 1, "--seed", 0,
+            "--train-dim", 4, "--train-window", 2, "--train-neg", 2,
+            "--train-epochs", 1, "--train-sample", 1.0, "--train-min-count", 1,
+            "--out", tmp_path / "conformity.tsv",
+        ) == 0
+        assert calls == [False] * normalized
+
     def test_avg_must_divide_into_runs(self, tmp_path, epochs_dir):
         assert run_cli(
             "conformity", "--epochs", epochs_dir, "--runs", 2, "--avg", 3,
@@ -1391,9 +1414,12 @@ def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
         inputs.append(str(path))
     targets = tmp_path / "targets.txt"
     targets.write_text("".join(f"w{i:04d}\n" for i in range(0, v, 97)), encoding="utf-8")
+    # Both settings write to one output path, since the `average` manifest
+    # names its output's absolute path.
+    out = tmp_path / "out"
     hashes = []
     for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
+        shutil.rmtree(out, ignore_errors=True)
         commands = [
             ["pip", "--inputs", *inputs, "--words", str(targets),
              "--wordwise-out", str(out / "wordwise.tsv"), "--out", str(out / "pip.tsv")],

@@ -24,18 +24,23 @@ from embedstab import (
 from embedstab import sgns
 from embedstab.sgns import (
     _BLOCK_TOKENS,
+    _CHUNK_TOKENS,
     _LR_FLOOR_FACTOR,
     _block_bounds,
-    _block_update,
+    _chunk_blocks,
     _shared_negatives,
     _sigmoid,
+    _step_blocks,
     _window_pairs,
 )
 
 from helpers import (
     block_objective,
+    block_step_oracle,
     block_update_oracle,
     finite_difference_gradients,
+    stacked_step,
+    train_per_block_oracle,
     two_topic_corpus,
 )
 
@@ -174,7 +179,7 @@ class TestGradientStep:
         words, centers, contexts, negatives = self.block()
         lr = np.array([1.0, 0.5, 2.0, 1.5, 0.25])
         stepped_in, stepped_out = input_vectors.copy(), output_vectors.copy()
-        _block_update(stepped_in, stepped_out, words, centers, contexts, negatives, lr)
+        stacked_step(stepped_in, stepped_out, words, centers, contexts, negatives, lr)
 
         fd_in, fd_out = finite_difference_gradients(
             lambda a, b: block_objective(a, b, words, centers, contexts, negatives, lr),
@@ -188,7 +193,7 @@ class TestGradientStep:
         input_vectors, output_vectors = self.setup_buffers(seed=1)
         block = self.block()
         before = block_objective(input_vectors, output_vectors, *block)
-        _block_update(input_vectors, output_vectors, *block, np.full(5, 0.05))
+        stacked_step(input_vectors, output_vectors, *block, np.full(5, 0.05))
         after = block_objective(input_vectors, output_vectors, *block)
         assert after > before
 
@@ -202,7 +207,7 @@ class TestGradientStep:
         negatives = np.array([[3, 7, 3], [0, 0, 0], [0, 0, 0], [0, 0, 0]])
         lr = np.array([0.3, 0.0, 0.0, 0.0])
         stepped_in, stepped_out = input_vectors.copy(), output_vectors.copy()
-        _block_update(stepped_in, stepped_out, words, centers, contexts, negatives, lr)
+        stacked_step(stepped_in, stepped_out, words, centers, contexts, negatives, lr)
 
         rows = np.concatenate((words[1:], np.tile(negatives[0], 3)))
         labels = np.concatenate((np.ones(3), np.zeros(9)))
@@ -235,20 +240,31 @@ def step_blocks(draw):
     return v, d, draw(st.integers(0, 2**32 - 1)), words, doc_of, widths, negatives, lr
 
 
-class TestStepOracle:
-    """The sparse-product step against the gather/scatter oracle."""
-
-    @settings(max_examples=150)
-    @given(step_blocks())
+STEP_BLOCK_EXAMPLES = (
     # Word 2 at positions 0 and 2, word 3 at 1 and 3; position 0 draws its
     # context word 3 twice, position 2 its own word 2 twice.
-    @example((5, 3, 1, [2, 3, 2, 3, 1], [0, 0, 0, 1, 1], [1, 2, 1, 1, 1],
-              [[3, 3], [2, 4], [2, 2], [0, 3], [1, 0]], [0.5, 0.02, 1.0, 0.3, 0.7]))
+    (5, 3, 1, [2, 3, 2, 3, 1], [0, 0, 0, 1, 1], [1, 2, 1, 1, 1],
+     [[3, 3], [2, 4], [2, 2], [0, 3], [1, 0]], [0.5, 0.02, 1.0, 0.3, 0.7]),
     # One position, so no pairs: the noise draws carry weight 0.
-    @example((3, 4, 2, [1], [0], [2], [[1, 0, 1]], [0.4]))
+    (3, 4, 2, [1], [0], [2], [[1, 0, 1]], [0.4]),
     # Every rate at the floor.
-    @example((4, 5, 3, [0, 1, 0, 2], [0, 0, 0, 0], [2, 2, 2, 2],
-              [[0, 1], [1, 3], [3, 3], [2, 0]], [FLOOR_RATE] * 4))
+    (4, 5, 3, [0, 1, 0, 2], [0, 0, 0, 0], [2, 2, 2, 2],
+     [[0, 1], [1, 3], [3, 3], [2, 0]], [FLOOR_RATE] * 4),
+)
+
+
+def each_step_block(test):
+    """Runs `test` over `step_blocks()`, these examples always among them."""
+    for block in STEP_BLOCK_EXAMPLES:
+        test = example(block)(test)
+    return settings(max_examples=150)(given(step_blocks())(test))
+
+
+class TestStepOracle:
+    """The stacked step against the gather/scatter oracle and, bit for bit,
+    against the per-block step it replaced."""
+
+    @each_step_block
     def test_matches_the_gather_scatter_oracle(self, block):
         v, d, seed, words, doc_of, widths, negatives, lr = block
         rng = np.random.default_rng(seed)
@@ -258,7 +274,7 @@ class TestStepOracle:
         centers, contexts = _window_pairs(np.array(doc_of), np.array(widths))
         args = (words, centers, contexts, np.array(negatives), np.array(lr))
         stepped_in, stepped_out = input_vectors.copy(), output_vectors.copy()
-        _block_update(stepped_in, stepped_out, *args)
+        stacked_step(stepped_in, stepped_out, *args)
         want_in, want_out = input_vectors.copy(), output_vectors.copy()
         block_update_oracle(want_in, want_out, *args)
         # 1e-12 of the largest step, plus one rounding of the stored value.
@@ -269,25 +285,63 @@ class TestStepOracle:
             bound = 1e-12 * np.abs(want - before).max() + np.spacing(np.abs(before))
             assert np.all(np.abs(got - want) <= bound)
 
+    @each_step_block
+    def test_matches_the_unstacked_step_bit_for_bit(self, block):
+        # As one block, and as one block per document stepped in turn.
+        v, d, seed, words, doc_of, widths, negatives, lr = block
+        rng = np.random.default_rng(seed)
+        start = rng.normal(0.0, 0.6, (v, d)), rng.normal(0.0, 0.6, (v, d))
+        words, doc_of, negatives, lr = map(np.array, (words, doc_of, negatives, lr))
+        centers, contexts = _window_pairs(doc_of, np.array(widths))
+        documents = np.flatnonzero(np.diff(doc_of, prepend=-1, append=3)).tolist()
+        for blocks in ([0, len(words)], documents):
+            got = tuple(m.copy() for m in start)
+            stacked_step(*got, words, centers, contexts, negatives, lr, blocks)
+            want = tuple(m.copy() for m in start)
+            for lo, hi in zip(blocks[:-1], blocks[1:]):
+                inside = (lo <= centers) & (centers < hi)
+                block_step_oracle(
+                    *want, words[lo:hi], centers[inside] - lo, contexts[inside] - lo,
+                    negatives[lo:hi], lr[lo:hi],
+                )
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_compiled_product_is_the_coo_array_product(self, seed):
+        # `coo_array @ X` runs scipy's compiled `coo_matmat_dense`, which the
+        # step calls directly; pin it to the bytes of the public product, with
+        # repeated (row, column) entries that are summed in their given order.
+        from scipy.sparse import coo_array
+        from scipy.sparse._sparsetools import coo_matmat_dense
+        rng = np.random.default_rng(seed)
+        n, d, t = 12, 7, 300
+        rows, cols = rng.integers(0, n, t), rng.integers(0, n, t)
+        data, x = rng.normal(size=t), rng.normal(size=(n, d))
+        got = np.zeros((n, d))
+        coo_matmat_dense(t, d, rows, cols, data, x, got)
+        assert got.tobytes() == (coo_array((data, (rows, cols)), shape=(n, n)) @ x).tobytes()
+
 
 class TestSgnsStep:
     """The pieces of one block step, as `train` runs them."""
 
     def test_updates_in_place_and_touches_only_block_rows(self):
+        # Input rows 0..5, output rows 6..11; the step buffer is all zero
+        # again afterwards.
         rng = np.random.default_rng(2)
-        input_vectors = 0.1 * rng.normal(size=(6, 3))
-        output_vectors = 0.1 * rng.normal(size=(6, 3))
-        before_in, before_out = input_vectors.copy(), output_vectors.copy()
+        table = 0.1 * rng.normal(size=(12, 3))
+        step = np.zeros_like(table)
+        before = table.copy()
         centers, contexts = _window_pairs(np.zeros(3, dtype=np.intp), np.ones(3, dtype=np.intp))
-        result = _block_update(
-            input_vectors, output_vectors, np.array([0, 1, 2]), centers, contexts,
-            np.array([[3], [3], [4]]), np.full(3, 0.1),
+        result = _step_blocks(
+            table, step, np.array([0, 1, 2]), centers, contexts,
+            np.array([[3], [3], [4]]), np.full(3, 0.1), np.array([0, 3]),
         )
         assert result is None
-        moved_in = np.flatnonzero(np.any(input_vectors != before_in, axis=1))
-        moved_out = np.flatnonzero(np.any(output_vectors != before_out, axis=1))
-        assert moved_in.tolist() == [0, 1, 2]
-        assert moved_out.tolist() == [0, 1, 2, 3, 4]
+        moved = np.flatnonzero(np.any(table != before, axis=1))
+        assert moved.tolist() == [0, 1, 2, 6, 7, 8, 9, 10]
+        assert not step.any()
 
     def test_validation(self):
         with pytest.raises(ValueError, match="min_count=9"):
@@ -326,6 +380,82 @@ class TestSgnsStep:
         assert np.array_equal(negs, want)
 
 
+    def test_a_chunk_draws_in_the_documented_order(self, monkeypatch):
+        # One epoch of 520 tokens is one chunk.  Replaying the stream: the
+        # initialization, the subsampling draws, the widths of the kept
+        # positions, their noise words, then one redraw for each noise word
+        # equal to a context word of its window.
+        corpus, _, _ = two_topic_corpus(docs=40, doc_len=13, seed=12)
+        config = SgnsConfig(dim=6, window=3, negatives=4, epochs=1, initial_lr=0.05,
+                            subsample_t=1e-2, min_count=1, seed=21)
+        calls = []
+        kernel = sgns._step_blocks
+
+        def recording(table, step, *args):
+            calls.append(args)
+            kernel(table, step, *args)
+
+        monkeypatch.setattr(sgns, "_step_blocks", recording)
+        train(corpus, config)
+        assert len(calls) == 1
+        words, centers, contexts, negatives, lr, blocks = calls[0]
+
+        vocab = build_vocab(corpus, config.min_count)
+        tokens = np.array([vocab.index[t] for doc in corpus.documents for t in doc])
+        doc_of = np.repeat(np.arange(40), 13)
+        discard = np.array([
+            subsample_probability(vocab.frequency[w] / tokens.size, config.subsample_t)
+            for w in vocab.words
+        ])
+        cdf = np.cumsum(noise_distribution(vocab))
+        cdf[-1] = 1.0
+        rng = np.random.default_rng(config.seed)
+        rng.uniform(-0.5 / config.dim, 0.5 / config.dim, size=(len(vocab), config.dim))
+        kept = np.flatnonzero(rng.random(tokens.size) >= discard[tokens])
+        widths = rng.integers(1, config.window + 1, size=kept.size)
+        pairs = [
+            (i, j)
+            for i in range(kept.size)
+            for j in range(i - widths[i], i + widths[i] + 1)
+            if 0 <= j < kept.size and j != i and doc_of[kept[j]] == doc_of[kept[i]]
+        ]
+        want = np.searchsorted(cdf, rng.random((kept.size, config.negatives)), side="right")
+        window_words = [{tokens[kept[j]] for c, j in pairs if c == i} for i in range(kept.size)]
+        clash = np.array([[w in window_words[i] for w in row] for i, row in enumerate(want)])
+        assert 0 < clash.sum() < clash.size
+        want[clash] = np.searchsorted(cdf, rng.random(int(clash.sum())), side="right")
+
+        assert 0 < kept.size < tokens.size
+        assert np.array_equal(words, tokens[kept])
+        assert list(zip(centers.tolist(), contexts.tolist())) == pairs
+        assert np.array_equal(negatives, want)
+        decay = np.maximum(1.0 - kept / tokens.size, _LR_FLOOR_FACTOR)
+        assert np.array_equal(lr, config.initial_lr * decay)
+        assert np.array_equal(blocks, np.searchsorted(kept, _block_bounds([13] * 40)))
+
+    def test_a_corpus_longer_than_a_chunk_trains_in_chunks(self, monkeypatch):
+        # With a 200-token budget an epoch of 1,200 tokens takes several
+        # chunks; nothing sampled outgrows its chunk, and training stays
+        # deterministic.
+        monkeypatch.setattr(sgns, "_CHUNK_TOKENS", 200)
+        corpus, _, _ = two_topic_corpus(docs=60, doc_len=20, seed=13)
+        config = SgnsConfig(**{**SMALL.__dict__, "subsample_t": 1e-2})
+        sizes = []
+        kernel = sgns._step_blocks
+
+        def recording(table, step, words, centers, contexts, negatives, lr, blocks):
+            sizes.append((words.size, centers.size, len(negatives), lr.size, blocks[-1]))
+            kernel(table, step, words, centers, contexts, negatives, lr, blocks)
+
+        monkeypatch.setattr(sgns, "_step_blocks", recording)
+        first = train(corpus, config)
+        assert len(sizes) >= config.epochs * 1200 // 200
+        for m, pairs, rows, rates, end in sizes:
+            assert 0 < m == rows == rates == end <= 200
+            assert pairs <= 2 * config.window * m
+        assert np.array_equal(train(corpus, config).matrix, first.matrix)
+
+
 class TestBlocks:
     def test_blocks_hold_whole_documents(self):
         rng = np.random.default_rng(9)
@@ -342,6 +472,22 @@ class TestBlocks:
             inner = ends[(ends > lo) & (ends < hi)]
             assert np.all(inner - lo < _BLOCK_TOKENS)
         assert _block_bounds([0, 0]) == [0]
+
+    def test_chunks_hold_whole_blocks(self, monkeypatch):
+        lengths = np.random.default_rng(14).integers(0, 90, size=400)
+        bounds = _block_bounds(lengths.tolist())
+        for budget in (1, 100, 1000, _CHUNK_TOKENS):
+            monkeypatch.setattr(sgns, "_CHUNK_TOKENS", budget)
+            chunks = _chunk_blocks(bounds)
+            # Consecutive chunks share their cut and list every bound once.
+            assert [c[0] for c in chunks[1:]] == [c[-1] for c in chunks[:-1]]
+            assert np.concatenate([chunks[0]] + [c[1:] for c in chunks[1:]]).tolist() == bounds
+            for chunk, following in zip(chunks, chunks[1:]):
+                # A chunk closes at its last block end within the budget.
+                assert chunk[-1] - chunk[0] <= budget or len(chunk) == 2
+                assert following[1] - chunk[0] > budget
+        assert len(chunks) == 1
+        assert _chunk_blocks([0]) == []
 
     def test_window_pairs_are_the_in_document_windows(self):
         rng = np.random.default_rng(10)
@@ -364,22 +510,25 @@ class TestBlocks:
         corpus = Corpus(tuple((f"a{i}", f"b{i}", f"c{i}") for i in range(60)))
         config = SgnsConfig(dim=4, window=5, negatives=2, epochs=2, initial_lr=0.05,
                             subsample_t=1.0, min_count=1, seed=3)
-        calls = []
-        kernel = sgns._block_update
+        blocks = []
+        kernel = sgns._step_blocks
 
-        def recording(input_vectors, output_vectors, words, centers, contexts, *rest):
-            calls.append((words.copy(), centers.copy(), contexts.copy()))
-            kernel(input_vectors, output_vectors, words, centers, contexts, *rest)
+        def recording(table, step, words, centers, contexts, negatives, lr, bounds):
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                inside = (lo <= centers) & (centers < hi)
+                blocks.append((words[lo:hi], centers[inside] - lo, contexts[inside] - lo))
+            kernel(table, step, words, centers, contexts, negatives, lr, bounds)
 
-        monkeypatch.setattr(sgns, "_block_update", recording)
+        monkeypatch.setattr(sgns, "_step_blocks", recording)
         space = train(corpus, config)
         doc = np.array([int(w[1:]) for w in space.vocab.words])
-        assert len(calls) == 2 * math.ceil(180 / (3 * math.ceil(_BLOCK_TOKENS / 3)))
-        for words, centers, contexts in calls:
+        assert len(blocks) == 2 * math.ceil(180 / (3 * math.ceil(_BLOCK_TOKENS / 3)))
+        for words, centers, contexts in blocks:
+            assert np.all((0 <= contexts) & (contexts < len(words)))
             assert np.all(doc[words[centers]] == doc[words[contexts]])
             # Every block holds all three words of each document it touches.
             assert set(np.unique(doc[words], return_counts=True)[1].tolist()) == {3}
-        assert sum(len(words) for words, _, _ in calls) == 2 * 180
+        assert sum(len(words) for words, _, _ in blocks) == 2 * 180
 
     def test_long_documents_train_as_their_cut_pieces(self):
         # A document longer than a block is cut into documents of
@@ -407,6 +556,22 @@ class TestTrain:
             space_2 = train(corpus, config)
             assert space_1.vocab.words == space_2.vocab.words
             assert np.array_equal(space_1.matrix, space_2.matrix)
+
+    def test_one_block_chunks_train_as_the_per_block_trainer(self, monkeypatch):
+        # With one block per chunk the stream is consumed block by block, as
+        # it was before chunks, and the stacked step trains the same bits as
+        # the per-block step; the last document is cut into several.
+        monkeypatch.setattr(sgns, "_CHUNK_TOKENS", 1)
+        corpus, _, _ = two_topic_corpus(docs=30, doc_len=13, seed=4)
+        joined = tuple(t for doc in corpus.documents[:12] for t in doc)
+        corpus = Corpus(corpus.documents + (joined,))
+        for changes in (
+            {"subsample_t": 1e-2},
+            {"dynamic_window": False, "epochs": 3, "dim": 5},
+        ):
+            config = SgnsConfig(**{**SMALL.__dict__, **changes})
+            want = train_per_block_oracle(corpus, config)
+            assert train(corpus, config).matrix.tobytes() == want.tobytes()
 
     def test_seed_changes_the_result(self):
         corpus = tiny_corpus()
