@@ -85,10 +85,11 @@ def _average_pair_raw(
     # outside the joint vocabulary, their original rows; words only in the
     # first space are appended with their rows rotated into the frame, each
     # as a one-row product (a plain `rows @ rotation` rounds differently).
-    matrix = space_b.matrix.copy()
-    matrix[_positions(space_b.vocab, joint.words)] = 0.5 * (a @ rotation + b)
     only_a = [w for w in space_a.vocab.words if w not in space_b.vocab]
-    matrix = np.vstack((matrix, (_word_rows(space_a, only_a)[:, None, :] @ rotation)[:, 0, :]))
+    matrix = np.empty((len(space_b) + len(only_a), space_b.dim), dtype=np.float64)
+    matrix[: len(space_b)] = space_b.matrix
+    matrix[_positions(space_b.vocab, joint.words)] = 0.5 * (a @ rotation + b)
+    matrix[len(space_b) :] = (_word_rows(space_a, only_a)[:, None, :] @ rotation)[:, 0, :]
     frequency: dict[str, int] = {}
     for space, words in ((space_b, space_b.vocab.words), (space_a, only_a)):
         if space.vocab.frequency is not None:

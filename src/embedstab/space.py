@@ -88,6 +88,9 @@ _CACHE_SUFFIX = ".vecc"
 # A record ends in the word list's byte length (8 bytes) and the CRC-32 of
 # everything before them (4 bytes), both little-endian.
 _CACHE_TRAILER = 12
+# Values formatted per `_format_lines` call when saving text vectors; its
+# temporaries, about 340 bytes a value (2.8 MB), set the writer's peak memory.
+_SAVE_CHUNK_VALUES = 1 << 13
 # Similarities held at once by the top-k kernel (8 MB); sets its peak memory.
 _TOP_K_BLOCK_ENTRIES = 1 << 20
 # The sha256 of each file read or written inside `_recording_inputs`, by
@@ -473,11 +476,168 @@ def _parse_block(
 
 def save_text_vectors(space: EmbeddingSpace, path: str | Path) -> None:
     """Write the exact format `load_text_vectors` accepts (10 significant
-    digits, or 17 if 10 would round the largest floats up to infinity)."""
+    digits, or 17 if 10 would round the largest floats up to infinity).
+
+    Every value is written as ``spec % value`` would write it, byte for byte;
+    the rows are formatted by `_format_lines` in chunks of about
+    ``_SAVE_CHUNK_VALUES`` values and streamed to the file."""
     spec = "%.10g" if np.all(np.abs(space.matrix) < 1.797693134e308) else "%.17g"
-    line = " ".join(["%s"] + [spec] * space.dim) + "\n"
-    rows = (line % (word, *row.tolist()) for word, row in zip(space.vocab.words, space.matrix))
-    _write_text(path, itertools.chain([f"{len(space)} {space.dim}\n"], rows))
+    words, matrix = space.vocab.words, space.matrix
+    step = max(1, _SAVE_CHUNK_VALUES // space.dim)
+    lines = (
+        _format_lines(words[i : i + step], matrix[i : i + step], spec)
+        for i in range(0, len(words), step)
+    )
+    _write_text(path, itertools.chain([f"{len(space)} {space.dim}\n"], lines))
+
+
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The ASCII text of 0 … 9999 as four zero-padded digits, thousands in
+    the lowest byte of a little-endian uint64 (so that its bytes read in
+    order), and the count of trailing zeros of each (4 for 0000)."""
+    ascii_digits = np.frombuffer(b"0123456789", dtype=np.uint8)
+    text = np.zeros((10, 10, 10, 10, 8), dtype=np.uint8)
+    for place in range(4):  # thousands first
+        text[..., place] = ascii_digits.reshape((10,) + (1,) * (3 - place))
+    zero = ascii_digits == ord("0")
+    zeros = (
+        (zero[:, None, None, None] & zero[:, None, None] & zero[:, None] & zero).astype(np.int8)
+        + (zero[:, None, None] & zero[:, None] & zero)
+        + (zero[:, None] & zero)
+        + zero
+    )
+    return text.reshape(10000, 8).view("<u8").reshape(10000), zeros.reshape(10000)
+
+
+def _layout_table() -> np.ndarray:
+    """The masks that lay out a value's 16-byte text in `%g` form, as
+    (mask, half, form): for each form 10 * (F + 4) + (K - 1), with the
+    point after byte 6 + F of the text (-4 <= F <= 9) and K significant
+    digits, the bytes taken from the text shifted down one byte (up to the
+    point), the bytes taken from the text itself (after it), and the point,
+    each cut to the bytes `%g` writes and split into little-endian uint64
+    halves (`_format_lines` has the byte layout)."""
+    fixed = np.repeat(np.arange(-4, 10), 10)[:, None]
+    kept = np.tile(np.arange(1, 11), 14)[:, None]
+    point = 6 + fixed
+    end = np.where(kept - 1 > fixed, 6 + kept, point)
+    byte = np.arange(16)
+    keep = (byte >= 5 + np.minimum(fixed, 0)) & (byte < end)
+    masks = np.stack([byte < point, byte > point, byte == point]) & keep
+    masks = masks * np.array([0xFF, 0xFF, ord(".")], dtype=np.uint8)[:, None, None]
+    return np.ascontiguousarray(masks.view("<u8").transpose(0, 2, 1))
+
+
+_DIGITS4, _TRAILING_ZEROS4 = _digit_tables()
+_LAYOUT = _layout_table()
+# 10**0 … 10**22, every one exact in float64.
+_EXACT_POW10 = np.array([float(10**p) for p in range(23)], dtype=np.float64)
+
+
+def _format_each(values: np.ndarray, spec: str) -> np.ndarray:
+    """``spec % value`` of each value, as a NUL-padded bytes array: the
+    per-value fallback of `_format_lines`, and its only Python `%`."""
+    return np.array([(spec % x).encode("ascii") for x in values.tolist()], dtype=bytes)
+
+
+def _format_lines(words: Sequence[str], rows: np.ndarray, spec: str) -> bytes:
+    """The UTF-8 lines ``"<word> <x1> ... <xd>\\n"`` of `words` and their
+    `rows`, every value written as ``spec % value`` would write it.
+
+    For "%.10g" a value is placed exactly when its decimal exponent E
+    (guessed as floor(log10|x|)) has |9 - E| <= 22: |x| scaled by the exact
+    power 10**(9 - E) is then off by at most 2**-20 (one rounding of a
+    number below 2**34), so rounding it to the nearest integer gives the
+    10 digits `%` gives whenever it lies in [1e9, 1e10) and its fraction is
+    not within 1e-4 of one half.  Every other value (zero, |x| outside about
+    [1e-13, 1e32), a near tie, a guess that misses the digit range, and
+    every value for "%.17g") goes to `_format_each`.  The digits come from
+    4-digit ASCII tables and are laid out in `%g`'s fixed (-4 <= E < 10) or
+    scientific form by uint64 masks, in a NUL-padded row of words per value
+    that also holds its separator; dropping the NULs joins the values.
+    """
+    n_rows, d = rows.shape
+    x = rows.reshape(-1)
+    size = x.size
+    magnitude = np.abs(x)
+    with np.errstate(divide="ignore"):
+        exponent = np.floor(np.log10(magnitude))
+    # Clipped shifts (zero, tiny or huge values) leave the scaled value
+    # outside [1e9, 1e10), so the range check sends them to the fallback.
+    shift = np.clip(9.0 - exponent, -22.0, 22.0).astype(np.int8)
+    scaled = magnitude * np.take(_EXACT_POW10, np.maximum(shift, np.int8(0)).astype(np.intp))
+    large = np.flatnonzero(shift < 0)
+    if large.size:
+        scaled[large] = magnitude[large] / _EXACT_POW10[-shift[large]]
+    mantissa = np.rint(scaled)
+    fast = (scaled >= 1e9) & (mantissa < 1e10) & (np.abs(scaled - mantissa) < 0.4999)
+    if spec != "%.10g":
+        fast[:] = False
+    slow = np.flatnonzero(~fast)
+    texts = _format_each(x[slow], spec)
+    mantissa[slow] = 1e9
+    shift[slow] = 9
+
+    # The ten digits, as groups of 2, 4 and 4, fill bytes 6 … 15 of a
+    # 16-byte text (two uint64 words) whose bytes 2 … 5 are "0", the zeros
+    # of 0.000ddd.
+    high = np.floor(mantissa / 1e8)
+    rest = mantissa - high * 1e8
+    middle = np.floor(rest / 1e4)
+    high, middle, low = (a.astype(np.intp) for a in (high, middle, rest - middle * 1e4))
+    text_low = (np.take(_DIGITS4, high) << np.uint64(32)) | np.uint64(0x303030300000)
+    text_high = np.take(_DIGITS4, middle) | (np.take(_DIGITS4, low) << np.uint64(32))
+    zeros = np.take(_TRAILING_ZEROS4, low)
+    zeros += (low == 0) * (
+        np.take(_TRAILING_ZEROS4, middle) + (middle == 0) * np.take(_TRAILING_ZEROS4, high)
+    )
+
+    # The point follows the text's byte 6 + F (F = E in the fixed form, 0
+    # in the scientific).  Laid out, the bytes up to it move down one byte,
+    # which frees byte 0 for the sign, so the value's text is bytes
+    # 5 + min(F, 0) (the integer part, "0" below 1) up to its last
+    # significant digit, or up to the point if no digit follows it.
+    power = np.int8(9) - shift
+    scientific = (power < -4) | (power >= 10)
+    fixed = np.where(scientific, np.int8(0), power).astype(np.intp)
+    form = 10 * fixed + (49 - zeros)
+    (down_lo, down_hi), (same_lo, same_hi), (dot_lo, dot_hi) = (
+        [np.take(half, form) for half in mask] for mask in _LAYOUT
+    )
+    body_low = ((text_low >> np.uint64(8)) | (text_high << np.uint64(56))) & down_lo
+    body_low |= text_low & same_lo
+    body_low |= dot_lo
+    body_low |= (x < 0) * np.uint64(ord("-"))
+    body_high = (text_high >> np.uint64(8)) & down_hi
+    body_high |= text_high & same_hi
+    body_high |= dot_hi
+
+    # One NUL-padded row of uint64 words per value: the text, the exponent
+    # "e±XX" in the next four bytes, room for a fallback text, and the
+    # separator last.  No text holds a NUL, so dropping the NULs leaves the
+    # values one after another.
+    words_per_value = max(3, (texts.itemsize + 8) // 8)
+    out = np.zeros((size, words_per_value), dtype="<u8")
+    out[:, 0] = body_low
+    out[:, 1] = body_high
+    if scientific.any():
+        where = np.flatnonzero(scientific)
+        written = power[where]  # |E| < 100 on this path: two digits
+        sign = np.where(written < 0, np.uint64(0x2D65), np.uint64(0x2B65))  # "e-", "e+"
+        out[where, 2] = (np.take(_DIGITS4, np.abs(written)) & np.uint64(0xFFFF0000)) | sign
+    row_bytes = 8 * words_per_value
+    out_bytes = out.view(np.uint8)
+    if slow.size:
+        padded = np.zeros((slow.size, row_bytes - 1), dtype=np.uint8)
+        padded[:, : texts.itemsize] = texts.view(np.uint8).reshape(slow.size, -1)
+        out_bytes[slow, :-1] = padded
+    separators = out_bytes.reshape(n_rows, d, row_bytes)[:, :, -1]
+    separators[:] = ord(" ")
+    separators[:, -1] = ord("\n")
+
+    flat = out_bytes.reshape(-1)
+    lines = np.compress(flat != 0, flat).tobytes().split(b"\n")
+    return b"\n".join(map(b" ".join, zip(map(str.encode, words), lines))) + b"\n"
 
 
 def _decode_error(path: Path, data: bytes) -> LoadError:
@@ -519,15 +679,15 @@ def _recorded_digest(path: str | Path) -> str | None:
     return None if _input_digests is None else _input_digests.get(os.path.abspath(path))
 
 
-def _write_text(path: str | Path, chunks: Iterable[str]) -> None:
-    """Write the chunks to `path` as UTF-8, making its parent directories,
-    and record the sha256 of the bytes written inside `_recording_inputs`.
-    Every output file is written here."""
+def _write_text(path: str | Path, chunks: Iterable[str | bytes]) -> None:
+    """Write the chunks to `path`, text as UTF-8 and bytes as they are,
+    making its parent directories, and record the sha256 of the bytes
+    written inside `_recording_inputs`.  Every output file is written here."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     digest = hashlib.sha256()
     with open(path, "wb") as handle:
         for chunk in chunks:
-            data = chunk.encode("utf-8")
+            data = chunk if isinstance(chunk, bytes) else chunk.encode("utf-8")
             digest.update(data)
             handle.write(data)
     if _input_digests is not None:

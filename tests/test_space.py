@@ -1,5 +1,6 @@
 """Vocabulary, embedding containers, vector I/O, neighbors, and analogies."""
 
+import hashlib
 import tempfile
 from pathlib import Path
 
@@ -197,6 +198,114 @@ class TestTextVectorIO:
             with pytest.raises(LoadError) as caught:
                 load_frequencies(path)
             assert str(caught.value) == f"{path}:2: count must be >= 1, got {count}"
+
+
+def per_value_text(words, matrix: np.ndarray) -> bytes:
+    """The oracle of `save_text_vectors`: every value formatted on its own."""
+    spec = ".10g" if np.all(np.abs(matrix) < 1.797693134e308) else ".17g"
+    rows = (
+        f"{word} " + " ".join(format(x, spec) for x in row) + "\n"
+        for word, row in zip(words, matrix.tolist())
+    )
+    return (f"{len(words)} {matrix.shape[1]}\n" + "".join(rows)).encode("utf-8")
+
+
+def saved_text(matrix: np.ndarray, words=None) -> bytes:
+    words = words_for(len(matrix)) if words is None else tuple(words)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.vec"
+        save_text_vectors(EmbeddingSpace(Vocabulary(words), matrix), path)
+        return path.read_bytes()
+
+
+def _with_neighbours(values) -> list[float]:
+    return [y for x in values for y in (np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf))]
+
+
+class TestTextVectorWriter:
+    """The vectorized writer against per-value `format(x, spec)`."""
+
+    # Powers of ten, the doubles nearest decimal ties (and exact binary
+    # ties, which `%` rounds half to even), values that round up across a
+    # power, zeros, subnormals, and the edge of the 10-digit form.
+    BOUNDARY = (
+        _with_neighbours([10.0**p for p in range(-5, 11)])
+        + _with_neighbours([0.12345678905, 1.2345678905, 0.00012345678905, 12345.678905])
+        + [1000000000.5, 1000000001.5, 1234567890.5, 2.5, 0.125]
+        + _with_neighbours([9.9999999995e-05, 0.99999999995, 9999999999.5, 9.9999999995e-14])
+        + [0.0, -0.0, 5e-324, 2.5e-310, 1e-13, 1e32, np.nextafter(1.797693134e308, 0.0)]
+    )
+
+    @settings(max_examples=200)
+    @given(hnp.arrays(np.uint64, st.tuples(st.integers(1, 5), st.integers(1, 6))))
+    def test_raw_bit_patterns_match_the_oracle(self, bits):
+        matrix = bits.view(np.float64)
+        matrix[~np.isfinite(matrix)] = 1.0
+        assert saved_text(matrix) == per_value_text(words_for(len(matrix)), matrix)
+
+    @pytest.mark.parametrize(
+        "extra", [[], [1.797693134e308], [-1.7976931348623157e308]], ids=["10g", "17g", "17g-max"]
+    )
+    def test_the_boundary_table_matches_the_oracle(self, extra):
+        values = np.array(self.BOUNDARY + extra)
+        matrix = np.concatenate([values, -values])[:, None]
+        assert saved_text(matrix) == per_value_text(words_for(len(matrix)), matrix)
+        # The same values as one wide row, so a chunk mixes them.
+        assert saved_text(matrix.T) == per_value_text(words_for(1), matrix.T)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (4, 1), (1, 1)])
+    def test_empty_and_single_column_spaces(self, shape):
+        matrix = np.random.default_rng(2).normal(size=shape)
+        assert saved_text(matrix) == per_value_text(words_for(shape[0]), matrix)
+
+    def test_non_ascii_words_are_written_as_utf8(self):
+        words = ["über", "日本語", "١٢", "naïve", "#"]
+        matrix = np.random.default_rng(3).normal(0.0, 0.1, size=(5, 3))
+        assert saved_text(matrix, words) == per_value_text(words, matrix)
+
+    @pytest.mark.parametrize("d", [7, space_module._SAVE_CHUNK_VALUES + 3])
+    def test_rows_straddling_chunk_boundaries(self, d):
+        rng = np.random.default_rng(4)
+        v = 3 * space_module._SAVE_CHUNK_VALUES // d + 2
+        matrix = rng.normal(0.0, 0.1, size=(v, d)) * 10.0 ** rng.integers(-16, 12, size=(v, d))
+        matrix[rng.integers(v, size=50), rng.integers(d, size=50)] = 0.0
+        assert saved_text(matrix) == per_value_text(words_for(v), matrix)
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["normal", "scientific-and-large"])
+    def test_the_fast_path_places_nearly_every_value(self, monkeypatch, wide):
+        # Formatting everything through the fallback would still be correct,
+        # only slow; this counts what the fallback formats.  The wide matrix
+        # spans 1e-12 … 1e30, the scientific form and the divided scaling.
+        formatted = []
+        fallback = space_module._format_each
+
+        def counting(values, spec):
+            formatted.append(len(values))
+            return fallback(values, spec)
+
+        monkeypatch.setattr(space_module, "_format_each", counting)
+        rng = np.random.default_rng(5)
+        matrix = rng.normal(0.0, 0.1, size=(2000, 50))
+        if wide:
+            matrix *= 10.0 ** rng.integers(-11, 31, size=matrix.shape)
+        assert saved_text(matrix) == per_value_text(words_for(2000), matrix)
+        assert sum(formatted) < 0.01 * matrix.size
+
+    def test_bytes_and_text_chunks_write_and_record_the_same(self, tmp_path):
+        chunks = ["2 1\n", "über 0.5\n", "日本語 -1e-05\n"]
+        written = {
+            "text.vec": chunks,
+            "bytes.vec": [chunk.encode("utf-8") for chunk in chunks],
+            "mixed.vec": [chunks[0], chunks[1].encode("utf-8"), chunks[2]],
+        }
+        with space_module._recording_inputs():
+            for name, parts in written.items():
+                space_module._write_text(tmp_path / name, parts)
+            digests = {space_module._recorded_digest(tmp_path / name) for name in written}
+        data = "".join(chunks).encode("utf-8")
+        for name in written:
+            assert (tmp_path / name).read_bytes() == data
+        assert digests == {hashlib.sha256(data).hexdigest()}
 
 
 class TestBlockLoader:
