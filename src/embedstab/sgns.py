@@ -29,26 +29,22 @@ thread.  So the trained bits do not depend on the BLAS thread count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from collections import Counter
+from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
 from .corpus import Corpus
 from .space import EmbeddingSpace, Vocabulary
 
-__all__ = [
-    "SgnsConfig",
-    "build_vocab",
-    "subsample_probability",
-    "noise_distribution",
-    "train",
-]
+__all__ = ["SgnsConfig", "train"]
 
 _LR_FLOOR_FACTOR = 1e-4
 _SIGMOID_CLAMP = 6.0
 _BLOCK_TOKENS = 64
 _CHUNK_TOKENS = 1 << 15
+_NOISE_BUCKETS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -80,23 +76,21 @@ def build_vocab(corpus: Corpus, min_count: int) -> Vocabulary:
 
     Ties in count are broken lexicographically so the order is stable.
     """
-    counts = Counter(tok for doc in corpus.documents for tok in doc)
-    kept = sorted(
-        (w for w, c in counts.items() if c >= min_count),
-        key=lambda w: (-counts[w], w),
-    )
+    counts = Counter(chain.from_iterable(corpus.documents))
+    kept = sorted(w for w, c in counts.items() if c >= min_count)
+    kept.sort(key=counts.__getitem__, reverse=True)  # stable: ties stay sorted
     if not kept:
         raise ValueError(f"no word reaches min_count={min_count}")
     return Vocabulary(tuple(kept), {w: counts[w] for w in kept})
 
 
-def subsample_probability(freq: float, t: float) -> float:
-    """Probability of discarding a token of relative frequency `freq`."""
-    if freq <= 0.0 or freq > 1.0:
-        raise ValueError(f"relative frequency must be in (0, 1], got {freq}")
-    if freq <= t:
-        return 0.0
-    return 1.0 - math.sqrt(t / freq)
+def subsample_probability(freq: np.ndarray, t: float) -> np.ndarray:
+    """Probability of discarding a token of each relative frequency `freq`."""
+    freq = np.asarray(freq, dtype=float)
+    bad = ~((freq > 0.0) & (freq <= 1.0))
+    if bad.any():
+        raise ValueError(f"relative frequency must be in (0, 1], got {freq[bad].flat[0]}")
+    return np.where(freq <= t, 0.0, 1.0 - np.sqrt(t / freq))
 
 
 def noise_distribution(vocab: Vocabulary) -> np.ndarray:
@@ -161,8 +155,32 @@ def _window_pairs(doc_of: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, .
     return centers[keep], contexts[keep]
 
 
+def _noise_buckets(noise_cdf: np.ndarray) -> np.ndarray:
+    """For each bucket [k/B, (k+1)/B) of draws, B = `_NOISE_BUCKETS`, the
+    number of CDF entries at most k/B: no draw of the bucket maps lower.
+
+    B is a power of two, so cdf * B is exact and ceil(cdf * B) <= k holds
+    exactly when cdf <= k/B.
+    """
+    ceil = np.ceil(noise_cdf * _NOISE_BUCKETS).astype(np.intp)
+    return np.cumsum(np.bincount(ceil, minlength=_NOISE_BUCKETS + 1))[:_NOISE_BUCKETS]
+
+
+def _noise_words(noise_cdf: np.ndarray, buckets: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """`np.searchsorted(noise_cdf, draws, side="right")` for draws in [0, 1).
+
+    A draw starts at its bucket's first word, which is the answer unless the
+    CDF entry there is at most the draw; only those draws are searched.
+    """
+    words = buckets[(draws * _NOISE_BUCKETS).astype(np.intp)]
+    past = noise_cdf[words] <= draws
+    words[past] = np.searchsorted(noise_cdf, draws[past], side="right")
+    return words
+
+
 def _shared_negatives(
     noise_cdf: np.ndarray,
+    buckets: np.ndarray,
     words: np.ndarray,
     centers: np.ndarray,
     contexts: np.ndarray,
@@ -172,14 +190,14 @@ def _shared_negatives(
     """k noise words per position, shared by all the pairs of its window.
 
     A draw equal to any context word of the window is redrawn once, and the
-    redraw is kept whatever it is.
+    redraw is kept whatever it is.  `buckets` is `_noise_buckets(noise_cdf)`.
     """
-    negatives = np.searchsorted(noise_cdf, rng.random((len(words), k)), side="right")
+    negatives = _noise_words(noise_cdf, buckets, rng.random((len(words), k)))
     hit = negatives[centers] == words[contexts][:, None]
     slots = (centers[:, None] * k + np.arange(k))[hit]
     clash = np.bincount(slots, minlength=negatives.size).reshape(negatives.shape) > 0
     redraws = rng.random(int(clash.sum()))
-    negatives[clash] = np.searchsorted(noise_cdf, redraws, side="right")
+    negatives[clash] = _noise_words(noise_cdf, buckets, redraws)
     return negatives
 
 
@@ -278,24 +296,27 @@ def train(corpus: Corpus, config: SgnsConfig) -> EmbeddingSpace:
     step = np.zeros_like(table)
     noise_cdf = np.cumsum(noise_distribution(vocab))
     noise_cdf[-1] = 1.0
+    buckets = _noise_buckets(noise_cdf)
 
-    index = vocab.index
-    counts = np.array([vocab.frequency[w] for w in vocab.words], dtype=float)
-    total_tokens = counts.sum()
-    discard = np.array(
-        [subsample_probability(c / total_tokens, config.subsample_t) for c in counts]
+    counts = np.fromiter(map(vocab.frequency.__getitem__, vocab.words), dtype=float, count=v)
+    discard = subsample_probability(counts / counts.sum(), config.subsample_t)
+    # Every token's word, -1 out of the vocabulary, then each document's
+    # in-vocabulary tokens.
+    codes = np.fromiter(
+        map(vocab.index.get, chain.from_iterable(corpus.documents), repeat(-1)),
+        dtype=np.intp,
+        count=corpus.token_count(),
     )
-    docs = [[index[t] for t in doc if t in index] for doc in corpus.documents]
-    # One stale step over a whole long document would blur what it teaches.
-    docs = [
-        doc[i : i + _BLOCK_TOKENS]
-        for doc in docs
-        for i in range(0, len(doc), _BLOCK_TOKENS)
-    ]
-    lengths = [len(doc) for doc in docs]
-    tokens = np.array([t for doc in docs for t in doc], dtype=np.intp)
-    doc_of = np.repeat(np.arange(len(docs)), lengths)
-    chunks = _chunk_blocks(_block_bounds(lengths))
+    ends = np.cumsum(np.fromiter(map(len, corpus.documents), dtype=np.intp, count=len(corpus)))
+    known = codes >= 0
+    tokens = codes[known]
+    in_vocab = np.diff(np.concatenate(([0], np.cumsum(known)))[ends], prepend=0)
+    # One stale step over a whole long document would blur what it teaches,
+    # so a piece starts every `_BLOCK_TOKENS` tokens of a document.
+    offsets = np.arange(len(tokens)) - np.repeat(np.cumsum(in_vocab) - in_vocab, in_vocab)
+    doc_of = np.cumsum(offsets % _BLOCK_TOKENS == 0) - 1
+    lengths = np.bincount(doc_of)
+    chunks = _chunk_blocks(_block_bounds(lengths.tolist()))
     total_steps = config.epochs * len(tokens)
 
     for epoch in range(config.epochs):
@@ -312,7 +333,7 @@ def train(corpus: Corpus, config: SgnsConfig) -> EmbeddingSpace:
             words = tokens[kept]
             centers, contexts = _window_pairs(doc_of[kept], widths)
             negatives = _shared_negatives(
-                noise_cdf, words, centers, contexts, config.negatives, rng
+                noise_cdf, buckets, words, centers, contexts, config.negatives, rng
             )
             reads = epoch * len(tokens) + kept
             decay = np.maximum(1.0 - reads / total_steps, _LR_FLOOR_FACTOR)

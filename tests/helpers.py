@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -245,23 +247,53 @@ def block_step_oracle(
     output_vectors[out_rows] -= step[n_in:]
 
 
+def shared_negatives_oracle(
+    noise_cdf: np.ndarray,
+    words: np.ndarray,
+    centers: np.ndarray,
+    contexts: np.ndarray,
+    k: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """k noise words per position by `np.searchsorted` into the noise CDF,
+    then one redraw for each that equals a context word of its window."""
+    negatives = np.searchsorted(noise_cdf, rng.random((len(words), k)), side="right")
+    window = [set() for _ in range(len(words))]
+    for c, o in zip(centers.tolist(), contexts.tolist()):
+        window[c].add(int(words[o]))
+    clash = np.array(
+        [[w in window[i] for w in row] for i, row in enumerate(negatives.tolist())],
+        dtype=bool,
+    ).reshape(negatives.shape)
+    negatives[clash] = np.searchsorted(noise_cdf, rng.random(int(clash.sum())), side="right")
+    return negatives
+
+
 def train_per_block_oracle(corpus: Corpus, config: SgnsConfig) -> np.ndarray:
-    """The trained input vectors as `train` made them before chunks: every
-    block draws its own subsampling, widths, noise words and redraws, then
-    takes `block_step_oracle`'s step.  `train` with one block per chunk must
-    match it bit for bit."""
-    vocab = sgns.build_vocab(corpus, config.min_count)
-    v, d = len(vocab.words), config.dim
+    """The trained input vectors as `train` made them before chunks and
+    before its whole-array set-up: the vocabulary, the discard table and the
+    documents' pieces come from one Python expression per word or token,
+    and every block draws its own subsampling, widths, noise words (by
+    `np.searchsorted`) and redraws, then takes `block_step_oracle`'s step.
+    `train` with one block per chunk must match it bit for bit."""
+    counts = Counter(tok for doc in corpus.documents for tok in doc)
+    vocab = sorted(
+        (w for w, c in counts.items() if c >= config.min_count), key=lambda w: (-counts[w], w)
+    )
+    index = {w: i for i, w in enumerate(vocab)}
+    v, d = len(vocab), config.dim
     rng = np.random.default_rng(config.seed)
     input_vectors = rng.uniform(-0.5 / d, 0.5 / d, size=(v, d))
     output_vectors = np.zeros((v, d))
-    noise_cdf = np.cumsum(sgns.noise_distribution(vocab))
+    freq = np.array([counts[w] for w in vocab], dtype=float)
+    weights = freq**0.75
+    noise_cdf = np.cumsum(weights / weights.sum())
     noise_cdf[-1] = 1.0
-    counts = np.array([vocab.frequency[w] for w in vocab.words], dtype=float)
+    sample_t = config.subsample_t
     discard = np.array(
-        [sgns.subsample_probability(c / counts.sum(), config.subsample_t) for c in counts]
+        [0.0 if f <= sample_t else 1.0 - math.sqrt(sample_t / f) for f in freq / freq.sum()]
     )
-    docs = [[vocab.index[t] for t in doc if t in vocab.index] for doc in corpus.documents]
+    docs = [[index[t] for t in doc if t in index] for doc in corpus.documents]
     size = sgns._BLOCK_TOKENS
     docs = [doc[i : i + size] for doc in docs for i in range(0, len(doc), size)]
     lengths = [len(doc) for doc in docs]
@@ -279,7 +311,7 @@ def train_per_block_oracle(corpus: Corpus, config: SgnsConfig) -> np.ndarray:
                 widths = np.full(len(kept), config.window)
             words = tokens[kept]
             centers, contexts = sgns._window_pairs(doc_of[kept], widths)
-            negatives = sgns._shared_negatives(
+            negatives = shared_negatives_oracle(
                 noise_cdf, words, centers, contexts, config.negatives, rng
             )
             reads = epoch * len(tokens) + kept

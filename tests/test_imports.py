@@ -78,6 +78,11 @@ def test_the_package_exports_what_its_modules_declare():
     assert set(namespace) - {"__builtins__"} == set(declared)
     # The function shadows its module's name in the package.
     assert isinstance(embedstab.pip_loss, FunctionType)
+    # The trainer's set-up helpers are called only by the trainer and tests.
+    sgns = importlib.import_module("embedstab.sgns")
+    for name in ("build_vocab", "subsample_probability", "noise_distribution"):
+        assert name not in embedstab.__all__ and not hasattr(embedstab, name)
+        assert callable(getattr(sgns, name))
 
 
 # Calls that read or write a file, make read bytes text, or make a directory.

@@ -11,27 +11,24 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from embedstab import (
-    Corpus,
-    SgnsConfig,
-    Vocabulary,
-    build_vocab,
-    noise_distribution,
-    normalize,
-    subsample_probability,
-    train,
-)
+from embedstab import Corpus, SamplingMode, SgnsConfig, Vocabulary, normalize, sample, train
 from embedstab import sgns
 from embedstab.sgns import (
     _BLOCK_TOKENS,
     _CHUNK_TOKENS,
     _LR_FLOOR_FACTOR,
+    _NOISE_BUCKETS,
     _block_bounds,
     _chunk_blocks,
+    _noise_buckets,
+    _noise_words,
     _shared_negatives,
     _sigmoid,
     _step_blocks,
     _window_pairs,
+    build_vocab,
+    noise_distribution,
+    subsample_probability,
 )
 
 from helpers import (
@@ -126,6 +123,13 @@ class TestSubsampleProbability:
             subsample_probability(0.0, 1e-5)
         with pytest.raises(ValueError, match="relative frequency"):
             subsample_probability(1.5, 1e-5)
+        with pytest.raises(ValueError, match="got 1.5"):
+            subsample_probability(np.array([0.5, 1.5, 0.0]), 1e-5)
+
+    def test_an_array_is_the_scalar_formula_per_entry(self):
+        freq = np.array([1e-6, 1e-5, 4e-5, 0.1, 1.0, 3e-3])
+        want = [0.0 if f <= 1e-5 else 1.0 - math.sqrt(1e-5 / f) for f in freq.tolist()]
+        assert subsample_probability(freq, 1e-5).tolist() == want
 
 
 class TestNoiseDistribution:
@@ -142,6 +146,61 @@ class TestNoiseDistribution:
         vocab = Vocabulary(("a", "b"), {"a": 10_000, "b": 10})
         probs = noise_distribution(vocab)
         assert probs[0] / probs[1] < 10_000 / 10
+
+
+def noise_cdf(counts) -> np.ndarray:
+    """The noise CDF `train` builds from these word counts."""
+    weights = np.asarray(counts, dtype=float) ** 0.75
+    cdf = np.cumsum(weights / weights.sum())
+    cdf[-1] = 1.0
+    return cdf
+
+
+def assert_noise_words_are_the_search(cdf: np.ndarray, draws: np.ndarray) -> None:
+    got = _noise_words(cdf, _noise_buckets(cdf), draws)
+    assert np.array_equal(got, np.searchsorted(cdf, draws, side="right"))
+
+
+class TestNoiseLookup:
+    """The bucketed lookup against `np.searchsorted`, draw for draw."""
+
+    def test_bucket_edges_cdf_entries_and_their_neighbours(self):
+        # A Zipfian vocabulary as large as the benchmark's: its head words
+        # get buckets of their own, its tail shares buckets and falls back.
+        cdf = noise_cdf(1e5 / np.arange(1, 5001) ** 1.05 + 2)
+        entries = cdf[:-1]
+        draws = np.concatenate((
+            np.arange(_NOISE_BUCKETS) / _NOISE_BUCKETS,
+            entries,
+            np.nextafter(entries, 0.0),
+            np.nextafter(entries, 1.0),
+            [0.0, np.nextafter(1.0, 0.0)],
+        ))
+        assert draws.max() < 1.0
+        buckets = _noise_buckets(cdf)
+        starts = buckets[(draws * _NOISE_BUCKETS).astype(np.intp)]
+        assert 0 < np.count_nonzero(cdf[starts] <= draws) < draws.size
+        assert_noise_words_are_the_search(cdf, draws)
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(st.integers(1, 10**6), min_size=1, max_size=400),
+        st.integers(0, 2**32 - 1),
+    )
+    @example([7], 0)
+    @example([3, 3, 3, 3], 1)
+    @example([10**6] + [1] * 399, 2)
+    def test_random_count_vectors(self, counts, seed):
+        cdf = noise_cdf(counts)
+        entries = cdf[:-1]
+        draws = np.concatenate((
+            np.random.default_rng(seed).random(2000),
+            entries,
+            np.nextafter(entries, 0.0),
+            np.nextafter(entries, 1.0),
+            [0.0, np.nextafter(1.0, 0.0)],
+        ))
+        assert_noise_words_are_the_search(cdf, draws[draws < 1.0])
 
 
 class TestSigmoid:
@@ -365,7 +424,9 @@ class TestSgnsStep:
         cdf = np.array([0.001, 0.5, 0.999, 1.0])
         words = np.array([0, 1, 2])
         centers, contexts = np.array([0, 0]), np.array([1, 2])
-        negs = _shared_negatives(cdf, words, centers, contexts, 2000, np.random.default_rng(6))
+        negs = _shared_negatives(
+            cdf, _noise_buckets(cdf), words, centers, contexts, 2000, np.random.default_rng(6)
+        )
         assert negs.shape == (3, 2000)
         assert set(np.unique(negs)) <= {0, 1, 2, 3}
         assert np.mean(np.isin(negs[0], [1, 2])) > 0.9
@@ -570,6 +631,32 @@ class TestTrain:
             {"dynamic_window": False, "epochs": 3, "dim": 5},
         ):
             config = SgnsConfig(**{**SMALL.__dict__, **changes})
+            want = train_per_block_oracle(corpus, config)
+            assert train(corpus, config).matrix.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("resample", ["fixed", "bootstrapped"])
+    def test_whole_array_set_up_trains_as_the_per_token_set_up(self, monkeypatch, resample):
+        # Documents of 0, 1, 63, 64, 65, 128 and 129 in-vocabulary tokens,
+        # with out-of-vocabulary tokens (each seen once, under min_count) at
+        # the start, on both sides of every piece cut and at the end, and
+        # documents with no in-vocabulary token at all; bootstrapped, the
+        # documents repeat.  One block per chunk, so the per-block oracle
+        # consumes the stream as `train` does.
+        monkeypatch.setattr(sgns, "_CHUNK_TOKENS", 1)
+        rng = np.random.default_rng(23)
+        unseen = (f"x{i}" for i in range(10**6))
+        documents = [(), (next(unseen),), (next(unseen), next(unseen))]
+        for n in (0, 1, 63, 64, 65, 128, 129):
+            doc = []
+            for i, word in enumerate(rng.integers(0, 9, size=n).tolist()):
+                if i % _BLOCK_TOKENS in (0, _BLOCK_TOKENS - 1):
+                    doc.append(next(unseen))
+                doc.append(f"w{word}")
+            documents.insert(int(rng.integers(len(documents) + 1)), (*doc, next(unseen)))
+        corpus = sample(Corpus(tuple(documents)), SamplingMode(resample, 4))
+        assert (len(set(corpus.documents)) < len(corpus)) == (resample == "bootstrapped")
+        for changes in ({}, {"subsample_t": 1e-2, "dynamic_window": False, "epochs": 1}):
+            config = SgnsConfig(**{**SMALL.__dict__, "min_count": 2, **changes})
             want = train_per_block_oracle(corpus, config)
             assert train(corpus, config).matrix.tobytes() == want.tobytes()
 
