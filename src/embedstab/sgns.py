@@ -16,14 +16,22 @@ random choices come from one PCG64 stream consumed in a fixed order: the
 initialization, then per chunk of whole blocks of at most `_CHUNK_TOKENS`
 tokens the subsampling of its tokens, the window widths of the kept ones,
 their noise words and the clash redraws.  The blocks of a chunk then step
-over slices of what was drawn.
+over slices of what was drawn.  A noise word is found from its uniform draw
+through a table of 2^16 buckets that gives each bucket's first word, with
+`np.searchsorted` only where the bucket start is not the answer; the word is
+the search's result exactly.
 
-The input and output vectors are one stacked table.  The step is written in
-NumPy plus scipy's compiled COO product (`coo_matmat_dense`, the routine
-`coo_array @ dense` runs), imported on first use.  It uses no BLAS call: a
-dense matrix product may split its sums across BLAS threads and round them
-differently, while the COO product adds the terms one by one on a single
-thread.  So the trained bits do not depend on the BLAS thread count.
+The input and output vectors are one stacked float32 table, as word2vec
+keeps them in single precision: the initialization is drawn in float64 and
+rounded, and the scores, coefficients and per-term rates are float32, while
+the learning-rate schedule is float64 up to the rates.  `train` returns the
+input vectors as float64.  The step is written in NumPy plus scipy's
+compiled COO product (`coo_matmat_dense`, the routine `coo_array @ dense`
+runs), imported on first use, and computes in its table's dtype.  It uses
+no BLAS call: a dense matrix product may split its sums across BLAS threads
+and round them differently, while the COO product adds the terms one by one
+on a single thread.  So the trained bits do not depend on the BLAS thread
+count.
 """
 
 from __future__ import annotations
@@ -233,7 +241,8 @@ def _step_blocks(
     of the table then move by the step, and their buffer rows are cleared.
     Only the scores, the coefficients, the product and the row update run
     per block; the terms, their rates and each block's distinct rows are
-    laid out once per chunk.
+    laid out once per chunk.  Everything but the row numbers is in the
+    table's dtype, the rates rounded to it from `lr`.
     """
     from scipy.sparse._sparsetools import coo_matmat_dense
     v, d = len(table) // 2, table.shape[1]
@@ -247,7 +256,8 @@ def _step_blocks(
     # pairs of blocks 0..j.
     pair_at = np.arange(len(centers)) + k * blocks[block_of[centers]]
     noise_at = np.arange(negatives.size) + np.repeat(pairs[1:][block_of], k)
-    a, b, rate = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp), np.empty(n)
+    a, b = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    rate = np.empty(n, dtype=table.dtype)
     a[pair_at], a[noise_at] = words[centers], np.repeat(words, k)
     b[pair_at], b[noise_at] = v + words[contexts], v + negatives.ravel()
     rate[pair_at] = lr[centers]
@@ -284,14 +294,15 @@ def train(corpus: Corpus, config: SgnsConfig) -> EmbeddingSpace:
     takes one SGD step covering all its window pairs, evaluated at its
     incoming vectors, with each center's k noise words shared by its window.
     A chunk's samples are drawn at once, before its first block steps.
-    The returned space holds the input vectors, unnormalized, with corpus
-    frequencies attached.  A run whose input vectors are not all finite at
-    the end of an epoch has diverged and raises FloatingPointError there.
+    The vectors are trained in float32; the returned space holds the input
+    vectors as float64, unnormalized, with corpus frequencies attached.  A
+    run whose input vectors are not all finite at the end of an epoch has
+    diverged and raises FloatingPointError there.
     """
     vocab = build_vocab(corpus, config.min_count)
     v, d = len(vocab.words), config.dim
     rng = np.random.default_rng(config.seed)
-    table = np.zeros((2 * v, d))
+    table = np.zeros((2 * v, d), dtype=np.float32)
     table[:v] = rng.uniform(-0.5 / d, 0.5 / d, size=(v, d))
     step = np.zeros_like(table)
     noise_cdf = np.cumsum(noise_distribution(vocab))
@@ -300,17 +311,17 @@ def train(corpus: Corpus, config: SgnsConfig) -> EmbeddingSpace:
 
     counts = np.fromiter(map(vocab.frequency.__getitem__, vocab.words), dtype=float, count=v)
     discard = subsample_probability(counts / counts.sum(), config.subsample_t)
-    # Every token's word, -1 out of the vocabulary, then each document's
-    # in-vocabulary tokens.
+    # Every token's word, -1 out of the vocabulary; then the in-vocabulary
+    # tokens and each document's count of them.
+    sizes = np.fromiter(map(len, corpus.documents), dtype=np.intp, count=len(corpus))
     codes = np.fromiter(
         map(vocab.index.get, chain.from_iterable(corpus.documents), repeat(-1)),
         dtype=np.intp,
-        count=corpus.token_count(),
+        count=int(sizes.sum()),
     )
-    ends = np.cumsum(np.fromiter(map(len, corpus.documents), dtype=np.intp, count=len(corpus)))
     known = codes >= 0
     tokens = codes[known]
-    in_vocab = np.diff(np.concatenate(([0], np.cumsum(known)))[ends], prepend=0)
+    in_vocab = np.diff(np.concatenate(([0], np.cumsum(known)))[np.cumsum(sizes)], prepend=0)
     # One stale step over a whole long document would blur what it teaches,
     # so a piece starts every `_BLOCK_TOKENS` tokens of a document.
     offsets = np.arange(len(tokens)) - np.repeat(np.cumsum(in_vocab) - in_vocab, in_vocab)
@@ -346,4 +357,4 @@ def train(corpus: Corpus, config: SgnsConfig) -> EmbeddingSpace:
             raise FloatingPointError(
                 f"training diverged: non-finite input vectors after epoch {epoch + 1}"
             )
-    return EmbeddingSpace(vocab, table[:v].copy(), normalized=False)
+    return EmbeddingSpace(vocab, table[:v].astype(np.float64), normalized=False)

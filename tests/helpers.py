@@ -221,8 +221,9 @@ def block_step_oracle(
     """One block's step as it ran before the vectors were stacked in one
     table: its rows numbered by one `np.unique`, gathered into their own
     matrix X = [in[U]; out[W]], and stepped by one `coo_array` product
-    X -= M X, the pairs, then the noise draws, then the mirrored half.  The
-    stacked step must match it bit for bit."""
+    X -= M X, the pairs, then the noise draws, then the mirrored half, all
+    in the dtype of the vectors, the rates rounded to it first.  The stacked
+    step must match it bit for bit."""
     from scipy.sparse import coo_array
     m, k = negatives.shape
     v, p = len(input_vectors), len(centers)
@@ -237,7 +238,8 @@ def block_step_oracle(
     b = at[m:]
     coef = _sigmoid(np.einsum("td,td->t", stacked[a], stacked[b]))
     coef[:p] -= 1.0
-    coef *= np.concatenate((lr[centers], np.repeat(lr * np.bincount(centers, minlength=m), k)))
+    rate = np.concatenate((lr[centers], np.repeat(lr * np.bincount(centers, minlength=m), k)))
+    coef *= rate.astype(stacked.dtype)
     n = len(rows)
     step = coo_array(
         (np.concatenate((coef, coef)), (np.concatenate((a, b)), np.concatenate((b, a)))),
@@ -269,13 +271,17 @@ def shared_negatives_oracle(
     return negatives
 
 
-def train_per_block_oracle(corpus: Corpus, config: SgnsConfig) -> np.ndarray:
+def train_per_block_oracle(
+    corpus: Corpus, config: SgnsConfig, dtype: type = np.float32
+) -> np.ndarray:
     """The trained input vectors as `train` made them before chunks and
     before its whole-array set-up: the vocabulary, the discard table and the
     documents' pieces come from one Python expression per word or token,
     and every block draws its own subsampling, widths, noise words (by
     `np.searchsorted`) and redraws, then takes `block_step_oracle`'s step.
-    `train` with one block per chunk must match it bit for bit."""
+    The vectors are kept in `dtype`, the float64 initialization rounded to
+    it.  `train` with one block per chunk must match it bit for bit at its
+    table's dtype, float32."""
     counts = Counter(tok for doc in corpus.documents for tok in doc)
     vocab = sorted(
         (w for w, c in counts.items() if c >= config.min_count), key=lambda w: (-counts[w], w)
@@ -283,8 +289,8 @@ def train_per_block_oracle(corpus: Corpus, config: SgnsConfig) -> np.ndarray:
     index = {w: i for i, w in enumerate(vocab)}
     v, d = len(vocab), config.dim
     rng = np.random.default_rng(config.seed)
-    input_vectors = rng.uniform(-0.5 / d, 0.5 / d, size=(v, d))
-    output_vectors = np.zeros((v, d))
+    input_vectors = rng.uniform(-0.5 / d, 0.5 / d, size=(v, d)).astype(dtype)
+    output_vectors = np.zeros((v, d), dtype=dtype)
     freq = np.array([counts[w] for w in vocab], dtype=float)
     weights = freq**0.75
     noise_cdf = np.cumsum(weights / weights.sum())

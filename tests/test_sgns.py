@@ -344,12 +344,12 @@ class TestStepOracle:
             bound = 1e-12 * np.abs(want - before).max() + np.spacing(np.abs(before))
             assert np.all(np.abs(got - want) <= bound)
 
-    @each_step_block
-    def test_matches_the_unstacked_step_bit_for_bit(self, block):
+    @staticmethod
+    def assert_matches_the_unstacked_step(block, dtype):
         # As one block, and as one block per document stepped in turn.
         v, d, seed, words, doc_of, widths, negatives, lr = block
         rng = np.random.default_rng(seed)
-        start = rng.normal(0.0, 0.6, (v, d)), rng.normal(0.0, 0.6, (v, d))
+        start = tuple(rng.normal(0.0, 0.6, (2, v, d)).astype(dtype))
         words, doc_of, negatives, lr = map(np.array, (words, doc_of, negatives, lr))
         centers, contexts = _window_pairs(doc_of, np.array(widths))
         documents = np.flatnonzero(np.diff(doc_of, prepend=-1, append=3)).tolist()
@@ -363,8 +363,18 @@ class TestStepOracle:
                     *want, words[lo:hi], centers[inside] - lo, contexts[inside] - lo,
                     negatives[lo:hi], lr[lo:hi],
                 )
+            assert got[0].dtype == got[1].dtype == dtype
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tobytes() == want[1].tobytes()
+
+    @each_step_block
+    def test_matches_the_unstacked_step_bit_for_bit(self, block):
+        # At the trainer's float32.
+        self.assert_matches_the_unstacked_step(block, np.float32)
+
+    @each_step_block
+    def test_float64_tables_match_the_unstacked_step_bit_for_bit(self, block):
+        self.assert_matches_the_unstacked_step(block, np.float64)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_compiled_product_is_the_coo_array_product(self, seed):
@@ -620,8 +630,8 @@ class TestTrain:
 
     def test_one_block_chunks_train_as_the_per_block_trainer(self, monkeypatch):
         # With one block per chunk the stream is consumed block by block, as
-        # it was before chunks, and the stacked step trains the same bits as
-        # the per-block step; the last document is cut into several.
+        # it was before chunks, and the stacked step trains the same float32
+        # bits as the per-block step; the last document is cut into several.
         monkeypatch.setattr(sgns, "_CHUNK_TOKENS", 1)
         corpus, _, _ = two_topic_corpus(docs=30, doc_len=13, seed=4)
         joined = tuple(t for doc in corpus.documents[:12] for t in doc)
@@ -631,8 +641,10 @@ class TestTrain:
             {"dynamic_window": False, "epochs": 3, "dim": 5},
         ):
             config = SgnsConfig(**{**SMALL.__dict__, **changes})
-            want = train_per_block_oracle(corpus, config)
-            assert train(corpus, config).matrix.tobytes() == want.tobytes()
+            want = train_per_block_oracle(corpus, config, np.float32)
+            got = train(corpus, config).matrix
+            assert want.dtype == np.float32 and got.dtype == np.float64
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("resample", ["fixed", "bootstrapped"])
     def test_whole_array_set_up_trains_as_the_per_token_set_up(self, monkeypatch, resample):
@@ -657,8 +669,8 @@ class TestTrain:
         assert (len(set(corpus.documents)) < len(corpus)) == (resample == "bootstrapped")
         for changes in ({}, {"subsample_t": 1e-2, "dynamic_window": False, "epochs": 1}):
             config = SgnsConfig(**{**SMALL.__dict__, "min_count": 2, **changes})
-            want = train_per_block_oracle(corpus, config)
-            assert train(corpus, config).matrix.tobytes() == want.tobytes()
+            want = train_per_block_oracle(corpus, config, np.float32)
+            assert np.array_equal(train(corpus, config).matrix, want)
 
     def test_seed_changes_the_result(self):
         corpus = tiny_corpus()
@@ -667,6 +679,7 @@ class TestTrain:
         assert not np.allclose(space_1.matrix, space_2.matrix)
 
     def test_zero_epochs_returns_the_seeded_initialization(self):
+        # The float64 draw rounded to the float32 table, returned as float64.
         corpus = tiny_corpus()
         config = SgnsConfig(**{**SMALL.__dict__, "epochs": 0})
         space = train(corpus, config)
@@ -674,7 +687,9 @@ class TestTrain:
         want = np.random.default_rng(config.seed).uniform(
             -0.5 / d, 0.5 / d, size=(v, d)
         )
-        assert np.array_equal(space.matrix, want)
+        assert space.matrix.dtype == np.float64
+        assert np.array_equal(space.matrix, want.astype(np.float32))
+        assert not np.array_equal(space.matrix, want)
 
     def test_frequencies_and_order(self):
         space = train(tiny_corpus(), SMALL)
